@@ -66,7 +66,7 @@ impl Server {
             if Instant::now() > deadline {
                 return Err("server did not announce its address within 30 s".into());
             }
-            std::thread::sleep(Duration::from_millis(1));
+            std::thread::sleep(Duration::from_micros(100));
         }
     }
 

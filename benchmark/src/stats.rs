@@ -134,7 +134,7 @@ mod tests {
             0,
             &[
                 Metric {
-                    name: "op_ms_p50",
+                    name: "op_ms_mean",
                     value: 1.25,
                     unit: "ms",
                 },
@@ -148,7 +148,7 @@ mod tests {
         assert_eq!(
             line,
             "{\"correct\": true, \"attempted\": 3, \"failed\": 0, \"metrics\": {\
-             \"op_ms_p50\": {\"value\": 1.25, \"unit\": \"ms\"}, \
+             \"op_ms_mean\": {\"value\": 1.25, \"unit\": \"ms\"}, \
              \"setup_s\": {\"value\": 0.0, \"unit\": \"s\"}}}"
         );
         wcbk_serve::Json::parse(&line).expect("valid JSON");

@@ -272,8 +272,10 @@ fn decode_encode(
             Ok::<_, Error>(batch)
         })?;
         let last = batch.len() < BATCH;
+        // Records are freed inside the span, right after they are encoded,
+        // as the server frees each one.
         t.span("table.dict_encode", |_| {
-            for record in &batch {
+            for record in batch {
                 let trimmed: Vec<&str> = record.iter().map(|s| s.trim()).collect();
                 builder.push_row(&trimmed)?;
             }
@@ -614,7 +616,10 @@ fn replay_op(r: &mut Replay, env: &Env, op: &Op) -> Result<(), Error> {
             let (session, fingerprint) = r.tracer.request("/tables", |t| {
                 let body = t.span("serve.http.parse", |_| parse_request(&request, true));
                 let mut splitter = RecordSplitter::new();
-                splitter.push(&body);
+                t.span("table.csv_decode", |_| {
+                    splitter.push(&body);
+                    drop(body);
+                });
                 let mut finished = false;
                 let table = decode_encode(t, || match splitter.next_record()? {
                     Some(record) => Ok(Some(record)),
