@@ -17,7 +17,14 @@
 //! chunked columnar kernel at 1 thread vs `--scan-threads` (default 4)
 //! threads, asserts all three agree node-for-node across the whole lattice,
 //! and writes rows/s plus in-run speedups to `results/BENCH_scale.json`
-//! (gated by `bench_gate --scale` in CI).
+//! (gated by `bench_gate --scale` in CI). The same mode times **CSV
+//! ingest** of the table's CSV text: the borrowed-field
+//! `TableDecoder` → `push_fields` path against the record-at-a-time
+//! `RecordSplitter::next_record` + `push_row` adapters, both fed 64 KiB
+//! pieces as a wire upload arrives, asserting the two tables are `==`.
+//! It does so twice: on the Adult table (`ingest`, few distinct values per
+//! column) and on the same table with a unique-valued `Id` column in front
+//! (`ingest_unique`, where every row adds a dictionary entry).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -30,6 +37,11 @@ use wcbk_anonymize::CkSafetyCriterion;
 use wcbk_bench::{small_adult, HarnessError};
 use wcbk_hierarchy::adult::adult_lattice;
 use wcbk_hierarchy::{NodeEvaluator, ScanOptions};
+use wcbk_table::csv::{write_table, RecordSplitter, TableDecoder};
+use wcbk_table::{Attribute, AttributeKind, ChunkedTableBuilder, Schema, Table, TableError};
+
+/// Piece size the ingest benchmark pushes, as a streamed upload arrives.
+const INGEST_PIECE: usize = 64 * 1024;
 
 /// Medians over a few repetitions to keep single-run noise out of the
 /// committed trajectory.
@@ -50,6 +62,89 @@ fn median_time<T>(mut run: impl FnMut() -> T) -> (Duration, T) {
 
 fn ns_per_node(elapsed: Duration, nodes: usize) -> f64 {
     elapsed.as_nanos() as f64 / nodes.max(1) as f64
+}
+
+/// Ingest through the record-at-a-time adapters: one `Vec<String>` per
+/// record, trimmed into `push_row`.
+fn ingest_adapter(csv: &[u8], schema: &Schema) -> Result<Table, HarnessError> {
+    let mut splitter = RecordSplitter::new();
+    let mut builder = ChunkedTableBuilder::new(schema.clone());
+    let mut header = true;
+    let mut consume = |record: Vec<String>| -> Result<(), TableError> {
+        if std::mem::take(&mut header) {
+            return Ok(());
+        }
+        let trimmed: Vec<&str> = record.iter().map(|s| s.trim()).collect();
+        builder.push_row(&trimmed).map(drop)
+    };
+    for piece in csv.chunks(INGEST_PIECE) {
+        splitter.push(piece);
+        while let Some(record) = splitter.next_record()? {
+            consume(record)?;
+        }
+    }
+    if let Some(record) = splitter.finish()? {
+        consume(record)?;
+    }
+    Ok(builder.build())
+}
+
+/// Ingest through the borrowed-field tokenizer into `push_fields`.
+fn ingest_decoder(csv: &[u8], schema: &Schema) -> Result<Table, HarnessError> {
+    let mut decoder = TableDecoder::new(|_: &[&str], _| Ok::<_, TableError>(schema.clone()));
+    for piece in csv.chunks(INGEST_PIECE) {
+        decoder.push(piece);
+        decoder.decode(false)?;
+    }
+    decoder.decode(true)?;
+    Ok(decoder.into_table().ok_or("csv has no header")?)
+}
+
+/// Times CSV ingest of `table` both ways, asserts both rebuild it exactly,
+/// and renders the JSON section body.
+fn ingest_section(table: &Table) -> Result<(String, f64), HarnessError> {
+    let mut csv = Vec::new();
+    write_table(&mut csv, table)?;
+    let schema = table.schema();
+    eprintln!(
+        "CSV ingest ({:.1} MB, {} columns), record-at-a-time adapters…",
+        csv.len() as f64 / 1e6,
+        schema.arity()
+    );
+    let (adapter_time, adapter_table) = median_time(|| ingest_adapter(&csv, schema));
+    eprintln!("CSV ingest, borrowed-field decoder…");
+    let (decoder_time, decoder_table) = median_time(|| ingest_decoder(&csv, schema));
+    let (adapter_table, decoder_table) = (adapter_table?, decoder_table?);
+    assert!(
+        decoder_table == adapter_table,
+        "the decoder and the adapters built different tables"
+    );
+    assert!(decoder_table == *table, "CSV ingest did not round-trip");
+    let rows_per_s = |t: Duration| table.n_rows() as f64 / t.as_secs_f64();
+    let speedup = rows_per_s(decoder_time) / rows_per_s(adapter_time);
+    let body = format!(
+        "{{ \"csv_mb\": {:.1}, \"adapter_ms\": {:.3}, \"decoder_ms\": {:.3}, \
+\"adapter_rows_per_s\": {:.0}, \"decoder_rows_per_s\": {:.0}, \"speedup\": {speedup:.2} }}",
+        csv.len() as f64 / 1e6,
+        adapter_time.as_secs_f64() * 1e3,
+        decoder_time.as_secs_f64() * 1e3,
+        rows_per_s(adapter_time),
+        rows_per_s(decoder_time),
+    );
+    Ok((body, speedup))
+}
+
+/// `table` with a unique-valued `Id` column in front.
+fn with_unique_ids(table: &Table) -> Result<Table, TableError> {
+    let mut attributes = vec![Attribute::new("Id", AttributeKind::Insensitive)];
+    attributes.extend(table.schema().attributes().iter().cloned());
+    let mut builder = ChunkedTableBuilder::new(Schema::new(attributes)?);
+    for row in 0..table.n_rows() {
+        let mut fields = vec![format!("id-{row:08}")];
+        fields.extend(table.row(row));
+        builder.push_row(&fields)?;
+    }
+    Ok(builder.build())
 }
 
 /// `--scale` mode: the million-row bottom-scan benchmark. Times the
@@ -110,6 +205,10 @@ fn run_scale(n_rows: usize, threads: usize, out_path: &str) -> Result<(), Harnes
         }
     }
     let bottom_groups = reference_eval.stats().bottom_groups;
+    drop((reference_eval, kernel_eval, parallel_eval));
+
+    let (ingest, ingest_speedup) = ingest_section(&table)?;
+    let (ingest_unique, unique_speedup) = ingest_section(&with_unique_ids(&table)?)?;
 
     let rows_per_s = |t: Duration| n_rows as f64 / t.as_secs_f64();
     let kernel_speedup = rows_per_s(kernel_time) / rows_per_s(reference_time);
@@ -119,7 +218,9 @@ fn run_scale(n_rows: usize, threads: usize, out_path: &str) -> Result<(), Harnes
         "{{\n  \"workload\": {{ \"rows\": {n_rows}, \"lattice_nodes\": {n_nodes}, \"bottom_groups\": {bottom_groups}, \"scan_threads\": {threads} }},\n  \
            \"bottom_scan\": {{ \"reference_ms\": {:.3}, \"kernel_ms\": {:.3}, \"parallel_ms\": {:.3}, \
 \"reference_rows_per_s\": {:.0}, \"kernel_rows_per_s\": {:.0}, \"parallel_rows_per_s\": {:.0}, \
-\"kernel_speedup\": {:.2}, \"parallel_speedup\": {:.2} }}\n}}\n",
+\"kernel_speedup\": {:.2}, \"parallel_speedup\": {:.2} }},\n  \
+           \"ingest\": {ingest},\n  \
+           \"ingest_unique\": {ingest_unique}\n}}\n",
         reference_time.as_secs_f64() * 1e3,
         kernel_time.as_secs_f64() * 1e3,
         parallel_time.as_secs_f64() * 1e3,
@@ -135,7 +236,8 @@ fn run_scale(n_rows: usize, threads: usize, out_path: &str) -> Result<(), Harnes
     std::fs::write(out_path, &json)?;
     println!("{json}");
     eprintln!(
-        "kernel speedup {kernel_speedup:.2}x, parallel speedup {parallel_speedup:.2}x — wrote {out_path}"
+        "kernel speedup {kernel_speedup:.2}x, parallel speedup {parallel_speedup:.2}x, \
+         ingest speedup {ingest_speedup:.2}x (unique ids {unique_speedup:.2}x) — wrote {out_path}"
     );
     Ok(())
 }

@@ -33,6 +33,8 @@ pub enum HttpError {
         /// Configured maximum.
         limit: usize,
     },
+    /// An `Expect` header other than `100-continue` (answered 417).
+    ExpectationFailed(String),
 }
 
 impl fmt::Display for HttpError {
@@ -43,6 +45,7 @@ impl fmt::Display for HttpError {
             HttpError::TooLarge { declared, limit } => {
                 write!(f, "body of {declared} bytes exceeds the {limit}-byte limit")
             }
+            HttpError::ExpectationFailed(value) => write!(f, "unsupported expectation {value:?}"),
         }
     }
 }
@@ -215,6 +218,8 @@ pub struct RequestParser {
     /// When true, body bytes go to `stream_out` instead of `head.body`.
     streaming: bool,
     stream_out: Vec<u8>,
+    /// The head asked for `100 Continue` and nobody has taken it yet.
+    continue_pending: bool,
 }
 
 impl RequestParser {
@@ -231,6 +236,7 @@ impl RequestParser {
             decoded_total: 0,
             streaming: false,
             stream_out: Vec::new(),
+            continue_pending: false,
         }
     }
 
@@ -268,6 +274,14 @@ impl RequestParser {
                 self.stream_out.append(&mut head.body);
             }
         }
+    }
+
+    /// Whether the current request's head carried `Expect: 100-continue`
+    /// and passed the body-size check, so the client may be holding its
+    /// body back until it sees `100 Continue`. True at most once per
+    /// request, and never once the request is complete.
+    pub fn take_continue(&mut self) -> bool {
+        std::mem::take(&mut self.continue_pending)
     }
 
     /// Drains decoded body bytes accumulated in streaming mode.
@@ -341,6 +355,13 @@ impl RequestParser {
         } else {
             self.state = ParseState::Body { remaining: 0 };
         }
+        match head.header("expect") {
+            None => {}
+            Some(value) if value.eq_ignore_ascii_case("100-continue") => {
+                self.continue_pending = true;
+            }
+            Some(value) => return Err(HttpError::ExpectationFailed(value.to_owned())),
+        }
         Ok(())
     }
 
@@ -356,6 +377,7 @@ impl RequestParser {
         self.headers = Vec::new();
         self.decoded_total = 0;
         self.streaming = false;
+        self.continue_pending = false;
         request
     }
 
@@ -505,6 +527,7 @@ pub fn status_text(status: u16) -> &'static str {
         404 => "Not Found",
         405 => "Method Not Allowed",
         413 => "Payload Too Large",
+        417 => "Expectation Failed",
         500 => "Internal Server Error",
         503 => "Service Unavailable",
         _ => "Unknown",
@@ -731,7 +754,8 @@ pub mod client {
             self.writer.flush()
         }
 
-        /// Reads one response after [`send_raw`](Self::send_raw).
+        /// Reads one response after [`send_raw`](Self::send_raw); an
+        /// interim `1xx` response is returned on its own, body-less.
         pub fn read_response(&mut self) -> Result<Response, HttpError> {
             let status_line = read_line(&mut self.reader)?
                 .ok_or_else(|| HttpError::Malformed("eof before status line".into()))?;
@@ -770,7 +794,9 @@ pub mod client {
                 headers.push((name, value.to_owned()));
             }
             let mut body = Vec::new();
-            if chunked {
+            if (100..200).contains(&status) {
+                // An interim response (`100 Continue`) never has a body.
+            } else if chunked {
                 loop {
                     let size_line = read_line(&mut self.reader)?
                         .ok_or_else(|| HttpError::Malformed("eof inside chunk size".into()))?;
@@ -1052,8 +1078,36 @@ mod tests {
     }
 
     #[test]
+    fn expect_continue_is_offered_once_and_other_expectations_fail() {
+        let mut parser = RequestParser::new(64);
+        parser.push(b"POST /x HTTP/1.1\r\nContent-Length: 3\r\nExpect: 100-Continue\r\n\r\n");
+        assert!(parser.advance().unwrap().is_none());
+        assert!(parser.take_continue());
+        assert!(!parser.take_continue(), "offered once per request");
+        parser.push(b"abcGET /y HTTP/1.1\r\n\r\n");
+        assert_eq!(parser.advance().unwrap().unwrap().body, b"abc");
+        assert!(parser.advance().unwrap().is_some());
+        assert!(!parser.take_continue());
+
+        // A body that arrives with its head needs no invitation.
+        parser.push(b"POST /x HTTP/1.1\r\nContent-Length: 1\r\nExpect: 100-continue\r\n\r\na");
+        assert!(parser.advance().unwrap().is_some());
+        assert!(!parser.take_continue());
+
+        // The size check comes first; any other expectation is refused.
+        parser.push(b"POST /x HTTP/1.1\r\nContent-Length: 99\r\nExpect: 100-continue\r\n\r\n");
+        assert!(matches!(parser.advance(), Err(HttpError::TooLarge { .. })));
+        let mut parser = RequestParser::new(64);
+        parser.push(b"POST /x HTTP/1.1\r\nContent-Length: 1\r\nExpect: 200-ok\r\n\r\na");
+        assert!(matches!(
+            parser.advance(),
+            Err(HttpError::ExpectationFailed(value)) if value == "200-ok"
+        ));
+    }
+
+    #[test]
     fn status_texts_cover_served_codes() {
-        for code in [200u16, 400, 404, 405, 413, 500, 503] {
+        for code in [200u16, 400, 404, 405, 413, 417, 500, 503] {
             assert_ne!(status_text(code), "Unknown", "{code}");
         }
         assert_eq!(status_text(418), "Unknown");

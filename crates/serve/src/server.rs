@@ -862,6 +862,7 @@ impl Reactor<'_> {
         if conn.state != ConnState::Reading {
             return;
         }
+        let mut interim = false;
         let outcome = match conn.parser.advance() {
             Ok(Some(mut request)) => {
                 let parse_micros = conn
@@ -904,6 +905,12 @@ impl Reactor<'_> {
                 }))
             }
             Ok(None) => {
+                if conn.parser.take_continue() {
+                    // The head passed the body-size check: invite the body
+                    // the client is holding back until it hears from us.
+                    conn.out.extend_from_slice(b"HTTP/1.1 100 Continue\r\n\r\n");
+                    interim = true;
+                }
                 if conn.upload.is_none() {
                     if let Some(head) = conn.parser.head() {
                         if is_csv_upload(head) {
@@ -926,9 +933,11 @@ impl Reactor<'_> {
                 format!("body of {declared} bytes exceeds the {limit}-byte limit"),
             ),
             Err(HttpError::Malformed(message)) => Outcome::Respond(400, message),
+            Err(e @ HttpError::ExpectationFailed(_)) => Outcome::Respond(417, e.to_string()),
             Err(HttpError::Io(_)) => Outcome::Close,
         };
         match outcome {
+            Outcome::Wait if interim => self.flush_conn(id),
             Outcome::Wait => {}
             Outcome::Dispatch(job) => {
                 let conn = self.conns.get_mut(&id).expect("conn parsed a request");

@@ -25,7 +25,6 @@
 //! last bit of an `f64` is lost).
 
 use std::collections::HashMap;
-use std::io::BufReader;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -37,8 +36,8 @@ use wcbk_anonymize::{
 use wcbk_core::EngineRegistry;
 use wcbk_hierarchy::{GenNode, GeneralizationLattice, Hierarchy, RollupStats};
 use wcbk_store::{DatasetStore, StoreError};
-use wcbk_table::csv::RecordSplitter;
-use wcbk_table::{Attribute, AttributeKind, ChunkedTableBuilder, Schema, Table};
+use wcbk_table::csv::TableDecoder;
+use wcbk_table::{Attribute, AttributeKind, ChunkedTableBuilder, Schema, Table, TableError};
 
 use crate::json::Json;
 use crate::persist;
@@ -420,13 +419,11 @@ impl AuditService {
     /// handle is the content fingerprint, so a chunked upload of the same
     /// data resolves to the **same id** as a buffered registration.
     pub fn register_upload(&self, upload: CsvUpload) -> Result<Json, ServeError> {
+        if let Some(e) = upload.failed {
+            return Err(e);
+        }
         let params = upload.params;
-        let builder = match upload.state {
-            UploadState::Failed(e) => return Err(e),
-            UploadState::AwaitingHeader => return Err(bad("csv is empty")),
-            UploadState::Building { builder } => builder,
-        };
-        let table = builder.build();
+        let table = csv_table(upload.decoder)?;
         if table.n_rows() == 0 {
             return Err(bad("table has no rows"));
         }
@@ -1637,12 +1634,11 @@ fn schema_from_names(
 /// CLI: `"sensitive"` names the sensitive column, `"qi"` columns are
 /// quasi-identifiers, everything else insensitive.
 ///
-/// The CSV body is **streamed** into a [`ChunkedTableBuilder`]: each record
-/// is dictionary-encoded the moment it is parsed, so registration never
-/// stages the decoded rows (`Vec<Vec<String>>`) in memory — at a million
-/// rows that staging used to dwarf the table itself. The built table is
-/// bit-identical to the old buffering path (the chunked builder is pinned
-/// `==` to [`TableBuilder`](wcbk_table::TableBuilder) in `wcbk-table`).
+/// The CSV text is decoded in place by the same [`TableDecoder`] path wire
+/// uploads take: each record's borrowed fields are dictionary-encoded the
+/// moment it is tokenized, so registration never stages decoded rows in
+/// memory. The built table is bit-identical to the record-at-a-time
+/// [`TableBuilder`](wcbk_table::TableBuilder) path (pinned in `wcbk-table`).
 pub fn table_from_request(request: &Json) -> Result<Table, ServeError> {
     if request.as_object().is_none() {
         return Err(bad("request body must be a JSON object"));
@@ -1658,19 +1654,9 @@ pub fn table_from_request(request: &Json) -> Result<Table, ServeError> {
             let text = csv
                 .as_str()
                 .ok_or_else(|| bad("\"csv\" must be a string"))?;
-            let mut reader = wcbk_table::csv::CsvReader::new(BufReader::new(text.as_bytes()));
-            let header = reader
-                .next_record()
-                .map_err(|e| bad(format!("csv: {e}")))?
-                .ok_or_else(|| bad("csv is empty"))?;
-            let names: Vec<String> = header.iter().map(|s| s.trim().to_owned()).collect();
-            let schema = schema_from_names(&names, sensitive, &qi)?;
-            let mut builder = ChunkedTableBuilder::new(schema);
-            while let Some(record) = reader.next_record().map_err(|e| bad(format!("csv: {e}")))? {
-                let trimmed: Vec<&str> = record.iter().map(|s| s.trim()).collect();
-                builder.push_row(&trimmed).map_err(|e| bad(e.to_string()))?;
-            }
-            builder.build()
+            let mut decoder = TableDecoder::new(schema_from_header(Some(sensitive), qi));
+            decoder.decode_slice(text.as_bytes())?;
+            csv_table(decoder)?
         }
         None => {
             let names = string_list(request, "columns")?;
@@ -1707,16 +1693,42 @@ pub fn table_from_request(request: &Json) -> Result<Table, ServeError> {
     Ok(table)
 }
 
-/// Where a [`CsvUpload`] stands as body bytes stream in.
-enum UploadState {
-    /// No complete record yet — the header row names the columns.
-    AwaitingHeader,
-    /// Header consumed; data records dictionary-encode as they complete.
-    Building { builder: ChunkedTableBuilder },
-    /// Something was invalid (parameters, CSV syntax, a short row); the
-    /// error is held until [`AuditService::register_upload`] reports it, so
-    /// the connection can keep draining the body cheaply.
-    Failed(ServeError),
+/// The one CSV-to-table path of the server, shared by wire uploads and
+/// JSON `"csv"` bodies: a [`TableDecoder`] that builds the schema from the
+/// header record ([`schema_from_header`]).
+type CsvDecoder = TableDecoder<HeaderStep>;
+
+/// Turns a CSV header record (its fields and line) into the schema.
+type HeaderStep = Box<dyn FnOnce(&[&str], usize) -> Result<Schema, ServeError> + Send>;
+
+/// The header step of a [`CsvDecoder`]: trimmed header names, with the
+/// `"sensitive"` and `"qi"` column roles of the request.
+fn schema_from_header(sensitive: Option<&str>, qi: Vec<String>) -> HeaderStep {
+    let sensitive = sensitive.map(str::to_owned);
+    Box::new(move |header, _line| {
+        let names: Vec<String> = header.iter().map(|s| s.trim().to_owned()).collect();
+        let sensitive = sensitive
+            .as_deref()
+            .ok_or_else(|| bad("missing \"sensitive\" column name"))?;
+        schema_from_names(&names, sensitive, &qi)
+    })
+}
+
+/// The table a [`CsvDecoder`] built; input without a header record is
+/// `csv is empty`.
+fn csv_table(decoder: CsvDecoder) -> Result<Table, ServeError> {
+    decoder.into_table().ok_or_else(|| bad("csv is empty"))
+}
+
+/// CSV syntax and encoding errors read `csv: …`; a row of the wrong width
+/// is reported bare.
+impl From<TableError> for ServeError {
+    fn from(e: TableError) -> Self {
+        match e {
+            TableError::Csv { .. } => bad(format!("csv: {e}")),
+            e => bad(e.to_string()),
+        }
+    }
 }
 
 /// An incremental wire-CSV registration: `POST /tables` with a `text/csv`
@@ -1724,98 +1736,63 @@ enum UploadState {
 /// repeatable `hierarchy=COL:W1,W2`, `memo_cap=…`, `scan_threads=…`).
 ///
 /// The reactor [`push`](Self::push)es raw body bytes as they arrive off
-/// the socket; records split and dictionary-encode immediately
-/// ([`RecordSplitter`] + [`ChunkedTableBuilder`]), so the upload never
-/// materializes the request body — the peak transient is one record. The
+/// the socket, and every record they complete is tokenized and
+/// dictionary-encoded at once ([`TableDecoder`]). The upload never
+/// materializes the request body: the decoder's carry buffer holds the
+/// record still being assembled and the newest pushed piece, plus at most
+/// as many already-decoded bytes again awaiting lazy compaction. The
 /// resulting table is bit-identical to the buffered JSON `"csv"` path
-/// (same trimming, same builder), so both roads produce the same
+/// (same decoder, same trimming), so both roads produce the same
 /// content-fingerprint handle.
 pub struct CsvUpload {
     /// Query-string parameters lifted into the same JSON shape the body
     /// path uses, so the session-building tail is literally shared code.
     params: Json,
-    splitter: RecordSplitter,
-    state: UploadState,
+    decoder: CsvDecoder,
+    /// The first problem (parameters, CSV syntax, a short row), held until
+    /// [`AuditService::register_upload`] reports it, so the connection can
+    /// keep draining the body cheaply.
+    failed: Option<ServeError>,
 }
 
 impl CsvUpload {
     /// Starts an upload for a request target like
     /// `/tables?sensitive=Disease&qi=Age,Sex`. Never fails: bad parameters
-    /// park the upload in `Failed` and surface as the 400 when finalized.
+    /// are held and surface as the 400 when finalized.
     pub fn new(target: &str) -> CsvUpload {
         let query = target.split_once('?').map_or("", |(_, q)| q);
-        let (params, state) = match upload_params(query) {
-            Ok(params) => (params, UploadState::AwaitingHeader),
-            Err(e) => (Json::Null, UploadState::Failed(e)),
+        let (params, failed) = match upload_params(query) {
+            Ok(params) => (params, None),
+            Err(e) => (Json::Null, Some(e)),
         };
+        // `upload_params` builds `"qi"` as an array of strings.
+        let qi = string_list(&params, "qi").unwrap_or_default();
+        let sensitive = params.get("sensitive").and_then(Json::as_str);
         CsvUpload {
+            decoder: TableDecoder::new(schema_from_header(sensitive, qi)),
             params,
-            splitter: RecordSplitter::new(),
-            state,
+            failed,
         }
     }
 
     /// Feeds decoded body bytes, consuming every record they complete.
     pub fn push(&mut self, bytes: &[u8]) {
-        if matches!(self.state, UploadState::Failed(_)) {
-            return;
-        }
-        self.splitter.push(bytes);
-        loop {
-            match self.splitter.next_record() {
-                Ok(Some(record)) => self.consume(record),
-                Ok(None) => return,
-                Err(e) => {
-                    self.state = UploadState::Failed(bad(format!("csv: {e}")));
-                    return;
-                }
-            }
-            if matches!(self.state, UploadState::Failed(_)) {
-                return;
-            }
+        if self.failed.is_none() {
+            self.decoder.push(bytes);
+            self.decode(false);
         }
     }
 
     /// Marks end-of-body, consuming a trailing unterminated record.
     pub fn finish(&mut self) {
-        if matches!(self.state, UploadState::Failed(_)) {
-            return;
-        }
-        match self.splitter.finish() {
-            Ok(Some(record)) => self.consume(record),
-            Ok(None) => {}
-            Err(e) => self.state = UploadState::Failed(bad(format!("csv: {e}"))),
+        if self.failed.is_none() {
+            self.decode(true);
         }
     }
 
-    /// Applies one parsed record: the first names the columns, the rest
-    /// are rows — with the exact trimming the buffered path applies.
-    fn consume(&mut self, record: Vec<String>) {
-        match &mut self.state {
-            UploadState::AwaitingHeader => {
-                let names: Vec<String> = record.iter().map(|s| s.trim().to_owned()).collect();
-                let built = (|| {
-                    let sensitive = self
-                        .params
-                        .get("sensitive")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| bad("missing \"sensitive\" column name"))?;
-                    let qi = string_list(&self.params, "qi")?;
-                    let schema = schema_from_names(&names, sensitive, &qi)?;
-                    Ok(ChunkedTableBuilder::new(schema))
-                })();
-                self.state = match built {
-                    Ok(builder) => UploadState::Building { builder },
-                    Err(e) => UploadState::Failed(e),
-                };
-            }
-            UploadState::Building { builder } => {
-                let trimmed: Vec<&str> = record.iter().map(|s| s.trim()).collect();
-                if let Err(e) = builder.push_row(&trimmed) {
-                    self.state = UploadState::Failed(bad(e.to_string()));
-                }
-            }
-            UploadState::Failed(_) => {}
+    fn decode(&mut self, eof: bool) {
+        if let Err(e) = self.decoder.decode(eof) {
+            self.failed = Some(e);
         }
     }
 }
@@ -1929,6 +1906,7 @@ fn percent_decode(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::BufReader;
     use wcbk_core::DisclosureEngine;
 
     const HOSPITAL_CSV: &str =
@@ -2022,6 +2000,40 @@ mod tests {
         reference.push_row(&["21", "M", "Flu"]).unwrap();
         reference.push_row(&["23", "F", "Flu"]).unwrap();
         assert_eq!(inline, reference.build());
+    }
+
+    /// Upload pieces of any size, the JSON `"csv"` body and
+    /// `csv::read_table` all build `==` tables from the same bytes, and
+    /// register under one handle.
+    #[test]
+    fn upload_json_and_read_table_build_equal_tables() {
+        let csv = "Age , Sex,Disease\r\n21,M,\"Flu\"\n\n 23,\"F\",Flu \r\n\"2\"\"7\",M,\"Co\nld\"\n29,F,Cold";
+        let json = Json::object(vec![
+            ("csv", csv.into()),
+            ("sensitive", "Disease".into()),
+            ("qi", Json::Array(vec!["Age".into(), "Sex".into()])),
+        ]);
+        let from_json = table_from_request(&json).unwrap();
+        let read =
+            wcbk_table::csv::read_table(csv.as_bytes(), from_json.schema().clone(), true).unwrap();
+        assert_eq!(read, from_json);
+
+        let service = AuditService::new();
+        let id = service.register_table(&json).unwrap();
+        for step in [1, 2, 7, 64 * 1024] {
+            let upload = |csv: &str| {
+                let mut upload = CsvUpload::new("/tables?sensitive=Disease&qi=Age,Sex");
+                for piece in csv.as_bytes().chunks(step) {
+                    upload.push(piece);
+                }
+                upload.finish();
+                upload
+            };
+            let uploaded = csv_table(upload(csv).decoder).unwrap();
+            assert_eq!(uploaded, from_json, "{step}-byte pieces");
+            let registered = service.register_upload(upload(csv)).unwrap();
+            assert_eq!(registered.get("id"), id.get("id"), "{step}-byte pieces");
+        }
     }
 
     #[test]

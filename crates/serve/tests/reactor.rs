@@ -462,3 +462,227 @@ fn shutdown_closes_idle_connections_promptly() {
     );
     assert!(idler.get("/healthz").is_err(), "idler should be closed");
 }
+
+/// Sends `head` (which must end in a blank line) and reads the one
+/// response it provokes before any body byte is sent.
+fn send_head(client: &mut Client, head: &str) -> wcbk_serve::http::client::Response {
+    client.send_raw(head.as_bytes()).unwrap();
+    client.read_response().unwrap()
+}
+
+/// `Expect: 100-continue`: once the head passes the body-size check the
+/// server sends the interim `100 Continue` before the client has sent a
+/// single body byte, then the final response once the body arrives — on a
+/// buffered JSON body and on a wire CSV upload alike. Any other
+/// expectation is a 417.
+#[test]
+fn expect_continue_is_answered_before_the_body() {
+    let (addr, handle, _service, join) = start(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+
+    let body = audit_body(2);
+    let mut client = connect(addr);
+    let interim = send_head(
+        &mut client,
+        &format!(
+            "POST /audit HTTP/1.1\r\nHost: wcbk\r\nContent-Type: application/json\r\n\
+             Content-Length: {}\r\nExpect: 100-continue\r\n\r\n",
+            body.len()
+        ),
+    );
+    assert_eq!(interim.status, 100);
+    client.send_raw(body.as_bytes()).unwrap();
+    let answer = client.read_response().unwrap();
+    assert_eq!(answer.status, 200, "{}", answer.body);
+
+    // The same keep-alive connection: the next request gets its own 100.
+    let csv = workload_csv(2);
+    let interim = send_head(
+        &mut client,
+        &format!(
+            "POST /tables?sensitive=Disease&qi=Age,Sex HTTP/1.1\r\nHost: wcbk\r\n\
+             Content-Type: text/csv\r\nContent-Length: {}\r\nExpect: 100-Continue\r\n\r\n",
+            csv.len()
+        ),
+    );
+    assert_eq!(interim.status, 100);
+    client.send_raw(csv.as_bytes()).unwrap();
+    let registered = client.read_response().unwrap();
+    assert_eq!(registered.status, 200, "{}", registered.body);
+
+    let mut other = connect(addr);
+    let refused = send_head(
+        &mut other,
+        "POST /audit HTTP/1.1\r\nHost: wcbk\r\nContent-Length: 2\r\nExpect: 200-ok\r\n\r\n",
+    );
+    assert_eq!(refused.status, 417, "{}", refused.body);
+    assert!(refused.body.contains("200-ok"), "{}", refused.body);
+
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+}
+
+/// A curl-style upload — chunked transfer coding plus
+/// `Expect: 100-continue`, the body held back until the server answers or
+/// a one-second timer fires — completes without waiting out that timer.
+#[test]
+fn curl_style_chunked_upload_does_not_stall() {
+    let (addr, handle, _service, join) = start(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+
+    let started = Instant::now();
+    let mut client = connect(addr);
+    let interim = send_head(
+        &mut client,
+        "POST /tables?sensitive=Disease&qi=Age,Sex HTTP/1.1\r\nHost: wcbk\r\n\
+         Content-Type: text/csv\r\nTransfer-Encoding: chunked\r\nExpect: 100-continue\r\n\r\n",
+    );
+    assert_eq!(interim.status, 100);
+    let csv = workload_csv(6);
+    for piece in csv.as_bytes().chunks(16) {
+        let mut frame = format!("{:x}\r\n", piece.len()).into_bytes();
+        frame.extend_from_slice(piece);
+        frame.extend_from_slice(b"\r\n");
+        client.send_raw(&frame).unwrap();
+    }
+    client.send_raw(b"0\r\n\r\n").unwrap();
+    let registered = client.read_response().unwrap();
+    assert_eq!(registered.status, 200, "{}", registered.body);
+    assert!(
+        started.elapsed() < Duration::from_millis(900),
+        "the upload stalled: {:?}",
+        started.elapsed()
+    );
+
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+}
+
+/// Sends `csv` as a wire-chunked `text/csv` upload in `step`-byte chunks.
+fn upload_in_steps(addr: SocketAddr, target: &str, csv: &[u8], step: usize) -> (u16, Json) {
+    let mut client = connect(addr);
+    let head = format!(
+        "POST {target} HTTP/1.1\r\nHost: wcbk\r\nContent-Type: text/csv\r\nTransfer-Encoding: chunked\r\n\r\n"
+    );
+    client.send_raw(head.as_bytes()).unwrap();
+    let mut frames = Vec::new();
+    for piece in csv.chunks(step) {
+        frames.extend_from_slice(format!("{:x}\r\n", piece.len()).as_bytes());
+        frames.extend_from_slice(piece);
+        frames.extend_from_slice(b"\r\n");
+        if frames.len() >= 4096 {
+            client.send_raw(&frames).unwrap();
+            frames.clear();
+        }
+    }
+    frames.extend_from_slice(b"0\r\n\r\n");
+    client.send_raw(&frames).unwrap();
+    let response = client.read_response().unwrap();
+    let json = response.json().unwrap();
+    (response.status, json)
+}
+
+/// A CSV with every feature the decoder handles: quoted delimiters and
+/// newlines, `""` escapes, CRLF and LF line ends, blank lines, padding of
+/// several whitespace kinds, and a final line without a newline.
+fn tricky_csv() -> String {
+    let mut csv = String::from(" Age ,Note,\u{a0}Disease\r\n");
+    for i in 0..300 {
+        let note = match i % 5 {
+            0 => "\"a, b\"".to_owned(),
+            1 => "\"say \"\"hi\"\"\"".to_owned(),
+            2 => "\"two\nlines\"".to_owned(),
+            3 => format!("\u{3000}n{}\u{2003}", i % 3),
+            _ => String::new(),
+        };
+        let end = if i % 2 == 0 { "\r\n" } else { "\n" };
+        csv.push_str(&format!(" {} ,{note},Flu{}{end}", 20 + i % 9, i % 4));
+        if i % 50 == 0 {
+            csv.push_str("\r\n\n");
+        }
+    }
+    csv.push_str("99,last,Cold");
+    csv
+}
+
+/// The same CSV bytes registered three ways — wire-chunked uploads at 1-,
+/// 7- and 64 KiB chunking, a buffered JSON `"csv"` body, and
+/// `csv::read_table` in process — resolve to one handle id: the content
+/// fingerprint of one table. Invalid UTF-8 and a short row are 400s with
+/// the messages clients have always seen.
+#[test]
+fn every_ingest_path_yields_the_same_handle() {
+    let (addr, handle, _service, join) = start(ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    });
+    let csv = tricky_csv();
+    let mut client = connect(addr);
+    let body = Json::object(vec![
+        ("csv", csv.as_str().into()),
+        ("sensitive", "Disease".into()),
+        ("qi", Json::Array(vec!["Age".into(), "Note".into()])),
+    ])
+    .to_string();
+    let buffered = client.post("/tables", &body).unwrap();
+    assert_eq!(buffered.status, 200, "{}", buffered.body);
+    let id = buffered
+        .json()
+        .unwrap()
+        .get("id")
+        .and_then(Json::as_str)
+        .unwrap()
+        .to_owned();
+
+    let target = "/tables?sensitive=Disease&qi=Age,Note";
+    for step in [1, 7, 64 * 1024] {
+        let (status, registered) = upload_in_steps(addr, target, csv.as_bytes(), step);
+        assert_eq!(status, 200, "{registered}");
+        assert_eq!(
+            registered.get("id").and_then(Json::as_str),
+            Some(id.as_str()),
+            "{step}-byte chunks"
+        );
+    }
+
+    // In process: `read_table` with the roles the server assigns, and the
+    // lattice it builds (suppression hierarchies over the QI columns).
+    let schema = wcbk_table::Schema::new(vec![
+        wcbk_table::Attribute::new("Age", wcbk_table::AttributeKind::QuasiIdentifier),
+        wcbk_table::Attribute::new("Note", wcbk_table::AttributeKind::QuasiIdentifier),
+        wcbk_table::Attribute::new("Disease", wcbk_table::AttributeKind::Sensitive),
+    ])
+    .unwrap();
+    let table = wcbk_table::csv::read_table(csv.as_bytes(), schema, true).unwrap();
+    let dims = (0..2)
+        .map(|col| {
+            let name = table.schema().attribute(col).name();
+            let dict = table.column(col).dictionary();
+            (col, wcbk_hierarchy::Hierarchy::suppression(name, dict))
+        })
+        .collect();
+    let lattice = wcbk_hierarchy::GeneralizationLattice::new(dims).unwrap();
+    let fingerprint = wcbk_hierarchy::dataset_fingerprint(&table, &lattice);
+    assert_eq!(format!("{fingerprint:016x}"), id);
+
+    let error = |csv: &[u8]| {
+        let (status, json) = upload_in_steps(addr, target, csv, 5);
+        assert_eq!(status, 400, "{json}");
+        json.get("error").and_then(Json::as_str).unwrap().to_owned()
+    };
+    assert_eq!(
+        error(b"Age,Note,Disease\n21,a,Flu\n23,\xff,Flu\n"),
+        "csv: CSV error at line 3: invalid UTF-8"
+    );
+    assert_eq!(
+        error(b"Age,Note,Disease\n21,a,Flu\n23,b\n"),
+        "row 1 has 2 fields but the schema has 3 attributes"
+    );
+
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+}

@@ -62,6 +62,16 @@ impl fmt::Display for TableError {
     }
 }
 
+impl TableError {
+    /// The CSV error for a field that is not valid UTF-8.
+    pub(crate) fn invalid_utf8(line: usize) -> Self {
+        TableError::Csv {
+            line,
+            message: "invalid UTF-8".into(),
+        }
+    }
+}
+
 impl std::error::Error for TableError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {

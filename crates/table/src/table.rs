@@ -311,6 +311,32 @@ impl ChunkedTableBuilder {
         Ok(id)
     }
 
+    /// Appends one row of CSV fields, each trimmed (Unicode `str::trim`):
+    /// the row encodes exactly as [`push_row`](Self::push_row) of the
+    /// trimmed strings would, without collecting them first. The arity must
+    /// match the schema; on error the builder is unchanged.
+    pub fn push_fields<'f, I>(&mut self, fields: I) -> Result<TupleId, TableError>
+    where
+        I: IntoIterator<Item = &'f str>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let fields = fields.into_iter();
+        if fields.len() != self.schema.arity() {
+            return Err(TableError::ArityMismatch {
+                expected: self.schema.arity(),
+                found: fields.len(),
+                row: self.n_rows,
+            });
+        }
+        for (col, field) in self.columns.iter_mut().zip(fields) {
+            let code = col.dict.intern(field.trim());
+            col.push(code, self.chunk_rows);
+        }
+        let id = TupleId(self.n_rows as u32);
+        self.n_rows += 1;
+        Ok(id)
+    }
+
     /// Number of rows pushed so far.
     pub fn n_rows(&self) -> usize {
         self.n_rows
@@ -456,6 +482,31 @@ mod tests {
             assert_eq!(b.n_rows(), rows.len());
             assert_eq!(b.build(), reference, "chunk_rows={chunk_rows}");
         }
+    }
+
+    /// Fields encode as their trimmed strings would, in first-seen order,
+    /// and a rejected row leaves no trace in the dictionaries.
+    #[test]
+    fn push_fields_trims_like_push_row_and_rejects_rows_atomically() {
+        let schema = Schema::new(vec![
+            Attribute::new("Age", AttributeKind::QuasiIdentifier),
+            Attribute::new("Disease", AttributeKind::Sensitive),
+        ])
+        .unwrap();
+        let mut fields = ChunkedTableBuilder::new(schema.clone());
+        let mut strings = TableBuilder::new(schema);
+        for row in [
+            ["23", "Flu"],
+            [" 23", "Flu\u{a0}"],
+            ["24 ", " Cold"],
+            ["23", "Cold"],
+        ] {
+            fields.push_fields(row).unwrap();
+            strings.push_row(&row.map(str::trim)).unwrap();
+        }
+        let short = fields.push_fields(["98"]).unwrap_err();
+        assert!(matches!(short, TableError::ArityMismatch { row: 4, .. }));
+        assert_eq!(fields.build(), strings.build());
     }
 
     #[test]

@@ -68,6 +68,7 @@ use std::process::ExitCode;
 use wcbk::anonymize::anatomize;
 use wcbk::core::{is_ck_safe, max_disclosure, negation_max_disclosure, Bucketization};
 use wcbk::prelude::*;
+use wcbk::table::csv::TableDecoder;
 use wcbk::table::{Attribute, AttributeKind, Schema};
 
 /// What a completed command decided, mapped onto the process exit code:
@@ -379,41 +380,37 @@ fn load(opts: &Options) -> Result<Table, Box<dyn std::error::Error>> {
         .sensitive
         .as_deref()
         .ok_or("--sensitive COL is required")?;
-    let file = std::fs::File::open(path)?;
-    let mut reader = wcbk::table::csv::CsvReader::new(BufReader::new(file));
+    let mut reader = BufReader::new(std::fs::File::open(path)?);
 
-    // Read the header (or synthesize col0..colN names).
-    let first = reader.next_record()?.ok_or("empty CSV file")?;
-    let names: Vec<String> = if opts.header {
-        first.iter().map(|s| s.trim().to_owned()).collect()
-    } else {
-        (0..first.len()).map(|i| format!("col{i}")).collect()
+    // Name the columns from the header (or synthesize col0..colN names).
+    let schema_of = |first: &[&str], _line| -> Result<Schema, Box<dyn std::error::Error>> {
+        let names: Vec<String> = if opts.header {
+            first.iter().map(|s| s.trim().to_owned()).collect()
+        } else {
+            (0..first.len()).map(|i| format!("col{i}")).collect()
+        };
+        let attributes: Vec<Attribute> = names
+            .iter()
+            .map(|n| {
+                let kind = if n == sensitive {
+                    AttributeKind::Sensitive
+                } else if opts.qi.contains(n) {
+                    AttributeKind::QuasiIdentifier
+                } else {
+                    AttributeKind::Insensitive
+                };
+                Attribute::new(n.clone(), kind)
+            })
+            .collect();
+        Ok(Schema::new(attributes)?)
     };
-    let attributes: Vec<Attribute> = names
-        .iter()
-        .map(|n| {
-            let kind = if n == sensitive {
-                AttributeKind::Sensitive
-            } else if opts.qi.contains(n) {
-                AttributeKind::QuasiIdentifier
-            } else {
-                AttributeKind::Insensitive
-            };
-            Attribute::new(n.clone(), kind)
-        })
-        .collect();
-    let schema = Schema::new(attributes)?;
-
-    let mut builder = TableBuilder::new(schema);
-    if !opts.header {
-        let trimmed: Vec<&str> = first.iter().map(|s| s.trim()).collect();
-        builder.push_row(&trimmed)?;
-    }
-    while let Some(rec) = reader.next_record()? {
-        let trimmed: Vec<&str> = rec.iter().map(|s| s.trim()).collect();
-        builder.push_row(&trimmed)?;
-    }
-    Ok(builder.build())
+    let mut decoder = if opts.header {
+        TableDecoder::new(schema_of)
+    } else {
+        TableDecoder::headerless(schema_of)
+    };
+    decoder.decode_reader(&mut reader)?;
+    Ok(decoder.into_table().ok_or("empty CSV file")?)
 }
 
 /// Prints the disclosure report; returns the safety verdict when a `--c`
