@@ -25,7 +25,7 @@ use wcbk_core::sched::{evaluate_work_stealing, MonotoneDag};
 use wcbk_hierarchy::{GenNode, GeneralizationLattice};
 use wcbk_table::Table;
 
-use crate::search::{Schedule, SearchConfig};
+use crate::search::SearchConfig;
 use crate::{AnonymizeError, PrivacyCriterion};
 
 /// Statistics and results of an Incognito run.
@@ -50,33 +50,15 @@ pub fn incognito<C: PrivacyCriterion>(
     incognito_with(table, lattice, criterion, &SearchConfig::with_threads(1))
 }
 
-/// [`incognito`] with candidate evaluations spread over worker threads
-/// under the default (work-stealing) schedule (0 = all available cores) —
-/// see [`incognito_with`].
-pub fn incognito_parallel<C: PrivacyCriterion>(
-    table: &Table,
-    lattice: &GeneralizationLattice,
-    criterion: &C,
-    threads: usize,
-) -> Result<IncognitoOutcome, AnonymizeError> {
-    incognito_with(
-        table,
-        lattice,
-        criterion,
-        &SearchConfig::with_threads(threads),
-    )
-}
-
 /// [`incognito`] with an explicit [`SearchConfig`].
 ///
 /// The apriori join is inherently sequential across subset sizes, but each
-/// subset's surviving candidates form a monotone-pruned DAG of their own —
-/// under [`Schedule::LevelSync`] it is drained one height at a time with
-/// round-robin fan-out; under [`Schedule::WorkStealing`] it goes through
-/// `wcbk_core::sched`'s whole-DAG scheduler (candidates become runnable as
-/// their last in-set predecessor resolves; idle workers speculate). Either
-/// way the outcome — minimal nodes, per-size evaluation counts, first-error
-/// semantics — is identical to the sequential run's.
+/// subset's surviving candidates form a monotone-pruned DAG of their own.
+/// At one thread it is drained in height order; at more it goes through
+/// `wcbk_core::sched`'s whole-DAG work-stealing scheduler (candidates
+/// become runnable as their last in-set predecessor resolves; idle workers
+/// speculate). Either way the outcome — minimal nodes, per-size evaluation
+/// counts, first-error semantics — is identical to the sequential run's.
 pub fn incognito_with<C: PrivacyCriterion>(
     table: &Table,
     lattice: &GeneralizationLattice,
@@ -116,15 +98,11 @@ pub fn incognito_with<C: PrivacyCriterion>(
             // (Predecessors outside the candidate set are unsafe — their
             // projections failed — so only in-set ones grant safety or gate
             // evaluation.)
-            let mut by_height: Vec<Vec<Vec<usize>>> = Vec::new();
-            for v in &candidates {
-                let h: usize = v.iter().sum();
-                if by_height.len() <= h {
-                    by_height.resize(h + 1, Vec::new());
-                }
-                by_height[h].push(v.clone());
-            }
-            let candidate_set: HashSet<Vec<usize>> = candidates.into_iter().collect();
+            // Height-major visit order; the sort is stable, so candidates of
+            // one height keep their join order.
+            let mut order = candidates;
+            order.sort_by_key(|v| v.iter().sum::<usize>());
+            let candidate_set: HashSet<Vec<usize>> = order.iter().cloned().collect();
             let judge = |v: &Vec<usize>| -> Result<bool, AnonymizeError> {
                 match &evaluator {
                     Some(eval) => criterion.is_satisfied_hist(&eval.histograms_subset(&dims, v)?),
@@ -134,35 +112,26 @@ pub fn incognito_with<C: PrivacyCriterion>(
                     }
                 }
             };
-            let subset_safe = if threads > 1 && config.schedule == Schedule::WorkStealing {
-                // The subset's candidate DAG through the work-stealing
-                // scheduler — outcome-equivalent to the level loop below.
-                let order: Vec<Vec<usize>> = by_height.into_iter().flatten().collect();
+            let subset_safe = if threads > 1 {
                 let (safe_set, evaluated) =
                     steal_candidates(&order, &candidate_set, threads, &judge)?;
                 evaluated_this_size += evaluated;
                 safe_set
             } else {
+                // In height order every in-set predecessor is resolved
+                // before the candidates above it.
                 let mut subset_safe: HashSet<Vec<usize>> = HashSet::new();
-                for level in by_height {
-                    let mut to_eval: Vec<Vec<usize>> = Vec::new();
-                    for v in level {
-                        let inherited = predecessors(&v)
-                            .into_iter()
-                            .any(|p| candidate_set.contains(&p) && subset_safe.contains(&p));
-                        if inherited {
-                            subset_safe.insert(v);
-                        } else {
-                            to_eval.push(v);
+                for v in order {
+                    let inherited = predecessors(&v)
+                        .into_iter()
+                        .any(|p| subset_safe.contains(&p));
+                    if !inherited {
+                        evaluated_this_size += 1;
+                        if !judge(&v)? {
+                            continue;
                         }
                     }
-                    evaluated_this_size += to_eval.len();
-                    let verdicts = crate::search::parallel_verdicts(&to_eval, threads, judge)?;
-                    for (v, ok) in to_eval.into_iter().zip(verdicts) {
-                        if ok {
-                            subset_safe.insert(v);
-                        }
-                    }
+                    subset_safe.insert(v);
                 }
                 subset_safe
             };
@@ -196,7 +165,7 @@ pub fn incognito_with<C: PrivacyCriterion>(
 /// Drains one subset's candidate DAG (candidates in height-major order,
 /// edges between in-set immediate predecessors) through the work-stealing
 /// scheduler. Returns the safe level vectors and the number of required
-/// evaluations — both identical to what the level-synchronous loop computes.
+/// evaluations — both identical to what the one-thread drain computes.
 fn steal_candidates<F>(
     order: &[Vec<usize>],
     candidate_set: &HashSet<Vec<usize>>,

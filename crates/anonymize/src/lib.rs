@@ -48,12 +48,12 @@ pub use criteria::{
     PrivacyCriterion, RecursiveCLDiversity,
 };
 pub use error::AnonymizeError;
-pub use incognito::{incognito, incognito_parallel, incognito_with, IncognitoOutcome};
+pub use incognito::{incognito, incognito_with, IncognitoOutcome};
 pub use pipeline::{anonymize, anonymize_parallel, AnonymizationOutcome};
 pub use search::{
-    binary_search_chain, default_threads, find_minimal_safe, find_minimal_safe_parallel,
-    find_minimal_safe_report, find_minimal_safe_rescan, find_minimal_safe_with, sweep_all,
-    sweep_all_rescan, Schedule, SearchConfig, SearchOutcome, SearchReport,
+    binary_search_chain, default_threads, find_minimal_safe, find_minimal_safe_report,
+    find_minimal_safe_rescan, find_minimal_safe_with, sweep_all, sweep_all_rescan, SearchConfig,
+    SearchOutcome, SearchReport,
 };
 pub use session::{
     AuditReport, CompositionReport, DatasetSession, ModelAuditReport, ModelCompositionReport,

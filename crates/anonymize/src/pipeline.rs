@@ -54,7 +54,8 @@ pub fn anonymize_parallel<C: PrivacyCriterion>(
     metric: UtilityMetric,
     threads: usize,
 ) -> Result<AnonymizationOutcome, AnonymizeError> {
-    let outcome = crate::search::find_minimal_safe_parallel(table, lattice, criterion, threads)?;
+    let config = crate::search::SearchConfig::with_threads(threads);
+    let outcome = crate::search::find_minimal_safe_with(table, lattice, criterion, &config)?;
     rank_and_report(table, lattice, metric, outcome)
 }
 

@@ -1,25 +1,20 @@
-//! Lattice search for minimal safe generalizations — sequential,
-//! level-parallel, and work-stealing whole-lattice, over the one-scan
-//! roll-up pipeline.
+//! Lattice search for minimal safe generalizations — sequential and
+//! work-stealing whole-lattice, over the one-scan roll-up pipeline.
 //!
 //! All searches share the same monotone-pruning contract: a node with a
 //! known-safe predecessor is safe by monotonicity and never evaluated; a
-//! node whose predecessors are all unsafe must be. Two parallel schedules
-//! implement it (see [`Schedule`]):
+//! node whose predecessors are all unsafe must be. At one thread the
+//! lattice is walked breadth-first by height (the sequential oracle). At
+//! more, the whole lattice is handed to [`wcbk_core::sched`]'s work-stealing
+//! scheduler, with workers sharing one `&C` criterion (hence
+//! [`PrivacyCriterion`]`: Send + Sync`): a node becomes runnable the moment
+//! its last predecessor's verdict lands, safe verdicts prune entire up-sets
+//! immediately through the generalization partial order, and idle workers
+//! speculatively evaluate still-pending nodes (discarding the work if the
+//! node gets pruned). No level barriers.
 //!
-//! * **Level-synchronous** — each height level's unpruned nodes are dealt
-//!   round-robin across scoped worker threads sharing one `&C` criterion
-//!   (hence [`PrivacyCriterion`]`: Send + Sync`), with verdicts merged in
-//!   item order. Every level waits on its slowest node.
-//! * **Work-stealing** (the default) — the whole lattice is handed to
-//!   [`wcbk_core::sched`]'s scheduler: a node becomes runnable the moment
-//!   its last predecessor's verdict lands, safe verdicts prune entire
-//!   up-sets immediately through the generalization partial order, and idle
-//!   workers speculatively evaluate still-pending nodes (discarding the
-//!   work if the node gets pruned). No level barriers.
-//!
-//! Either way the outcome is **bit-for-bit identical** to the sequential
-//! search — same minimal antichain in the same order, same `evaluated` and
+//! The outcome is **bit-for-bit identical** to the sequential search —
+//! same minimal antichain in the same order, same `evaluated` and
 //! `satisfied` counts, same first-error semantics (pinned by
 //! `tests/parallel_search.rs` and `tests/rollup_equivalence.rs`).
 //!
@@ -45,37 +40,12 @@ use wcbk_table::Table;
 
 use crate::{AnonymizeError, PrivacyCriterion};
 
-/// How a parallel lattice search spreads node evaluations across workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Schedule {
-    /// One fan-out per height level; the level is a barrier.
-    LevelSync,
-    /// Whole-lattice work stealing with speculative evaluation — see the
-    /// module docs. The default.
-    #[default]
-    WorkStealing,
-}
-
-impl std::str::FromStr for Schedule {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "level" | "level-sync" => Ok(Schedule::LevelSync),
-            "steal" | "work-stealing" => Ok(Schedule::WorkStealing),
-            other => Err(format!("unknown schedule {other:?} (want level|steal)")),
-        }
-    }
-}
-
 /// Knobs for the parallel searches ([`find_minimal_safe_with`],
 /// [`crate::incognito::incognito_with`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SearchConfig {
     /// Worker threads: `0` = all available cores, `1` = sequential.
     pub threads: usize,
-    /// Parallel schedule (ignored at 1 thread).
-    pub schedule: Schedule,
     /// Group budget for the roll-up evaluator's memo (`None` = unbounded):
     /// retained node tables may total at most this many groups, weighed by
     /// actual size; see [`NodeEvaluator::with_memo_capacity`].
@@ -93,7 +63,7 @@ pub struct SearchConfig {
 }
 
 impl SearchConfig {
-    /// A config running `threads` workers under the default schedule.
+    /// A config running `threads` workers with every other knob at its default.
     pub fn with_threads(threads: usize) -> Self {
         Self {
             threads,
@@ -252,53 +222,6 @@ pub fn find_minimal_safe_rescan<C: PrivacyCriterion>(
     })
 }
 
-/// The level-synchronous parallel BFS skeleton, generic over a `Sync` judge.
-fn minimal_safe_parallel_with<E>(
-    lattice: &GeneralizationLattice,
-    threads: usize,
-    eval: E,
-) -> Result<SearchOutcome, AnonymizeError>
-where
-    E: Fn(&GenNode) -> Result<bool, AnonymizeError> + Sync,
-{
-    let mut safe: HashSet<GenNode> = HashSet::new();
-    let mut minimal: Vec<GenNode> = Vec::new();
-    let mut evaluated = 0usize;
-
-    for level in lattice.nodes_by_height() {
-        // Partition the level: inherited-safe vs. needs-evaluation. The
-        // order of `to_eval` is the sequential visit order.
-        let mut to_eval: Vec<GenNode> = Vec::new();
-        for node in level {
-            let inherited = lattice
-                .predecessors(&node)
-                .into_iter()
-                .any(|p| safe.contains(&p));
-            if inherited {
-                safe.insert(node);
-            } else {
-                to_eval.push(node);
-            }
-        }
-        if to_eval.is_empty() {
-            continue;
-        }
-        evaluated += to_eval.len();
-        let verdicts = parallel_verdicts(&to_eval, threads, &eval)?;
-        for (node, ok) in to_eval.into_iter().zip(verdicts) {
-            if ok {
-                minimal.push(node.clone());
-                safe.insert(node);
-            }
-        }
-    }
-    Ok(SearchOutcome {
-        minimal_nodes: minimal,
-        evaluated,
-        satisfied: safe.len(),
-    })
-}
-
 /// The work-stealing whole-lattice skeleton: hands the lattice (nodes in
 /// sequential visit order — by height, mixed-radix within a height) to
 /// [`wcbk_core::sched::evaluate_work_stealing`] and maps the resolutions
@@ -342,19 +265,17 @@ where
 }
 
 /// Parallel variant of [`find_minimal_safe`] with explicit [`SearchConfig`]
-/// — thread count, schedule, and evaluator memo cap.
+/// — thread count, evaluator memo cap and bottom-scan threads.
 ///
 /// Whatever the configuration, `minimal_nodes`, `evaluated`, and
-/// `satisfied` are exactly what the sequential search produces:
-///
-/// * under [`Schedule::LevelSync`], each level's unpruned nodes are dealt
-///   round-robin to scoped workers sharing `criterion` (and therefore its
-///   memoization cache) and one roll-up evaluator, with verdicts merged in
-///   item order;
-/// * under [`Schedule::WorkStealing`], the whole lattice drains through
-///   per-worker deques with stealing, immediate up-set pruning on safe
-///   verdicts, and speculative evaluation on idle workers — required
-///   evaluations, and therefore outcomes, are scheduling-independent.
+/// `satisfied` are exactly what the sequential search produces. At more
+/// than one thread the whole lattice drains through per-worker deques with
+/// stealing, immediate up-set pruning on safe verdicts, and speculative
+/// evaluation on idle workers, all sharing `criterion` (and therefore its
+/// memoization cache) and one roll-up evaluator — required evaluations, and
+/// therefore outcomes, are scheduling-independent. `threads == 0` selects
+/// [`default_threads`]; `threads == 1` runs the sequential algorithm
+/// without spawning.
 pub fn find_minimal_safe_with<C: PrivacyCriterion>(
     table: &Table,
     lattice: &GeneralizationLattice,
@@ -393,7 +314,7 @@ pub fn find_minimal_safe_report<C: PrivacyCriterion>(
     })
 }
 
-/// The schedule dispatcher over an **injected** evaluator (`None` = the
+/// The thread-count dispatcher over an **injected** evaluator (`None` = the
 /// signature-overflow re-scanning fallback). This is the primitive both the
 /// one-shot entry points and [`crate::DatasetSession`] (which owns a
 /// long-lived evaluator shared across many searches) run on; outcomes are
@@ -415,10 +336,7 @@ pub(crate) fn minimal_safe_over<C: PrivacyCriterion>(
     if threads == 1 {
         minimal_safe_with(lattice, judge)
     } else {
-        match config.schedule {
-            Schedule::LevelSync => minimal_safe_parallel_with(lattice, threads, judge),
-            Schedule::WorkStealing => minimal_safe_steal_with(lattice, threads, judge),
-        }
+        minimal_safe_steal_with(lattice, threads, judge)
     }
 }
 
@@ -439,91 +357,6 @@ pub(crate) fn sweep_over<C: PrivacyCriterion>(
         out.push((node, ok));
     }
     Ok(out)
-}
-
-/// Parallel variant of [`find_minimal_safe`] under the default
-/// (work-stealing) schedule — see [`find_minimal_safe_with`] for the full
-/// contract and [`Schedule`] for the alternatives.
-///
-/// `threads == 0` selects [`default_threads`]; `threads == 1` degenerates to
-/// the sequential algorithm (without spawning).
-pub fn find_minimal_safe_parallel<C: PrivacyCriterion>(
-    table: &Table,
-    lattice: &GeneralizationLattice,
-    criterion: &C,
-    threads: usize,
-) -> Result<SearchOutcome, AnonymizeError> {
-    find_minimal_safe_with(
-        table,
-        lattice,
-        criterion,
-        &SearchConfig::with_threads(threads),
-    )
-}
-
-/// Maps `eval` over `items` on up to `threads` scoped worker threads,
-/// returning results aligned with `items`. Work is dealt **round-robin**
-/// (worker `w` takes items `w, w + workers, w + 2·workers, …`) rather than
-/// in contiguous chunks, so expensive neighbouring items — e.g. the slow
-/// top-of-lattice nodes, which sit together in level order — spread across
-/// all workers instead of piling onto one. The error reported is the first
-/// one in item order. Shared by the parallel BFS and parallel Incognito.
-pub(crate) fn parallel_verdicts<T, F>(
-    items: &[T],
-    threads: usize,
-    eval: F,
-) -> Result<Vec<bool>, AnonymizeError>
-where
-    T: Sync,
-    F: Fn(&T) -> Result<bool, AnonymizeError> + Sync,
-{
-    let workers = threads.max(1).min(items.len());
-    if workers <= 1 {
-        return items.iter().map(eval).collect();
-    }
-    type WorkerResult = Result<Vec<(usize, bool)>, (usize, AnonymizeError)>;
-    let mut worker_results: Vec<WorkerResult> = Vec::new();
-    std::thread::scope(|scope| {
-        let eval = &eval;
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                scope.spawn(move || -> WorkerResult {
-                    let mut out = Vec::with_capacity(items.len() / workers + 1);
-                    for (i, item) in items.iter().enumerate().skip(w).step_by(workers) {
-                        match eval(item) {
-                            Ok(v) => out.push((i, v)),
-                            Err(e) => return Err((i, e)),
-                        }
-                    }
-                    Ok(out)
-                })
-            })
-            .collect();
-        worker_results = handles
-            .into_iter()
-            .map(|h| h.join().expect("search worker panicked"))
-            .collect();
-    });
-    let mut verdicts = vec![false; items.len()];
-    let mut first_err: Option<(usize, AnonymizeError)> = None;
-    for r in worker_results {
-        match r {
-            Ok(pairs) => {
-                for (i, v) in pairs {
-                    verdicts[i] = v;
-                }
-            }
-            Err((i, e)) => {
-                if first_err.as_ref().is_none_or(|(fi, _)| i < *fi) {
-                    first_err = Some((i, e));
-                }
-            }
-        }
-    }
-    match first_err {
-        Some((_, e)) => Err(e),
-        None => Ok(verdicts),
-    }
 }
 
 /// Exhaustive sweep evaluating the criterion on **every** node — the
@@ -794,32 +627,6 @@ mod tests {
         let rollup = report.rollup.expect("hospital packs into u64 signatures");
         assert_eq!(rollup.table_scans, 1);
         assert!(rollup.derived > 0);
-    }
-
-    #[test]
-    fn strided_verdicts_align_with_items() {
-        // Verdicts must land at their item's index no matter the stride.
-        let items: Vec<u32> = (0..37).collect();
-        for threads in [2usize, 3, 4, 8, 64] {
-            let verdicts = parallel_verdicts(&items, threads, |&x| Ok(x % 3 == 0)).unwrap();
-            let expected: Vec<bool> = items.iter().map(|&x| x % 3 == 0).collect();
-            assert_eq!(verdicts, expected, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn strided_verdicts_report_first_error_in_item_order() {
-        let items: Vec<u32> = (0..20).collect();
-        let err = parallel_verdicts(&items, 4, |&x| {
-            if x >= 7 {
-                Err(AnonymizeError::InvalidParameter(format!("item {x}")))
-            } else {
-                Ok(true)
-            }
-        })
-        .unwrap_err();
-        // Items 7, 8, 9, … all fail on different workers; item order wins.
-        assert!(err.to_string().contains("item 7"), "{err}");
     }
 
     use wcbk_table::Table;

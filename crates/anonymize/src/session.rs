@@ -785,7 +785,7 @@ impl DatasetSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::{find_minimal_safe_with, sweep_all, Schedule};
+    use crate::search::{find_minimal_safe_with, sweep_all};
     use crate::CkSafetyCriterion;
     use wcbk_hierarchy::Hierarchy;
     use wcbk_table::datasets::hospital_table;
@@ -862,16 +862,8 @@ mod tests {
         for (c, k) in [(0.5, 0), (0.7, 1), (0.9, 1), (1.0, 2)] {
             for config in [
                 SearchConfig::default(),
-                SearchConfig {
-                    threads: 3,
-                    schedule: Schedule::WorkStealing,
-                    ..Default::default()
-                },
-                SearchConfig {
-                    threads: 2,
-                    schedule: Schedule::LevelSync,
-                    ..Default::default()
-                },
+                SearchConfig::with_threads(3),
+                SearchConfig::with_threads(2),
             ] {
                 let criterion = CkSafetyCriterion::new(c, k).unwrap();
                 let via_session = s.search(&criterion, &config).unwrap();

@@ -2,14 +2,14 @@
 //! direct MINIMIZE1/MINIMIZE2 paths: for random tables and hierarchies,
 //! judging safety through [`ModelSafetyCriterion`] with the conjunction
 //! model is **bit-identical** to [`CkSafetyCriterion`] — per-node verdicts
-//! at every lattice node, search outcomes across schedules, thread counts
-//! and memo budgets, and audit values with their witnesses — and
+//! at every lattice node, search outcomes across thread counts and memo
+//! budgets, and audit values with their witnesses — and
 //! model-tagged composition audits match from-scratch rebuilds however the
 //! audits interleave with releases.
 
 use proptest::prelude::*;
 
-use wcbk_anonymize::search::{find_minimal_safe_with, Schedule, SearchConfig};
+use wcbk_anonymize::search::{find_minimal_safe_with, SearchConfig};
 use wcbk_anonymize::{CkSafetyCriterion, DatasetSession, ModelId, ModelSafetyCriterion};
 use wcbk_core::DisclosureEngine;
 use wcbk_hierarchy::{GeneralizationLattice, Hierarchy};
@@ -100,7 +100,7 @@ proptest! {
 
     /// Search outcomes (the full ⪯-minimal frontier, evaluated/satisfied
     /// counters included) through the trait equal the direct criterion,
-    /// across schedules, thread counts, and memo budgets.
+    /// across thread counts and memo budgets.
     #[test]
     fn conjunction_search_matches_direct_across_configs(
         qi_cols in 1usize..=3,
@@ -121,13 +121,11 @@ proptest! {
             SearchConfig { memo_capacity: memo_cap, ..Default::default() },
             SearchConfig {
                 threads: 3,
-                schedule: Schedule::WorkStealing,
                 memo_capacity: memo_cap,
                 ..Default::default()
             },
             SearchConfig {
                 threads: 2,
-                schedule: Schedule::LevelSync,
                 memo_capacity: memo_cap,
                 ..Default::default()
             },

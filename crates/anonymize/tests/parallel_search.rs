@@ -1,7 +1,8 @@
 //! Equivalence and concurrency contracts of the parallel lattice search.
 //!
-//! The load-bearing guarantee of `find_minimal_safe_parallel` (and
-//! `incognito_parallel`) is that parallelism is *invisible* in the result:
+//! The load-bearing guarantee of `find_minimal_safe_with` (and
+//! `incognito_with`) at more than one thread is that the work-stealing
+//! schedule is *invisible* in the result:
 //! the same minimal antichain, the same `evaluated` count, the same
 //! `satisfied` count as the sequential search, for any thread count —
 //! verified here on the paper's 72-node Adult benchmark lattice. A separate
@@ -9,12 +10,10 @@
 //! many threads at once and checks that the shared cache still answers
 //! consistently.
 
-use wcbk_anonymize::search::{
-    find_minimal_safe, find_minimal_safe_parallel, find_minimal_safe_with, Schedule, SearchConfig,
-};
+use wcbk_anonymize::search::{find_minimal_safe, find_minimal_safe_with, SearchConfig};
 use wcbk_anonymize::{
-    anonymize, anonymize_parallel, incognito, incognito_parallel, incognito_with, AnonymizeError,
-    CkSafetyCriterion, DistinctLDiversity, KAnonymity, PrivacyCriterion, UtilityMetric,
+    anonymize, anonymize_parallel, incognito, incognito_with, AnonymizeError, CkSafetyCriterion,
+    DistinctLDiversity, KAnonymity, PrivacyCriterion, UtilityMetric,
 };
 use wcbk_core::HistogramSet;
 use wcbk_datagen::adult::{synthetic_adult, AdultConfig};
@@ -41,11 +40,12 @@ fn parallel_equals_sequential_on_adult_lattice() {
     for threads in [2usize, 3, 8] {
         let seq =
             find_minimal_safe(&table, &lattice, &CkSafetyCriterion::new(0.8, 2).unwrap()).unwrap();
-        let par = find_minimal_safe_parallel(
+        let config = SearchConfig::with_threads(threads);
+        let par = find_minimal_safe_with(
             &table,
             &lattice,
             &CkSafetyCriterion::new(0.8, 2).unwrap(),
-            threads,
+            &config,
         )
         .unwrap();
         assert_eq!(
@@ -58,8 +58,7 @@ fn parallel_equals_sequential_on_adult_lattice() {
         );
 
         let seq = find_minimal_safe(&table, &lattice, &KAnonymity::new(40)).unwrap();
-        let par =
-            find_minimal_safe_parallel(&table, &lattice, &KAnonymity::new(40), threads).unwrap();
+        let par = find_minimal_safe_with(&table, &lattice, &KAnonymity::new(40), &config).unwrap();
         assert_eq!(
             seq, par,
             "k-anonymity outcome diverged at {threads} threads"
@@ -67,8 +66,7 @@ fn parallel_equals_sequential_on_adult_lattice() {
 
         let seq = find_minimal_safe(&table, &lattice, &DistinctLDiversity::new(5)).unwrap();
         let par =
-            find_minimal_safe_parallel(&table, &lattice, &DistinctLDiversity::new(5), threads)
-                .unwrap();
+            find_minimal_safe_with(&table, &lattice, &DistinctLDiversity::new(5), &config).unwrap();
         assert_eq!(
             seq, par,
             "l-diversity outcome diverged at {threads} threads"
@@ -84,27 +82,9 @@ fn thread_count_edge_cases_match() {
     let criterion = || CkSafetyCriterion::new(0.85, 1).unwrap();
     let seq = find_minimal_safe(&table, &lattice, &criterion()).unwrap();
     for threads in [0usize, 1] {
-        let par = find_minimal_safe_parallel(&table, &lattice, &criterion(), threads).unwrap();
+        let config = SearchConfig::with_threads(threads);
+        let par = find_minimal_safe_with(&table, &lattice, &criterion(), &config).unwrap();
         assert_eq!(seq, par, "threads={threads}");
-    }
-}
-
-/// Incognito's apriori subset join with parallel per-level evaluation finds
-/// the same minimal nodes (and spends the same evaluation budget) as the
-/// sequential run.
-#[test]
-fn incognito_parallel_equals_sequential() {
-    let (table, lattice) = adult(1_000);
-    let seq = incognito(&table, &lattice, &CkSafetyCriterion::new(0.8, 2).unwrap()).unwrap();
-    for threads in [2usize, 4] {
-        let par = incognito_parallel(
-            &table,
-            &lattice,
-            &CkSafetyCriterion::new(0.8, 2).unwrap(),
-            threads,
-        )
-        .unwrap();
-        assert_eq!(seq, par, "incognito outcome diverged at {threads} threads");
     }
 }
 
@@ -194,25 +174,18 @@ fn shared_criterion_cache_is_thread_safe() {
     );
 }
 
-/// Both parallel schedules — the level-synchronous barrier fan-out and the
-/// work-stealing whole-lattice scheduler — must return the sequential
-/// outcome exactly, for any thread count.
+/// The sequential and work-stealing schedules — chosen by thread count —
+/// must return the same outcome exactly, for any thread count.
 #[test]
 fn both_schedules_equal_sequential() {
     let (table, lattice) = adult(1_200);
     let criterion = || CkSafetyCriterion::new(0.8, 2).unwrap();
     let seq = find_minimal_safe(&table, &lattice, &criterion()).unwrap();
     assert!(!seq.minimal_nodes.is_empty());
-    for schedule in [Schedule::LevelSync, Schedule::WorkStealing] {
-        for threads in [2usize, 3, 8] {
-            let config = SearchConfig {
-                threads,
-                schedule,
-                ..Default::default()
-            };
-            let got = find_minimal_safe_with(&table, &lattice, &criterion(), &config).unwrap();
-            assert_eq!(seq, got, "{schedule:?} at {threads} threads diverged");
-        }
+    for threads in [2usize, 3, 8] {
+        let config = SearchConfig::with_threads(threads);
+        let got = find_minimal_safe_with(&table, &lattice, &criterion(), &config).unwrap();
+        assert_eq!(seq, got, "work stealing at {threads} threads diverged");
     }
 }
 
@@ -223,11 +196,7 @@ fn more_workers_than_nodes_matches_sequential() {
     let (table, lattice) = adult(400);
     let criterion = || KAnonymity::new(10);
     let seq = find_minimal_safe(&table, &lattice, &criterion()).unwrap();
-    let config = SearchConfig {
-        threads: 64,
-        schedule: Schedule::WorkStealing,
-        ..Default::default()
-    };
+    let config = SearchConfig::with_threads(64);
     let got = find_minimal_safe_with(&table, &lattice, &criterion(), &config).unwrap();
     assert_eq!(seq, got);
 }
@@ -243,7 +212,6 @@ fn memo_capacity_does_not_change_outcomes() {
         for threads in [1usize, 4] {
             let config = SearchConfig {
                 threads,
-                schedule: Schedule::WorkStealing,
                 memo_capacity: Some(cap),
                 ..Default::default()
             };
@@ -279,58 +247,76 @@ impl PrivacyCriterion for ErringCriterion {
     }
 }
 
+/// Asserts that `run` at 2, 4 and 16 threads fails with exactly the error
+/// it fails with at one thread (the sequential visit order). A `run` that
+/// succeeds at one thread never reached the erroring band: nothing to pin.
+fn assert_first_error_kept(label: &str, run: impl Fn(usize) -> Result<(), AnonymizeError>) {
+    let seq_err = match run(1) {
+        Err(e) => e.to_string(),
+        Ok(()) => return,
+    };
+    for threads in [2usize, 4, 16] {
+        let err = run(threads).expect_err("sequential run errored, parallel must too");
+        assert_eq!(err.to_string(), seq_err, "{label} threads={threads}");
+    }
+}
+
 /// Scheduler edge case: a criterion that errors mid-search. The
 /// work-stealing run must surface exactly the error the sequential loop
 /// stops at (first in visit order), for any thread count — even though
-/// stealing workers may hit other erroring nodes first.
+/// stealing workers may hit other erroring nodes first. The same holds for
+/// Incognito's per-subset candidate DAGs.
 #[test]
 fn first_error_semantics_preserved_under_stealing() {
     let (table, lattice) = adult(500);
     for (lo, hi) in [(10usize, 40usize), (5, 5), (1, 2)] {
-        let criterion = || ErringCriterion { lo, hi };
-        let seq_err = match find_minimal_safe(&table, &lattice, &criterion()) {
-            Err(e) => e.to_string(),
-            Ok(_) => continue, // band never hit on this workload
-        };
-        for threads in [1usize, 2, 4, 16] {
-            for schedule in [Schedule::LevelSync, Schedule::WorkStealing] {
-                let config = SearchConfig {
-                    threads,
-                    schedule,
-                    ..Default::default()
-                };
-                let err = find_minimal_safe_with(&table, &lattice, &criterion(), &config)
-                    .expect_err("sequential search errored, parallel must too");
-                assert_eq!(
-                    err.to_string(),
-                    seq_err,
-                    "band [{lo},{hi}] {schedule:?} threads={threads}"
-                );
-            }
-        }
+        let criterion = ErringCriterion { lo, hi };
+        assert_first_error_kept(&format!("search band [{lo},{hi}]"), |threads| {
+            let config = SearchConfig::with_threads(threads);
+            find_minimal_safe_with(&table, &lattice, &criterion, &config).map(drop)
+        });
+        assert_first_error_kept(&format!("incognito band [{lo},{hi}]"), |threads| {
+            let config = SearchConfig::with_threads(threads);
+            incognito_with(&table, &lattice, &criterion, &config).map(drop)
+        });
     }
 }
 
-/// Incognito under both schedules equals the sequential run (same minimal
-/// nodes, same per-size evaluation budget).
+/// Incognito's apriori subset join with parallel candidate evaluation finds
+/// the same minimal nodes (and spends the same evaluation budget) as the
+/// sequential run.
+#[test]
+fn incognito_parallel_equals_sequential() {
+    let (table, lattice) = adult(1_000);
+    let seq = incognito(&table, &lattice, &CkSafetyCriterion::new(0.8, 2).unwrap()).unwrap();
+    for threads in [2usize, 4] {
+        let par = incognito_with(
+            &table,
+            &lattice,
+            &CkSafetyCriterion::new(0.8, 2).unwrap(),
+            &SearchConfig::with_threads(threads),
+        )
+        .unwrap();
+        assert_eq!(seq, par, "incognito outcome diverged at {threads} threads");
+    }
+}
+
+/// Incognito at one thread (the height-ordered drain) and under work
+/// stealing finds the same minimal nodes and spends the same per-size
+/// evaluation budget.
 #[test]
 fn incognito_schedules_equal_sequential() {
     let (table, lattice) = adult(800);
     let seq = incognito(&table, &lattice, &CkSafetyCriterion::new(0.8, 2).unwrap()).unwrap();
-    for schedule in [Schedule::LevelSync, Schedule::WorkStealing] {
-        let config = SearchConfig {
-            threads: 4,
-            schedule,
-            ..Default::default()
-        };
+    for threads in [1usize, 4] {
         let got = incognito_with(
             &table,
             &lattice,
             &CkSafetyCriterion::new(0.8, 2).unwrap(),
-            &config,
+            &SearchConfig::with_threads(threads),
         )
         .unwrap();
-        assert_eq!(seq, got, "{schedule:?} diverged");
+        assert_eq!(seq, got, "incognito diverged at {threads} threads");
     }
 }
 

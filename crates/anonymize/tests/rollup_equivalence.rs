@@ -7,8 +7,8 @@
 use proptest::prelude::*;
 
 use wcbk_anonymize::search::{
-    find_minimal_safe, find_minimal_safe_parallel, find_minimal_safe_rescan,
-    find_minimal_safe_with, sweep_all, sweep_all_rescan, Schedule, SearchConfig,
+    find_minimal_safe, find_minimal_safe_rescan, find_minimal_safe_with, sweep_all,
+    sweep_all_rescan, SearchConfig,
 };
 use wcbk_anonymize::{
     incognito, CkSafetyCriterion, DistinctLDiversity, KAnonymity, PrivacyCriterion,
@@ -163,24 +163,15 @@ proptest! {
             let rollup = find_minimal_safe(&table, &lattice, criterion).unwrap();
             let rescan = find_minimal_safe_rescan(&table, &lattice, criterion).unwrap();
             prop_assert_eq!(&rollup, &rescan, "{} diverged", criterion.name());
-            // The default parallel path (work-stealing + speculation).
+            // The parallel path (work-stealing + speculation).
             let stealing =
-                find_minimal_safe_parallel(&table, &lattice, criterion, 3).unwrap();
+                find_minimal_safe_with(&table, &lattice, criterion, &SearchConfig::with_threads(3))
+                    .unwrap();
             prop_assert_eq!(&rollup, &stealing, "{} stealing diverged", criterion.name());
-            // The level-synchronous schedule, explicitly.
-            let level_cfg = SearchConfig {
-                threads: 3,
-                schedule: Schedule::LevelSync,
-                ..Default::default()
-            };
-            let level =
-                find_minimal_safe_with(&table, &lattice, criterion, &level_cfg).unwrap();
-            prop_assert_eq!(&rollup, &level, "{} level-sync diverged", criterion.name());
             // Work-stealing under a tiny memo cap: eviction plus
             // ancestor-fallback derivation must stay invisible.
             let capped_cfg = SearchConfig {
                 threads: 3,
-                schedule: Schedule::WorkStealing,
                 memo_capacity: Some(2),
                 ..Default::default()
             };

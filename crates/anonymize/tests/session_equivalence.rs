@@ -1,13 +1,13 @@
 //! Property tests pinning the dataset-handle API to the one-shot paths:
 //! for random tables and hierarchies, a [`DatasetSession`]'s `audit`,
 //! `search`, and `sweep` produce **bit-identical** results to the
-//! corresponding one-shot entry points — whatever the schedule, thread
-//! count, or memo budget — and repeated session calls never re-scan the
+//! corresponding one-shot entry points — whatever the thread count or memo
+//! budget — and repeated session calls never re-scan the
 //! table.
 
 use proptest::prelude::*;
 
-use wcbk_anonymize::search::{find_minimal_safe_with, sweep_all, Schedule, SearchConfig};
+use wcbk_anonymize::search::{find_minimal_safe_with, sweep_all, SearchConfig};
 use wcbk_anonymize::{
     CkSafetyCriterion, DatasetSession, KAnonymity, PrivacyCriterion, SessionOptions,
 };
@@ -110,7 +110,7 @@ proptest! {
     }
 
     /// Session searches and sweeps equal the one-shot entry points across
-    /// criteria, schedules, thread counts, and memo budgets.
+    /// criteria, thread counts, and memo budgets.
     #[test]
     fn session_search_equals_oneshot(
         qi_cols in 1usize..=3,
@@ -138,8 +138,8 @@ proptest! {
         ];
         let configs = [
             SearchConfig::default(),
-            SearchConfig { threads: 3, schedule: Schedule::WorkStealing, ..Default::default() },
-            SearchConfig { threads: 2, schedule: Schedule::LevelSync, ..Default::default() },
+            SearchConfig::with_threads(3),
+            SearchConfig::with_threads(2),
         ];
         for criterion in &criteria {
             for config in &configs {

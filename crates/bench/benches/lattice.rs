@@ -5,10 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use wcbk_anonymize::search::{
-    find_minimal_safe, find_minimal_safe_parallel, find_minimal_safe_with, sweep_all, Schedule,
-    SearchConfig,
-};
+use wcbk_anonymize::search::{find_minimal_safe, find_minimal_safe_with, sweep_all, SearchConfig};
 use wcbk_anonymize::{CkSafetyCriterion, EntropyLDiversity, KAnonymity};
 use wcbk_bench::small_adult;
 use wcbk_hierarchy::adult::adult_lattice;
@@ -56,41 +53,20 @@ fn bench_lattice_search(c: &mut Criterion) {
         });
     }
 
-    // The parallel search (work-stealing default schedule) against the
-    // sequential baseline, sharing one engine cache across worker threads.
+    // The work-stealing search against the sequential baseline (1 thread),
+    // sharing one engine cache across worker threads.
     for threads in [1usize, 2, 4, 8] {
+        let config = SearchConfig::with_threads(threads);
         group.bench_with_input(
             BenchmarkId::new("ck_safety_parallel", threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    let criterion = CkSafetyCriterion::new(0.8, 3).unwrap();
-                    black_box(
-                        find_minimal_safe_parallel(&table, &lattice, &criterion, threads).unwrap(),
-                    )
-                })
-            },
-        );
-    }
-
-    // Level-synchronous vs work-stealing, head to head per thread count.
-    for threads in [2usize, 4, 8] {
-        for (name, schedule) in [
-            ("ck_safety_level_sync", Schedule::LevelSync),
-            ("ck_safety_steal", Schedule::WorkStealing),
-        ] {
-            let config = SearchConfig {
-                threads,
-                schedule,
-                ..Default::default()
-            };
-            group.bench_with_input(BenchmarkId::new(name, threads), &config, |b, config| {
+            &config,
+            |b, config| {
                 b.iter(|| {
                     let criterion = CkSafetyCriterion::new(0.8, 3).unwrap();
                     black_box(find_minimal_safe_with(&table, &lattice, &criterion, config).unwrap())
                 })
-            });
-        }
+            },
+        );
     }
     group.finish();
 }

@@ -8,34 +8,51 @@
 //! (optionally appended to a file — point `--summary` at
 //! `$GITHUB_STEP_SUMMARY` to surface it in the CI job summary).
 //!
-//! Gated in-run ratios (speedup = slower variant ns/node ÷ faster):
+//! Gated in-run ratios (speedup = slower variant ns/node ÷ faster), each
+//! against a fixed floor:
 //! * `sweep` — roll-up evaluator vs the legacy per-node scan on the
-//!   unpruned sweep, floored by `--min-rollup` (default 2.0×);
+//!   unpruned sweep, floored by [`MIN_ROLLUP`];
 //! * `search` — the same pair on the pruned search, same floor;
-//! * `parallel` — work-stealing vs level-synchronous schedule, floored by
-//!   `--min-steal` (default 0.67×: stealing may not be more than ~1.5×
-//!   slower than level-sync in the same run).
+//! * `parallel` — the work-stealing search at the run's thread count vs the
+//!   sequential roll-up search (`search.rollup_ns_per_node`), floored by
+//!   [`MIN_STEAL`].
 //!
 //! The JSON is the fixed shape `bench_report` emits; values are pulled with
 //! a purpose-built extractor rather than a JSON dependency (the sanctioned
 //! dependency set has none).
 //!
 //! Run: `cargo run --release -p wcbk-bench --bin bench_gate -- \
-//!       /tmp/bench_new.json [--min-rollup F] [--min-steal F] \
-//!       [--summary FILE]`
+//!       /tmp/bench_new.json [--summary FILE]`
 //!
 //! A second mode, `--scale <candidate.json>`, gates the `bench_report
 //! --scale` output on its own **in-run** speedups (machine-independent by
 //! construction — both sides of each ratio were measured in the same run):
 //! the chunked kernel must beat the row-at-a-time reference scan by
-//! `--min-kernel` (default 1.2×) on one thread and by `--min-parallel`
-//! (default 1.5×) at the run's thread count, and CSV ingest through the
-//! borrowed-field decoder must beat the record-at-a-time adapters by
-//! [`MIN_INGEST`]. No baseline file is needed.
+//! [`MIN_KERNEL`] on one thread and by [`MIN_PARALLEL`] at the run's thread
+//! count, and CSV ingest through the borrowed-field decoder must beat the
+//! record-at-a-time adapters by [`MIN_INGEST`]. No baseline file is needed.
 
 use std::process::ExitCode;
 
 use wcbk_bench::HarnessError;
+
+/// Floor on the roll-up evaluator's in-run speedup over the legacy
+/// per-node scan, on both the sweep and the pruned search: one scan plus
+/// derivations must stay well ahead of a scan per node.
+const MIN_ROLLUP: f64 = 2.0;
+
+/// Floor on the work-stealing search's in-run speedup over the sequential
+/// search: stealing may not be more than ~1.5× slower than the baseline it
+/// parallelizes, even on a runner with fewer cores than threads.
+const MIN_STEAL: f64 = 0.67;
+
+/// Floor on the chunked scan kernel's in-run speedup over the row-at-a-time
+/// reference scan at one thread.
+const MIN_KERNEL: f64 = 1.3;
+
+/// Floor on the chunked scan kernel's in-run speedup over the reference
+/// scan at the run's `--scan-threads`.
+const MIN_PARALLEL: f64 = 1.5;
 
 /// Floor on `bench_report --scale`'s in-run CSV ingest speedup: the
 /// borrowed-field decoder over the record-at-a-time adapters. Both share
@@ -74,55 +91,24 @@ fn speedup(slower_ns: f64, faster_ns: f64) -> f64 {
     }
 }
 
-/// `--scale` mode: gate `bench_report --scale` output on its own in-run
-/// speedups. Both sides of each ratio came from the same run on the same
-/// machine, so the floors hold anywhere the kernel is genuinely faster —
-/// no committed baseline to go stale.
-fn run_scale(args: &[String]) -> Result<bool, HarnessError> {
-    let mut raw: Vec<String> = args.to_vec();
-    let mut take_flag = |name: &str| -> Result<Option<String>, HarnessError> {
-        match raw.iter().position(|a| a == name) {
-            Some(pos) => {
-                let value = raw
-                    .get(pos + 1)
-                    .ok_or_else(|| format!("{name} needs a value"))?
-                    .clone();
-                raw.drain(pos..=pos + 1);
-                Ok(Some(value))
-            }
-            None => Ok(None),
-        }
-    };
-    let min_kernel: f64 = take_flag("--min-kernel")?
-        .map(|s| s.parse())
-        .transpose()?
-        .unwrap_or(1.2);
-    let min_parallel: f64 = take_flag("--min-parallel")?
-        .map(|s| s.parse())
-        .transpose()?
-        .unwrap_or(1.5);
-    let summary_path = take_flag("--summary")?;
-    let [candidate_path] = raw.as_slice() else {
-        return Err("usage: bench_gate --scale <candidate.json> \
-                    [--min-kernel F] [--min-parallel F] [--summary FILE]"
-            .into());
-    };
-    let candidate = std::fs::read_to_string(candidate_path)
-        .map_err(|e| format!("reading candidate {candidate_path}: {e}"))?;
+/// A gated row: label, measured in-run speedup, floor.
+type Row = (&'static str, f64, f64);
 
-    let mut rows: Vec<(String, f64, f64, bool)> = Vec::new();
-    for (section, key, label, floor) in [
+/// `--scale` mode: the bottom-scan and ingest speedups `bench_report
+/// --scale` records directly.
+fn scale_rows(candidate: &str) -> Result<Vec<Row>, HarnessError> {
+    [
         (
             "bottom_scan",
             "kernel_speedup",
             "chunked kernel vs reference (1 thread)",
-            min_kernel,
+            MIN_KERNEL,
         ),
         (
             "bottom_scan",
             "parallel_speedup",
             "chunked kernel vs reference (parallel)",
-            min_parallel,
+            MIN_PARALLEL,
         ),
         (
             "ingest",
@@ -130,114 +116,104 @@ fn run_scale(args: &[String]) -> Result<bool, HarnessError> {
             "CSV ingest: decoder vs record adapters",
             MIN_INGEST,
         ),
-    ] {
-        let speedup = extract(&candidate, section, key)
+    ]
+    .into_iter()
+    .map(|(section, key, label, floor)| {
+        let speedup = extract(candidate, section, key)
             .ok_or_else(|| format!("candidate is missing {section}.{key}"))?;
-        rows.push((label.to_owned(), speedup, floor, speedup >= floor));
-    }
-
-    let mut table = String::from("## scale-gate: bottom-scan and ingest in-run speedups\n\n");
-    table.push_str("| metric | speedup | floor | status |\n|---|---:|---:|:---:|\n");
-    for (label, speedup, floor, passed) in &rows {
-        table.push_str(&format!(
-            "| {} | {:.2}x | {:.2}x | {} |\n",
-            label,
-            speedup,
-            floor,
-            if *passed { "pass" } else { "**FAIL**" }
-        ));
-    }
-    println!("{table}");
-    if let Some(path) = summary_path {
-        use std::io::Write;
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .map_err(|e| format!("opening summary {path}: {e}"))?;
-        writeln!(f, "{table}")?;
-    }
-    let mut ok = true;
-    for (label, speedup, floor, passed) in &rows {
-        if !passed {
-            ok = false;
-            eprintln!("REGRESSION: {label} speedup {speedup:.2}x below the {floor:.2}x floor");
-        }
-    }
-    Ok(ok)
+        Ok((label, speedup, floor))
+    })
+    .collect()
 }
 
+/// Lattice-search mode: speedups derived from the ns/node pairs.
+fn search_rows(candidate: &str) -> Result<Vec<Row>, HarnessError> {
+    let ns = |section: &str, key: &str| -> Result<f64, HarnessError> {
+        extract(candidate, section, key)
+            .ok_or_else(|| format!("candidate is missing {section}.{key}").into())
+    };
+    Ok(vec![
+        (
+            "sweep: rollup vs legacy",
+            speedup(
+                ns("sweep", "legacy_ns_per_node")?,
+                ns("sweep", "rollup_ns_per_node")?,
+            ),
+            MIN_ROLLUP,
+        ),
+        (
+            "pruned search: rollup vs legacy",
+            speedup(
+                ns("search", "legacy_ns_per_node")?,
+                ns("search", "rollup_ns_per_node")?,
+            ),
+            MIN_ROLLUP,
+        ),
+        (
+            "parallel: steal vs sequential",
+            speedup(
+                ns("search", "rollup_ns_per_node")?,
+                ns("parallel", "steal_ns_per_node")?,
+            ),
+            MIN_STEAL,
+        ),
+    ])
+}
+
+/// Gates a `bench_report` (or, with `--scale`, `bench_report --scale`)
+/// JSON file: prints the markdown table, appends it to `--summary FILE`
+/// when given, and returns whether every ratio met its floor.
 fn run(args: &[String]) -> Result<bool, HarnessError> {
     let mut raw: Vec<String> = args.to_vec();
-    if let Some(pos) = raw.iter().position(|a| a == "--scale") {
-        raw.remove(pos);
-        return run_scale(&raw);
-    }
-    let mut take_flag = |name: &str| -> Result<Option<String>, HarnessError> {
-        match raw.iter().position(|a| a == name) {
-            Some(pos) => {
-                let value = raw
-                    .get(pos + 1)
-                    .ok_or_else(|| format!("{name} needs a value"))?
-                    .clone();
-                raw.drain(pos..=pos + 1);
-                Ok(Some(value))
-            }
-            None => Ok(None),
+    let scale = match raw.iter().position(|a| a == "--scale") {
+        Some(pos) => {
+            raw.remove(pos);
+            true
         }
+        None => false,
     };
-    let min_rollup: f64 = take_flag("--min-rollup")?
-        .map(|s| s.parse())
-        .transpose()?
-        .unwrap_or(2.0);
-    let min_steal: f64 = take_flag("--min-steal")?
-        .map(|s| s.parse())
-        .transpose()?
-        .unwrap_or(0.67);
-    let summary_path = take_flag("--summary")?;
+    let summary_path = match raw.iter().position(|a| a == "--summary") {
+        Some(pos) => {
+            let path = raw.get(pos + 1).ok_or("--summary needs a value")?.clone();
+            raw.drain(pos..=pos + 1);
+            Some(path)
+        }
+        None => None,
+    };
     let [candidate_path] = raw.as_slice() else {
-        return Err("usage: bench_gate <candidate.json> \
-                    [--min-rollup F] [--min-steal F] [--summary FILE]"
-            .into());
+        return Err("usage: bench_gate [--scale] <candidate.json> [--summary FILE]".into());
     };
     let candidate = std::fs::read_to_string(candidate_path)
         .map_err(|e| format!("reading candidate {candidate_path}: {e}"))?;
+    let (title, rows) = if scale {
+        (
+            "## scale-gate: bottom-scan and ingest in-run speedups",
+            scale_rows(&candidate)?,
+        )
+    } else {
+        (
+            "## bench-gate: lattice-search in-run variant speedups",
+            search_rows(&candidate)?,
+        )
+    };
 
-    // (label, measured in-run speedup, floor, verdict)
-    let mut rows: Vec<(String, f64, f64, bool)> = Vec::new();
-    for (section, label) in [
-        ("sweep", "sweep: rollup vs legacy"),
-        ("search", "pruned search: rollup vs legacy"),
-    ] {
-        let legacy = extract(&candidate, section, "legacy_ns_per_node")
-            .ok_or_else(|| format!("candidate is missing {section}.legacy_ns_per_node"))?;
-        let rollup = extract(&candidate, section, "rollup_ns_per_node")
-            .ok_or_else(|| format!("candidate is missing {section}.rollup_ns_per_node"))?;
-        let s = speedup(legacy, rollup);
-        rows.push((label.to_owned(), s, min_rollup, s >= min_rollup));
-    }
-    let level = extract(&candidate, "parallel", "level_ns_per_node")
-        .ok_or("candidate is missing parallel.level_ns_per_node")?;
-    let steal = extract(&candidate, "parallel", "steal_ns_per_node")
-        .ok_or("candidate is missing parallel.steal_ns_per_node")?;
-    let s = speedup(level, steal);
-    rows.push((
-        "parallel: steal vs level".to_owned(),
-        s,
-        min_steal,
-        s >= min_steal,
-    ));
-
-    let mut table = String::from("## bench-gate: lattice-search in-run variant speedups\n\n");
-    table.push_str("| metric | speedup | floor | status |\n|---|---:|---:|:---:|\n");
-    for (label, speedup, floor, passed) in &rows {
+    let mut table =
+        format!("{title}\n\n| metric | speedup | floor | status |\n|---|---:|---:|:---:|\n");
+    let mut ok = true;
+    for (label, speedup, floor) in &rows {
+        // `>=` so a NaN speedup fails too.
+        let passed = speedup >= floor;
+        ok &= passed;
         table.push_str(&format!(
             "| {} | {:.2}x | {:.2}x | {} |\n",
             label,
             speedup,
             floor,
-            if *passed { "pass" } else { "**FAIL**" }
+            if passed { "pass" } else { "**FAIL**" }
         ));
+        if !passed {
+            eprintln!("REGRESSION: {label} speedup {speedup:.2}x below the {floor:.2}x floor");
+        }
     }
     println!("{table}");
     if let Some(path) = summary_path {
@@ -248,13 +224,6 @@ fn run(args: &[String]) -> Result<bool, HarnessError> {
             .open(&path)
             .map_err(|e| format!("opening summary {path}: {e}"))?;
         writeln!(f, "{table}")?;
-    }
-    let mut ok = true;
-    for (label, speedup, floor, passed) in &rows {
-        if !passed {
-            ok = false;
-            eprintln!("REGRESSION: {label} speedup {speedup:.2}x below the {floor:.2}x floor");
-        }
     }
     Ok(ok)
 }
@@ -279,7 +248,7 @@ mod tests {
   "workload": { "rows": 5000, "lattice_nodes": 72, "c": 0.8, "k": 3 },
   "sweep": { "nodes_evaluated": 72, "legacy_ns_per_node": 624134, "rollup_ns_per_node": 109300, "speedup": 5.71 },
   "search": { "nodes_evaluated": 63, "minimal_nodes": 5, "legacy_ms": 38.932, "rollup_ms": 7.303, "legacy_ns_per_node": 617968, "rollup_ns_per_node": 115915, "speedup": 5.33 },
-  "parallel": { "threads": 4, "level_ms": 2.5, "steal_ms": 2.0, "level_ns_per_node": 39683, "steal_ns_per_node": 31746, "steal_speedup_vs_level": 1.25 },
+  "parallel": { "threads": 4, "steal_ms": 2.0, "steal_ns_per_node": 31746, "steal_speedup_vs_sequential": 3.65 },
   "rollup": { "table_scans": 1, "derived_nodes": 71, "bottom_groups": 980 },
   "engine_cache": { "hits": 1093, "misses": 267, "entries": 267, "hit_rate": 0.8037 }
 }"#;
@@ -324,8 +293,9 @@ mod tests {
                 .chain(extra.iter().map(|s| (*s).to_owned()))
                 .collect()
         };
-        // Sample speedups: sweep 5.71x, search 5.33x, steal-vs-level 1.25x.
-        assert!(run(&args(&[])).unwrap(), "healthy ratios pass the defaults");
+        // Sample speedups: sweep 5.71x, search 5.33x, steal-vs-sequential
+        // 3.65x.
+        assert!(run(&args(&[])).unwrap(), "healthy ratios pass the floors");
 
         // Roll-up regressed to parity with the legacy scan: fails the floor.
         let regressed = SAMPLE.replace(
@@ -333,16 +303,20 @@ mod tests {
             "\"rollup_ns_per_node\": 617968",
         );
         std::fs::write(&cand, regressed).unwrap();
-        assert!(!run(&args(&[])).unwrap(), "parity must fail --min-rollup");
-        assert!(
-            run(&args(&["--min-rollup", "1.0"])).unwrap(),
-            "parity passes a 1.0x floor"
+        assert!(!run(&args(&[])).unwrap(), "parity must fail MIN_ROLLUP");
+        // Exactly at the floor (617968 / 308984 = 2.0x) passes.
+        let at_floor = SAMPLE.replace(
+            "\"rollup_ns_per_node\": 115915",
+            "\"rollup_ns_per_node\": 308984",
         );
+        std::fs::write(&cand, at_floor).unwrap();
+        assert!(run(&args(&[])).unwrap(), "the floor itself passes");
 
-        // Stealing collapsing to 2x slower than level-sync fails its floor.
+        // Stealing collapsing to ~1.7x slower than the sequential search
+        // (115915 / 200000 = 0.58x) fails its floor.
         let slow_steal = SAMPLE.replace(
             "\"steal_ns_per_node\": 31746",
-            "\"steal_ns_per_node\": 79366",
+            "\"steal_ns_per_node\": 200000",
         );
         std::fs::write(&cand, slow_steal).unwrap();
         assert!(!run(&args(&[])).unwrap(), "slow stealing must fail");
@@ -377,27 +351,31 @@ mod tests {
                 .chain(extra.iter().map(|s| (*s).to_owned()))
                 .collect()
         };
-        assert!(
-            run(&args(&[])).unwrap(),
-            "healthy speedups pass the defaults"
-        );
-        assert!(
-            run(&args(&["--min-kernel", "1.5", "--min-parallel", "3.0"])).unwrap(),
-            "acceptance floors pass on the committed numbers"
-        );
-        assert!(
-            !run(&args(&["--min-parallel", "5.0"])).unwrap(),
-            "a floor above the measured speedup fails"
-        );
+        assert!(run(&args(&[])).unwrap(), "healthy speedups pass the floors");
 
-        // An ingest regression to parity with the adapters fails, however
-        // loose the other floors.
+        // Each scan ratio just under its floor fails; at its floor passes.
+        for (healthy, below, at) in [
+            (
+                "\"kernel_speedup\": 4.53",
+                "\"kernel_speedup\": 1.29",
+                "\"kernel_speedup\": 1.3",
+            ),
+            (
+                "\"parallel_speedup\": 3.71",
+                "\"parallel_speedup\": 1.49",
+                "\"parallel_speedup\": 1.5",
+            ),
+        ] {
+            std::fs::write(&cand, SCALE_SAMPLE.replace(healthy, below)).unwrap();
+            assert!(!run(&args(&[])).unwrap(), "{below} must fail");
+            std::fs::write(&cand, SCALE_SAMPLE.replace(healthy, at)).unwrap();
+            assert!(run(&args(&[])).unwrap(), "{at} must pass");
+        }
+
+        // An ingest regression to parity with the adapters fails.
         let slow_ingest = SCALE_SAMPLE.replace("\"speedup\": 2.29", "\"speedup\": 1.0");
         std::fs::write(&cand, slow_ingest).unwrap();
-        assert!(
-            !run(&args(&["--min-kernel", "0", "--min-parallel", "0"])).unwrap(),
-            "ingest parity must fail"
-        );
+        assert!(!run(&args(&[])).unwrap(), "ingest parity must fail");
         let at_floor =
             SCALE_SAMPLE.replace("\"speedup\": 2.29", &format!("\"speedup\": {MIN_INGEST}"));
         std::fs::write(&cand, at_floor).unwrap();
@@ -444,7 +422,7 @@ mod tests {
         let args = vec![cand.to_str().unwrap().to_owned()];
         let err = run(&args).unwrap_err();
         assert!(
-            err.to_string().contains("level_ns_per_node"),
+            err.to_string().contains("parallel.steal_ns_per_node"),
             "unexpected error: {err}"
         );
     }

@@ -2,8 +2,8 @@
 //!
 //! Runs the lattice-search benchmark on a datagen Adult-style workload,
 //! comparing the legacy per-node `bucketize` path against the one-scan
-//! roll-up pipeline **and** the level-synchronous parallel schedule against
-//! the work-stealing one (both at 4 threads), verifies that every variant
+//! roll-up pipeline **and** the sequential search against the work-stealing
+//! one at 4 threads, verifies that every variant
 //! agrees node-for-node, and writes JSON to `results/BENCH_search.json`
 //! (nodes evaluated, wall time, ns/node, cache hit rate, speedups) so
 //! successive PRs can track the trend and CI's `bench-gate` job can fail on
@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 
 use wcbk_anonymize::search::{
     find_minimal_safe, find_minimal_safe_rescan, find_minimal_safe_with, sweep_all,
-    sweep_all_rescan, Schedule, SearchConfig,
+    sweep_all_rescan, SearchConfig,
 };
 use wcbk_anonymize::CkSafetyCriterion;
 use wcbk_bench::{small_adult, HarnessError};
@@ -319,30 +319,12 @@ fn main() -> Result<(), HarnessError> {
     );
     let cache = criterion.engine_stats();
 
-    // Level-synchronous vs work-stealing parallel schedules at a fixed
-    // thread count, both pinned to the sequential outcome.
+    // The work-stealing search at a fixed thread count, pinned to the
+    // sequential outcome and timed against it.
     let par_threads = 4usize;
-    eprintln!("pruned search, level-synchronous schedule ({par_threads} threads)…");
-    let level_criterion = CkSafetyCriterion::new(c, k).unwrap();
-    let level_cfg = SearchConfig {
-        threads: par_threads,
-        schedule: Schedule::LevelSync,
-        ..Default::default()
-    };
-    let (level_search, level_outcome) = median_time(|| {
-        find_minimal_safe_with(&table, &lattice, &level_criterion, &level_cfg).unwrap()
-    });
-    assert_eq!(
-        rollup_outcome, level_outcome,
-        "level-synchronous search diverged from the sequential search"
-    );
     eprintln!("pruned search, work-stealing schedule ({par_threads} threads)…");
     let steal_criterion = CkSafetyCriterion::new(c, k).unwrap();
-    let steal_cfg = SearchConfig {
-        threads: par_threads,
-        schedule: Schedule::WorkStealing,
-        ..Default::default()
-    };
+    let steal_cfg = SearchConfig::with_threads(par_threads);
     let (steal_search, steal_outcome) = median_time(|| {
         find_minimal_safe_with(&table, &lattice, &steal_criterion, &steal_cfg).unwrap()
     });
@@ -361,14 +343,14 @@ fn main() -> Result<(), HarnessError> {
     let sweep_speedup = ns_per_node(legacy_sweep, n_nodes) / ns_per_node(rollup_sweep, n_nodes);
     let search_speedup = ns_per_node(legacy_search, legacy_outcome.evaluated)
         / ns_per_node(rollup_search, rollup_outcome.evaluated);
-    let steal_speedup_vs_level = ns_per_node(level_search, level_outcome.evaluated)
+    let steal_speedup_vs_sequential = ns_per_node(rollup_search, rollup_outcome.evaluated)
         / ns_per_node(steal_search, steal_outcome.evaluated);
 
     let json = format!(
         "{{\n  \"workload\": {{ \"rows\": {n_rows}, \"lattice_nodes\": {n_nodes}, \"c\": {c}, \"k\": {k} }},\n  \
            \"sweep\": {{ \"nodes_evaluated\": {n_nodes}, \"legacy_ns_per_node\": {:.0}, \"rollup_ns_per_node\": {:.0}, \"speedup\": {:.2} }},\n  \
            \"search\": {{ \"nodes_evaluated\": {}, \"minimal_nodes\": {}, \"legacy_ms\": {:.3}, \"rollup_ms\": {:.3}, \"legacy_ns_per_node\": {:.0}, \"rollup_ns_per_node\": {:.0}, \"speedup\": {:.2} }},\n  \
-           \"parallel\": {{ \"threads\": {par_threads}, \"level_ms\": {:.3}, \"steal_ms\": {:.3}, \"level_ns_per_node\": {:.0}, \"steal_ns_per_node\": {:.0}, \"steal_speedup_vs_level\": {:.2} }},\n  \
+           \"parallel\": {{ \"threads\": {par_threads}, \"steal_ms\": {:.3}, \"steal_ns_per_node\": {:.0}, \"steal_speedup_vs_sequential\": {:.2} }},\n  \
            \"rollup\": {{ \"table_scans\": {}, \"derived_nodes\": {}, \"bottom_groups\": {} }},\n  \
            \"engine_cache\": {{ \"hits\": {}, \"misses\": {}, \"entries\": {}, \"hit_rate\": {:.4} }}\n}}\n",
         ns_per_node(legacy_sweep, n_nodes),
@@ -381,11 +363,9 @@ fn main() -> Result<(), HarnessError> {
         ns_per_node(legacy_search, legacy_outcome.evaluated),
         ns_per_node(rollup_search, rollup_outcome.evaluated),
         search_speedup,
-        level_search.as_secs_f64() * 1e3,
         steal_search.as_secs_f64() * 1e3,
-        ns_per_node(level_search, level_outcome.evaluated),
         ns_per_node(steal_search, steal_outcome.evaluated),
-        steal_speedup_vs_level,
+        steal_speedup_vs_sequential,
         rollup_stats.table_scans,
         rollup_stats.derived,
         rollup_stats.bottom_groups,
@@ -401,8 +381,8 @@ fn main() -> Result<(), HarnessError> {
     std::fs::write(&out_path, &json)?;
     println!("{json}");
     eprintln!(
-        "sweep speedup {:.2}x, search speedup {:.2}x, steal vs level {:.2}x — wrote {out_path}",
-        sweep_speedup, search_speedup, steal_speedup_vs_level
+        "sweep speedup {:.2}x, search speedup {:.2}x, steal vs sequential {:.2}x — wrote {out_path}",
+        sweep_speedup, search_speedup, steal_speedup_vs_sequential
     );
     Ok(())
 }

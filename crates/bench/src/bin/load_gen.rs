@@ -142,7 +142,6 @@ fn build_job(i: usize, base_rows: usize) -> Result<Json, HarnessError> {
             ("k", 3u64.into()),
             ("c", 0.8.into()),
             ("threads", 2u64.into()),
-            ("schedule", "steal".into()),
         ])
     };
     Ok(job)
@@ -621,7 +620,6 @@ fn run(args: &[String]) -> Result<bool, HarnessError> {
                         ("k", k.into()),
                         ("c", c.into()),
                         ("threads", 2u64.into()),
-                        ("schedule", "steal".into()),
                     ])
                 }
             })

@@ -4,7 +4,7 @@
 //!
 //! Run: `cargo run --release -p wcbk-bench --bin safe_search [n_rows] [c] [k]`
 
-use wcbk_anonymize::search::{find_minimal_safe, find_minimal_safe_parallel};
+use wcbk_anonymize::search::{find_minimal_safe, find_minimal_safe_with, SearchConfig};
 use wcbk_anonymize::utility::{average_class_size, discernibility};
 use wcbk_anonymize::{
     CkSafetyCriterion, EntropyLDiversity, KAnonymity, PrivacyCriterion, UtilityMetric,
@@ -78,7 +78,8 @@ fn main() -> Result<(), HarnessError> {
         eprintln!("parallel search with {threads} threads (0 = all cores)…");
     }
     // Resolves 0 → all cores and degenerates to sequential at 1 thread.
-    let outcome = find_minimal_safe_parallel(&table, &lattice, &ck, threads)?;
+    let config = SearchConfig::with_threads(threads);
+    let outcome = find_minimal_safe_with(&table, &lattice, &ck, &config)?;
     let stats = ck.engine_stats();
     report(ck.name(), outcome, &mut rows, &mut csv_rows);
     eprintln!(
@@ -92,7 +93,7 @@ fn main() -> Result<(), HarnessError> {
     // The same criterion through real Incognito (apriori subset join):
     // identical minimal nodes, different evaluation budget.
     let ck_inc = CkSafetyCriterion::new(c, k)?;
-    let inc = wcbk_anonymize::incognito_parallel(&table, &lattice, &ck_inc, threads)?;
+    let inc = wcbk_anonymize::incognito_with(&table, &lattice, &ck_inc, &config)?;
     report(
         format!("{} [incognito]", ck_inc.name()),
         wcbk_anonymize::SearchOutcome {

@@ -28,8 +28,8 @@
 //!    long-lived fleet of per-`k` engines under group-weighted LRU budgets.
 //! 8. [`sched`] is the scheduler-visible verdict/pruning surface: a
 //!    work-stealing evaluator for monotone-pruned DAGs, which the lattice
-//!    searches in `wcbk-anonymize` drive whole-lattice instead of
-//!    level-synchronously.
+//!    searches in `wcbk-anonymize` drive whole-lattice at more than one
+//!    thread.
 //!
 //! Two errata in the paper's Algorithm 2 pseudocode are corrected here (the
 //! base case and the initial flag value); see `DESIGN.md` and the

@@ -4,9 +4,9 @@
 //! DAG are judged by a monotone predicate, a node whose predecessor is known
 //! **safe** is safe by monotonicity and must *not* be evaluated (it cannot be
 //! minimal), and a node all of whose predecessors are known **unsafe** must
-//! be evaluated. The level-synchronous implementation runs this one height
-//! at a time, so every level waits on its slowest node. This module removes
-//! the barrier: a node becomes runnable the instant its last predecessor's
+//! be evaluated. Fanning that out one height at a time would make every
+//! level wait on its slowest node. This module has no barrier: a node
+//! becomes runnable the instant its last predecessor's
 //! verdict lands, safe verdicts prune entire up-sets immediately, and idle
 //! workers *speculate* — they evaluate nodes whose predecessors are still
 //! pending, preferring the node nearest the required frontier (fewest

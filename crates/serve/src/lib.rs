@@ -28,7 +28,7 @@
 //! | `POST /tables/{id}/composition` | worst-case disclosure over the union of all releases |
 //! | `GET /tables/{id}/history` | the recorded release history (the composition audit trail) |
 //! | `POST /audit` | one-shot: register → run → drop (bit-identical to `wcbk audit`) |
-//! | `POST /search` | one-shot: register → run → drop (honors `threads`/`schedule`/`memo_cap`) |
+//! | `POST /search` | one-shot: register → run → drop (honors `threads`/`memo_cap`) |
 //! | `POST /batch` | many tables fanned over the work-stealing scheduler, streamed back one NDJSON line per completed table |
 //! | `GET /stats` | engine cache + roll-up + per-session + server counters |
 //! | `GET /metrics` | Prometheus text exposition of every [`metrics`] series |

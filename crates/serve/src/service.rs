@@ -30,7 +30,7 @@ use std::sync::{Arc, RwLock};
 
 use wcbk_anonymize::{
     default_threads, AuditReport, CkSafetyCriterion, DatasetSession, ModelAuditReport, ModelId,
-    ModelSafetyCriterion, PrivacyCriterion, Schedule, SearchConfig, SearchReport, SessionOptions,
+    ModelSafetyCriterion, PrivacyCriterion, SearchConfig, SearchReport, SessionOptions,
     MODEL_NAMES,
 };
 use wcbk_core::EngineRegistry;
@@ -629,22 +629,21 @@ impl AuditService {
         let c = optional_f64(request, "c")?;
         let model = parse_model(request)?;
         self.count_model(model, ModelOp::Audit);
-        if model != ModelId::Conjunction {
-            // A non-default adversary answers through the plugin surface;
-            // the default stays on the classic path below, byte-identical
-            // to pre-model responses.
-            let report = session
-                .audit_model(model, c, k)
-                .map_err(|e| bad(e.to_string()))?;
-            self.audits.fetch_add(1, Ordering::Relaxed);
-            return Ok(model_audit_json(&report));
-        }
         let profile = profile_requested(request)?;
         let build_before = profile.then(|| self.engines.stats().totals().build_micros);
         let started = profile.then(std::time::Instant::now);
-        let report = session.audit(c, k).map_err(|e| bad(e.to_string()))?;
+        // A non-default adversary answers through the plugin surface; the
+        // default stays on the classic path, byte-identical to pre-model
+        // responses.
+        let mut out = if model == ModelId::Conjunction {
+            audit_json(&session.audit(c, k).map_err(|e| bad(e.to_string()))?)
+        } else {
+            let report = session
+                .audit_model(model, c, k)
+                .map_err(|e| bad(e.to_string()))?;
+            model_audit_json(&report)
+        };
         self.audits.fetch_add(1, Ordering::Relaxed);
-        let mut out = audit_json(&report);
         if let (Some(started), Some(build_before)) = (started, build_before) {
             let build = self
                 .engines
@@ -787,7 +786,7 @@ impl AuditService {
 
     /// Handles `POST /search`: register → run → drop over a transient
     /// session; minimal (c,k)-safe generalizations over the request's
-    /// hierarchies, honoring `threads` / `schedule` / `memo_cap`, exactly
+    /// hierarchies, honoring `threads` / `memo_cap`, exactly
     /// like `wcbk search` — through the **shared** engine for that `k`, so
     /// repeated searches reuse each other's MINIMIZE1 tables.
     pub fn search(&self, request: &Json) -> Result<Json, ServeError> {
@@ -1487,7 +1486,7 @@ fn parse_model(request: &Json) -> Result<ModelId, ServeError> {
     }
 }
 
-/// Parses `threads` / `schedule` / `memo_cap` (alias `memo-cap`) /
+/// Parses `threads` / `memo_cap` (alias `memo-cap`) /
 /// `scan_threads` into a [`SearchConfig`] with the same defaults and
 /// spellings as the CLI. `threads` and `scan_threads` are capped at the
 /// machine's core count — they are client-supplied numbers on a network
@@ -1500,21 +1499,12 @@ fn search_config(request: &Json) -> Result<SearchConfig, ServeError> {
     let scan_threads = optional_usize(request, "scan_threads")?
         .unwrap_or(1)
         .min(default_threads());
-    let schedule = match request.get("schedule") {
-        None | Some(Json::Null) => Schedule::default(),
-        Some(v) => v
-            .as_str()
-            .ok_or_else(|| bad("\"schedule\" must be a string"))?
-            .parse::<Schedule>()
-            .map_err(bad)?,
-    };
     let memo_capacity = match optional_usize(request, "memo_cap")? {
         Some(n) => Some(n),
         None => optional_usize(request, "memo-cap")?,
     };
     Ok(SearchConfig {
         threads,
-        schedule,
         memo_capacity,
         scan_threads,
         model: parse_model(request)?,
@@ -2047,7 +2037,6 @@ mod tests {
                 ("k", 1u64.into()),
                 ("c", 0.9.into()),
                 ("threads", 2u64.into()),
-                ("schedule", "steal".into()),
                 ("memo_cap", 16u64.into()),
             ])
             .to_string(),
@@ -2060,7 +2049,6 @@ mod tests {
         let criterion = CkSafetyCriterion::new(0.9, 1).unwrap();
         let config = SearchConfig {
             threads: 2,
-            schedule: Schedule::WorkStealing,
             memo_capacity: Some(16),
             ..Default::default()
         };
@@ -2326,7 +2314,6 @@ mod tests {
             ("k", 1u64.into()),
             ("c", 0.9.into()),
             ("threads", 2u64.into()),
-            ("schedule", "steal".into()),
         ]);
         let via_handle = service.session_search(&id, &params).unwrap();
         // One-shot with the same table, hierarchy, and params.
@@ -2335,7 +2322,6 @@ mod tests {
             pairs.push(("k".into(), 1u64.into()));
             pairs.push(("c".into(), 0.9.into()));
             pairs.push(("threads".into(), 2u64.into()));
-            pairs.push(("schedule".into(), "steal".into()));
         }
         let oneshot = service.search(&oneshot_request).unwrap();
         assert_eq!(via_handle.get("minimal"), oneshot.get("minimal"));

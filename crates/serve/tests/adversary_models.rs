@@ -10,6 +10,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
+use wcbk_anonymize::MODEL_NAMES;
 use wcbk_serve::http::client::Client;
 use wcbk_serve::json::Json;
 use wcbk_serve::service::{AuditService, ServeError};
@@ -82,6 +83,40 @@ fn model_audits_report_their_language_and_witness() {
             .and_then(Json::as_str)
             .unwrap()
             .is_empty());
+    }
+}
+
+/// `"profile"` is honored and validated the same way under every model:
+/// `true` appends a `profile` object with the compute time and otherwise
+/// leaves the response untouched, and a non-boolean is the same 400.
+#[test]
+fn every_model_audit_honors_and_validates_profile() {
+    let service = AuditService::new();
+    let with_profile = |model: &str, profile: Json| {
+        let mut request = audit_request(Some(model));
+        if let Json::Object(fields) = &mut request {
+            fields.push(("profile".to_owned(), profile));
+        }
+        service.audit(&request)
+    };
+    let bad_profile_message = |model: &str| match with_profile(model, "yes".into()) {
+        Err(ServeError::BadRequest(m)) => m,
+        other => panic!("{model}: expected a 400, got {other:?}"),
+    };
+    let conjunction_message = bad_profile_message("conjunction");
+    for model in MODEL_NAMES {
+        let plain = service.audit(&audit_request(Some(model))).unwrap();
+        let mut profiled = with_profile(model, true.into()).unwrap();
+        let compute = profiled
+            .get("profile")
+            .and_then(|p| p.get("compute_micros"))
+            .and_then(Json::as_u64);
+        assert!(compute.is_some(), "{model}: no profile.compute_micros");
+        if let Json::Object(fields) = &mut profiled {
+            fields.retain(|(key, _)| key != "profile");
+        }
+        assert_eq!(profiled.to_string(), plain.to_string(), "{model}");
+        assert_eq!(bad_profile_message(model), conjunction_message, "{model}");
     }
 }
 

@@ -6,7 +6,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
-use wcbk_anonymize::{find_minimal_safe_with, CkSafetyCriterion, Schedule, SearchConfig};
+use wcbk_anonymize::{find_minimal_safe_with, CkSafetyCriterion, SearchConfig};
 use wcbk_core::{is_ck_safe, Bucketization, DisclosureEngine};
 use wcbk_hierarchy::{GeneralizationLattice, Hierarchy};
 use wcbk_serve::http::client::Client;
@@ -106,7 +106,6 @@ fn search_job(i: usize) -> Json {
         ("k", 0u64.into()),
         ("c", 0.9.into()),
         ("threads", 2u64.into()),
-        ("schedule", "steal".into()),
     ])
 }
 
@@ -140,11 +139,7 @@ fn expected_search(i: usize) -> (Vec<Vec<usize>>, usize, usize) {
     ])
     .unwrap();
     let criterion = CkSafetyCriterion::new(0.9, 0).unwrap();
-    let config = SearchConfig {
-        threads: 2,
-        schedule: Schedule::WorkStealing,
-        ..Default::default()
-    };
+    let config = SearchConfig::with_threads(2);
     let outcome = find_minimal_safe_with(&table, &lattice, &criterion, &config).unwrap();
     assert!(
         !outcome.minimal_nodes.is_empty(),
@@ -311,6 +306,8 @@ fn search_honors_schedule_threads_and_memo_cap() {
         ("k", 1u64.into()),
         ("c", 0.9.into()),
         ("threads", 2u64.into()),
+        // Unknown fields are ignored, so an old client's "schedule" must
+        // not change the answer.
         ("schedule", "level".into()),
         ("memo_cap", 1u64.into()),
     ]);
@@ -333,7 +330,6 @@ fn search_honors_schedule_threads_and_memo_cap() {
         &CkSafetyCriterion::new(0.9, 1).unwrap(),
         &SearchConfig {
             threads: 2,
-            schedule: Schedule::LevelSync,
             memo_capacity: Some(1),
             ..Default::default()
         },
@@ -626,7 +622,6 @@ fn register_then_n_audits_scans_once() {
         ("k", 0u64.into()),
         ("c", 0.9.into()),
         ("threads", 2u64.into()),
-        ("schedule", "steal".into()),
     ])
     .to_string();
     let (want_minimal, want_evaluated, want_satisfied) = expected_search(0);
@@ -712,7 +707,6 @@ fn handle_batch_release_and_composition_roundtrip() {
                     ("k", 0u64.into()),
                     ("c", 0.9.into()),
                     ("threads", 2u64.into()),
-                    ("schedule", "steal".into()),
                 ])
             }
         })

@@ -4,7 +4,7 @@
 //! wcbk audit <csv> --sensitive COL [--qi COL[,COL...]] [--k N] [--c F] [--model M] [--no-header]
 //! wcbk search <csv> --sensitive COL --qi COL[,COL...] --c F [--k N] [--model M]
 //!             [--hierarchy COL:W1,W2,...]... [--parallel] [--threads N]
-//!             [--schedule level|steal] [--memo-cap N] [--scan-threads N]
+//!             [--memo-cap N] [--scan-threads N]
 //! wcbk anatomize <csv> --sensitive COL --l N [--seed N] [--k N]
 //! wcbk generate-adult [--rows N] [--seed N] [--out FILE]
 //! wcbk serve [--addr HOST:PORT] [--workers N] [--queue-depth N]
@@ -12,7 +12,7 @@
 //!            [--engine-cache-cap N] [--engine-budget N] [--session-budget N]
 //!            [--data-dir DIR] [--log-json] [--slow-request-ms N]
 //! wcbk table add <csv> --addr HOST:PORT --sensitive COL [--qi ...] [--hierarchy ...] [--memo-cap N]
-//! wcbk table audit|search <id> --addr HOST:PORT [--k N] [--c F] [--model M] [--threads N] [--schedule s]
+//! wcbk table audit|search <id> --addr HOST:PORT [--k N] [--c F] [--model M] [--threads N]
 //! wcbk table release <id> --addr HOST:PORT --node L1,L2,... [--model M]
 //! wcbk table composition|history|info|rm <id> --addr HOST:PORT [--model M]
 //! ```
@@ -31,9 +31,8 @@
 //! `--hierarchy COL:W1,W2,...` flag (repeatable) requests a numeric interval
 //! hierarchy with the given widths, like the library path —
 //! `--parallel`/`--threads N` spread the lattice search over worker threads
-//! sharing one engine cache, `--schedule level|steal` picks the
-//! level-synchronous fan-out or the work-stealing whole-lattice scheduler
-//! (the default), `--memo-cap N` bounds the roll-up evaluator's memo for
+//! sharing one engine cache through the work-stealing whole-lattice
+//! scheduler, `--memo-cap N` bounds the roll-up evaluator's memo for
 //! deep lattices, and `--scan-threads N` spreads the evaluator's one
 //! chunked bottom scan over N workers (`0`/default: all cores; bit-neutral
 //! either way).
@@ -100,7 +99,7 @@ const USAGE: &str = "usage:
   wcbk audit <csv> --sensitive COL [--qi COL[,COL...]] [--k N] [--c F] [--model M] [--no-header]
   wcbk search <csv> --sensitive COL --qi COL[,COL...] --c F [--k N] [--model M]
               [--hierarchy COL:W1,W2,...]... [--parallel] [--threads N]
-              [--schedule level|steal] [--memo-cap N] [--scan-threads N]
+              [--memo-cap N] [--scan-threads N]
   wcbk anatomize <csv> --sensitive COL --l N [--seed N] [--k N]
   wcbk generate-adult [--rows N] [--seed N] [--out FILE]
   wcbk serve [--addr HOST:PORT] [--workers N] [--queue-depth N]
@@ -110,7 +109,7 @@ const USAGE: &str = "usage:
   wcbk table add <csv> --addr HOST:PORT --sensitive COL [--qi COL[,COL...]]
              [--hierarchy COL:W1,W2,...]... [--memo-cap N] [--no-header]
   wcbk table audit <id> --addr HOST:PORT [--k N] [--c F] [--model M]
-  wcbk table search <id> --addr HOST:PORT --c F [--k N] [--model M] [--threads N] [--schedule s]
+  wcbk table search <id> --addr HOST:PORT --c F [--k N] [--model M] [--threads N]
   wcbk table release <id> --addr HOST:PORT --node L1,L2,... [--model M]
   wcbk table composition <id> --addr HOST:PORT [--k N] [--c F] [--model M]
   wcbk table history|info|rm <id> --addr HOST:PORT
@@ -140,8 +139,6 @@ struct Options {
     /// Worker threads for the lattice search: `None` = sequential,
     /// `Some(0)` = all cores, `Some(n)` = exactly `n`.
     threads: Option<usize>,
-    /// Parallel schedule for the lattice search.
-    schedule: Schedule,
     /// Adversary model for audit/search/composition (`--model`; the
     /// paper's conjunction language by default).
     model: ModelId,
@@ -254,11 +251,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                         .parse()
                         .map_err(|e| format!("--threads: {e}"))?,
                 )
-            }
-            "--schedule" => {
-                opts.schedule = need_value("--schedule", &mut it)?
-                    .parse()
-                    .map_err(|e| format!("--schedule: {e}"))?
             }
             "--model" => {
                 opts.model = need_value("--model", &mut it)?
@@ -584,7 +576,6 @@ fn search_cmd(opts: &Options) -> Result<Verdict, Box<dyn std::error::Error>> {
     // sequential search at 1 thread, so dispatch is unconditional.
     let config = SearchConfig {
         threads: opts.threads.unwrap_or(1),
-        schedule: opts.schedule,
         memo_capacity: opts.memo_cap,
         scan_threads: opts.scan_threads.unwrap_or(0),
         model: opts.model,
@@ -598,10 +589,10 @@ fn search_cmd(opts: &Options) -> Result<Verdict, Box<dyn std::error::Error>> {
         criterion.name(),
         session.lattice().n_nodes()
     );
-    let schedule = match (effective, opts.schedule) {
-        (1, _) => "sequential",
-        (_, Schedule::LevelSync) => "level-sync",
-        (_, Schedule::WorkStealing) => "work-stealing",
+    let schedule = if effective == 1 {
+        "sequential"
+    } else {
+        "work-stealing"
     };
     println!(
         "threads: {effective} ({schedule})   evaluated: {}   satisfied: {}   elapsed: {elapsed:.2?}",
@@ -768,13 +759,6 @@ fn table_cmd(opts: &Options) -> Result<Verdict, Box<dyn std::error::Error>> {
                 if let Some(threads) = opts.threads {
                     body.push(("threads".to_owned(), threads.into()));
                 }
-                body.push((
-                    "schedule".to_owned(),
-                    match opts.schedule {
-                        Schedule::LevelSync => "level".into(),
-                        Schedule::WorkStealing => "steal".into(),
-                    },
-                ));
             }
             client.post(
                 &format!("/tables/{id}/{action}"),
@@ -897,17 +881,11 @@ mod tests {
     }
 
     #[test]
-    fn schedule_and_memo_cap_flags() {
+    fn memo_cap_flag() {
         let o = parse_args(&s(&["search", "x.csv"])).unwrap();
-        assert_eq!(o.schedule, Schedule::WorkStealing);
         assert_eq!(o.memo_cap, None);
-        let o = parse_args(&s(&["search", "x.csv", "--schedule", "level"])).unwrap();
-        assert_eq!(o.schedule, Schedule::LevelSync);
-        let o = parse_args(&s(&["search", "x.csv", "--schedule", "steal"])).unwrap();
-        assert_eq!(o.schedule, Schedule::WorkStealing);
         let o = parse_args(&s(&["search", "x.csv", "--memo-cap", "32"])).unwrap();
         assert_eq!(o.memo_cap, Some(32));
-        assert!(parse_args(&s(&["search", "--schedule", "chaotic"])).is_err());
         assert!(parse_args(&s(&["search", "--memo-cap", "many"])).is_err());
     }
 
@@ -1001,7 +979,8 @@ mod tests {
             "Age,Sex,Disease\n21,M,Flu\n23,F,Flu\n27,M,Cold\n29,F,Cold\n33,M,Flu\n35,F,Cold\n",
         )
         .unwrap();
-        for schedule in ["level", "steal"] {
+        // One thread runs the sequential search, two the work-stealing one.
+        for threads in ["1", "2"] {
             let args = s(&[
                 "search",
                 path.to_str().unwrap(),
@@ -1014,13 +993,11 @@ mod tests {
                 "--k",
                 "1",
                 "--threads",
-                "2",
-                "--schedule",
-                schedule,
+                threads,
                 "--memo-cap",
                 "2",
             ]);
-            run(&args).unwrap_or_else(|e| panic!("--schedule {schedule}: {e}"));
+            run(&args).unwrap_or_else(|e| panic!("--threads {threads}: {e}"));
         }
     }
 
