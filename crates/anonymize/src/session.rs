@@ -412,10 +412,12 @@ impl DatasetSession {
         let engine = self.engines.engine(k);
         let exact = self.exact();
         let disclosure = engine.max_disclosure(exact)?;
+        // The verdict `CkSafety::is_safe_with` would give, read off the
+        // disclosure just computed instead of running the DP again.
         let safe = match c {
             Some(c) => {
-                let safety = CkSafety::new(c, k)?;
-                Some(safety.is_safe_with(&engine, exact)?)
+                let c = CkSafety::new(c, k)?.c();
+                Some(exact.max_frequency_ratio() < c && disclosure.value < c)
             }
             None => None,
         };
@@ -841,6 +843,48 @@ mod tests {
                         .unwrap()
                 )
             );
+        }
+    }
+
+    /// The audit verdict, derived from the reported disclosure, equals
+    /// `is_safe_with` at every threshold — including `c` exactly at the
+    /// disclosure value and exactly at the `k = 0` frequency ratio, where
+    /// the strict inequalities decide. Grouped by Sex (Figure 3) and not at
+    /// all, so both values sit strictly inside `(0, 1)`.
+    #[test]
+    fn audit_verdict_matches_is_safe_with_on_a_threshold_grid() {
+        let table = hospital_table();
+        let by_sex = GeneralizationLattice::new(vec![(
+            3,
+            Hierarchy::suppression("Sex", table.column(3).dictionary()),
+        )])
+        .unwrap();
+        let ungrouped = GeneralizationLattice::new(Vec::new()).unwrap();
+        for lattice in [by_sex, ungrouped] {
+            let s = DatasetSession::new(table.clone(), lattice).unwrap();
+            let exact = s.exact();
+            let ratio = exact.max_frequency_ratio();
+            assert!(ratio < 1.0);
+            for k in 0..=3 {
+                let engine = DisclosureEngine::new(k);
+                let value = engine.max_disclosure(exact).unwrap().value;
+                let mut grid = vec![value, ratio, 1.0, 0.05];
+                for x in [value, ratio] {
+                    grid.extend([x - 1e-12, x + 1e-12, x / 2.0, (x + 1.0) / 2.0]);
+                }
+                for c in grid.into_iter().filter(|&c| c > 0.0 && c <= 1.0) {
+                    let report = s.audit(Some(c), k).unwrap();
+                    let want = CkSafety::new(c, k)
+                        .unwrap()
+                        .is_safe_with(&engine, exact)
+                        .unwrap();
+                    assert_eq!(report.safe, Some(want), "k={k} c={c}");
+                    assert_eq!(report.disclosure.value.to_bits(), value.to_bits());
+                }
+                for bad in [0.0, -0.5, 1.5, f64::NAN] {
+                    assert!(s.audit(Some(bad), k).is_err(), "k={k} c={bad}");
+                }
+            }
         }
     }
 

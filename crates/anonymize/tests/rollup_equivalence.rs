@@ -96,6 +96,46 @@ proptest! {
         prop_assert_eq!(eval.stats().table_scans, 1);
     }
 
+    /// More than 64 distinct sensitive values force the sparse (sorted-run)
+    /// tallies in the scan and in every derivation.
+    #[test]
+    fn rollup_histograms_equal_bucketize_on_a_wide_sensitive_domain(
+        qi_cols in 1usize..=3,
+        seed_rows in prop::collection::vec(
+            (prop::collection::vec(0u8..6, 3), 0u8..100),
+            70..140,
+        ),
+    ) {
+        let rows: Vec<Vec<u8>> = seed_rows
+            .into_iter()
+            .enumerate()
+            .map(|(i, (qi, s))| {
+                let mut row = qi[..qi_cols].to_vec();
+                row.push(if i < 70 { i as u8 } else { s });
+                row
+            })
+            .collect();
+        let table = build_table(qi_cols, &rows);
+        prop_assert!(table.sensitive_cardinality() > 64);
+        let lattice = build_lattice(&table, qi_cols);
+        let eval = NodeEvaluator::new(&table, &lattice).unwrap();
+        let mut nodes = lattice.nodes();
+        // Top-down first, so derivations also start from distant ancestors.
+        nodes.reverse();
+        for node in nodes.iter().chain(&lattice.nodes()) {
+            let rolled = eval.histograms(node).unwrap();
+            let scanned = lattice.bucketize(&table, node).unwrap();
+            prop_assert_eq!(rolled.n_buckets(), scanned.n_buckets(), "node {}", node);
+            for (i, bucket) in scanned.buckets().iter().enumerate() {
+                prop_assert_eq!(
+                    &rolled.histograms()[i],
+                    bucket.histogram(),
+                    "node {} bucket {}", node, i
+                );
+            }
+        }
+    }
+
     #[test]
     fn rollup_subsets_equal_bucketize_subset(
         qi_cols in 2usize..=3,

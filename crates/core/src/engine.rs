@@ -23,7 +23,7 @@ use std::sync::{Arc, RwLock};
 
 use crate::disclosure::build_witness;
 use crate::minimize1::Minimize1Table;
-use crate::minimize2::{minimize2, BucketCosts, SuffixTable};
+use crate::minimize2::{minimize2, minimize2_value, BucketCosts, SuffixTable};
 use crate::{Bucketization, CoreError, DisclosureResult, HistogramSet, SensitiveHistogram};
 
 struct CachedBucket {
@@ -278,24 +278,18 @@ impl DisclosureEngine {
         self.cached(hist).costs.clone()
     }
 
-    /// The `r_min` of a sequence of per-bucket histograms, through the
-    /// cache, cloning no [`BucketCosts`] — the hot path of lattice search.
-    fn r_min_of<'h, I>(&self, histograms: I) -> f64
-    where
-        I: Iterator<Item = &'h SensitiveHistogram>,
-    {
-        let entries: Vec<Arc<CachedBucket>> = histograms.map(|h| self.cached(h)).collect();
-        let costs: Vec<&BucketCosts> = entries.iter().map(|e| &e.costs).collect();
-        minimize2(&costs, self.k).r_min
-    }
-
     /// Maximum disclosure value only (no witness reconstruction).
     pub fn max_disclosure_value(&self, b: &Bucketization) -> Result<f64, CoreError> {
         if b.n_buckets() == 0 {
             return Err(CoreError::EmptyBucketization);
         }
-        let r_min = self.r_min_of(b.buckets().iter().map(|bucket| bucket.histogram()));
-        Ok(1.0 / (1.0 + r_min))
+        let entries: Vec<Arc<CachedBucket>> = b
+            .buckets()
+            .iter()
+            .map(|bucket| self.cached(bucket.histogram()))
+            .collect();
+        let costs: Vec<&BucketCosts> = entries.iter().map(|e| &e.costs).collect();
+        Ok(to_disclosure(minimize2_value(&costs, self.k)))
     }
 
     /// Maximum disclosure value of a histogram-only bucketization view —
@@ -305,8 +299,37 @@ impl DisclosureEngine {
         if h.n_buckets() == 0 {
             return Err(CoreError::EmptyBucketization);
         }
-        let r_min = self.r_min_of(h.histograms().iter());
-        Ok(1.0 / (1.0 + r_min))
+        Ok(self.with_set_costs(h, |costs| to_disclosure(minimize2_value(costs, self.k))))
+    }
+
+    /// Calls `f` with the per-bucket costs of `h`, in bucket order. The cache
+    /// is consulted once per distinct histogram key; buckets repeating an
+    /// earlier key reuse its costs and count as cache hits, as a per-bucket
+    /// lookup would have.
+    fn with_set_costs<R>(&self, h: &HistogramSet, f: impl FnOnce(&[&BucketCosts]) -> R) -> R {
+        let histograms = h.histograms();
+        let representatives = h.representatives();
+        let distinct: Vec<Arc<CachedBucket>> = representatives
+            .iter()
+            .enumerate()
+            .filter(|&(i, &rep)| rep == i)
+            .map(|(i, _)| self.cached(&histograms[i]))
+            .collect();
+        let repeats = (histograms.len() - distinct.len()) as u64;
+        if repeats > 0 {
+            self.hits.fetch_add(repeats, Ordering::Relaxed);
+        }
+        let mut fresh = distinct.iter();
+        let mut costs: Vec<&BucketCosts> = Vec::with_capacity(histograms.len());
+        for (i, &rep) in representatives.iter().enumerate() {
+            let bucket_costs = if rep == i {
+                &fresh.next().expect("one entry per distinct key").costs
+            } else {
+                costs[rep]
+            };
+            costs.push(bucket_costs);
+        }
+        f(&costs)
     }
 
     /// Full maximum disclosure with witness, using the cache.
@@ -324,7 +347,7 @@ impl DisclosureEngine {
         let tables: Vec<&Minimize1Table> = entries.iter().map(|e| &e.table).collect();
         let witness = build_witness(b, &tables, &result.allocation);
         Ok(DisclosureResult {
-            value: 1.0 / (1.0 + result.r_min),
+            value: to_disclosure(result.r_min),
             r_min: result.r_min,
             k: self.k,
             witness,
@@ -592,6 +615,83 @@ mod tests {
                     .unwrap();
                 assert_eq!(via_buckets.to_bits(), via_set.to_bits(), "k={k}");
             }
+        }
+    }
+
+    /// Six buckets over three histogram keys: `[2, 1]` from different
+    /// values three times, `[1, 1]` twice and `[1]` once.
+    fn repeated_keys() -> Bucketization {
+        let groups: [&[u32]; 6] = [&[0, 0, 1], &[2, 3], &[1, 1, 2], &[0, 0, 1], &[3, 2], &[4]];
+        let mut next = 0u32;
+        let buckets: Vec<crate::Bucket> = groups
+            .iter()
+            .map(|values| {
+                let members: Vec<TupleId> = values
+                    .iter()
+                    .map(|_| {
+                        next += 1;
+                        TupleId(next - 1)
+                    })
+                    .collect();
+                let values: Vec<wcbk_table::SValue> =
+                    values.iter().copied().map(wcbk_table::SValue).collect();
+                crate::Bucket::new(members, &values)
+            })
+            .collect();
+        Bucketization::from_buckets(buckets, 5).unwrap()
+    }
+
+    #[test]
+    fn set_path_with_repeated_keys_matches_bucketization_path() {
+        for k in 0..=6 {
+            for b in [repeated_keys(), figure3(), four_buckets()] {
+                let engine = DisclosureEngine::new(k);
+                let set = HistogramSet::from_bucketization(&b);
+                let via_set = engine.max_disclosure_value_set(&set).unwrap();
+                let via_buckets = engine.max_disclosure_value(&b).unwrap();
+                let direct = max_disclosure(&b, k).unwrap().value;
+                assert_eq!(via_set.to_bits(), via_buckets.to_bits(), "k={k}");
+                assert_eq!(via_set.to_bits(), direct.to_bits(), "k={k}");
+            }
+        }
+    }
+
+    /// Every bucket gets the costs of its own histogram, whichever bucket
+    /// resolved its key. Pinned directly because a wrong pick that names
+    /// another bucket's key rarely shows in the value: the optimum seldom
+    /// places atoms in two copies of one key.
+    #[test]
+    fn set_costs_follow_each_bucket_histogram() {
+        for k in 0..=3 {
+            let engine = DisclosureEngine::new(k);
+            for b in [repeated_keys(), figure3(), four_buckets()] {
+                let set = HistogramSet::from_bucketization(&b);
+                engine.with_set_costs(&set, |costs| {
+                    assert_eq!(costs.len(), b.n_buckets());
+                    for (got, bucket) in costs.iter().zip(b.buckets()) {
+                        let want = engine.costs(bucket.histogram());
+                        assert_eq!(got.m1, want.m1, "k={k}");
+                        assert_eq!(got.rho.to_bits(), want.rho.to_bits(), "k={k}");
+                    }
+                });
+            }
+        }
+    }
+
+    /// One lookup per distinct key still reports per-bucket traffic: a
+    /// repeated key counts as the hit the per-bucket path would have scored.
+    #[test]
+    fn set_path_counts_cache_traffic_per_bucket() {
+        let b = repeated_keys();
+        let set = HistogramSet::from_bucketization(&b);
+        let per_bucket = DisclosureEngine::new(2);
+        let per_key = DisclosureEngine::new(2);
+        for (round, (hits, misses)) in [(3, 3), (9, 3)].into_iter().enumerate() {
+            per_bucket.max_disclosure_value(&b).unwrap();
+            per_key.max_disclosure_value_set(&set).unwrap();
+            assert_eq!(per_bucket.cache_stats(), (hits, misses), "round {round}");
+            assert_eq!(per_key.cache_stats(), (hits, misses), "round {round}");
+            assert_eq!(per_key.cache_len(), 3);
         }
     }
 

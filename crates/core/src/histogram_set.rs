@@ -7,6 +7,15 @@
 //! published. [`HistogramSet`] captures exactly that, so lattice search can
 //! evaluate nodes from rolled-up histograms (see `wcbk-hierarchy`'s
 //! `NodeEvaluator`) without ever materializing a [`Bucketization`].
+//!
+//! A set is immutable once built, so its buckets live behind an [`Arc`]:
+//! cloning is `O(1)`, which lets the roll-up memo hand the same set to every
+//! evaluation of a node. Construction also records, per bucket, the first
+//! bucket with an equal [`SensitiveHistogram::key`], so the disclosure engine
+//! resolves each distinct key's MINIMIZE1 costs once per evaluation.
+
+use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::{Bucketization, CoreError, SensitiveHistogram};
 
@@ -14,8 +23,21 @@ use crate::{Bucketization, CoreError, SensitiveHistogram};
 /// bucketization, in bucket order, plus the sensitive-domain cardinality.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSet {
-    histograms: Vec<SensitiveHistogram>,
+    histograms: Arc<[SensitiveHistogram]>,
+    /// `representatives[i]` = the first bucket `j ≤ i` whose histogram has
+    /// the same key as bucket `i` (a function of `histograms`).
+    representatives: Arc<[usize]>,
     domain_size: u32,
+}
+
+/// For each histogram, the index of the first one with an equal key.
+fn first_occurrences(histograms: &[SensitiveHistogram]) -> Arc<[usize]> {
+    let mut first: HashMap<&[u64], usize> = HashMap::with_capacity(histograms.len());
+    histograms
+        .iter()
+        .enumerate()
+        .map(|(i, h)| *first.entry(h.key()).or_insert(i))
+        .collect()
 }
 
 impl HistogramSet {
@@ -29,24 +51,35 @@ impl HistogramSet {
         if let Some(i) = histograms.iter().position(|h| h.n() == 0) {
             return Err(CoreError::EmptyBucket(i));
         }
-        Ok(Self {
-            histograms,
+        Ok(Self::from_valid(histograms, domain_size))
+    }
+
+    fn from_valid(histograms: Vec<SensitiveHistogram>, domain_size: u32) -> Self {
+        Self {
+            representatives: first_occurrences(&histograms),
+            histograms: histograms.into(),
             domain_size,
-        })
+        }
     }
 
     /// The histogram view of a materialized bucketization (clones the
     /// per-bucket histograms).
     pub fn from_bucketization(b: &Bucketization) -> Self {
-        Self {
-            histograms: b.buckets().iter().map(|x| x.histogram().clone()).collect(),
-            domain_size: b.domain_size(),
-        }
+        Self::from_valid(
+            b.buckets().iter().map(|x| x.histogram().clone()).collect(),
+            b.domain_size(),
+        )
     }
 
     /// Per-bucket histograms in bucket order.
     pub fn histograms(&self) -> &[SensitiveHistogram] {
         &self.histograms
+    }
+
+    /// Per bucket, the first bucket with an equal histogram key — the
+    /// bucket whose MINIMIZE1 costs stand for it.
+    pub(crate) fn representatives(&self) -> &[usize] {
+        &self.representatives
     }
 
     /// Number of buckets `|B|`.
@@ -112,6 +145,55 @@ mod tests {
         for (hist, bucket) in h.histograms().iter().zip(b.buckets()) {
             assert_eq!(hist, bucket.histogram());
         }
+    }
+
+    /// The first bucket with an equal key, found by scanning every earlier
+    /// bucket.
+    fn naive_representatives(h: &HistogramSet) -> Vec<usize> {
+        let hists = h.histograms();
+        (0..hists.len())
+            .map(|i| (0..=i).find(|&j| hists[j].key() == hists[i].key()).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn representatives_are_first_key_occurrences() {
+        use wcbk_table::SValue;
+        let hist = |counts: &[u64]| {
+            SensitiveHistogram::from_counts(
+                counts
+                    .iter()
+                    .enumerate()
+                    .map(|(v, &c)| (SValue(v as u32), c)),
+            )
+        };
+        // Equal keys from different values ([2,1] twice) and a repeat of the
+        // first bucket after other keys.
+        let sets = [
+            vec![
+                hist(&[2, 1]),
+                hist(&[3]),
+                hist(&[1, 2]),
+                hist(&[2, 1]),
+                hist(&[3]),
+            ],
+            vec![hist(&[1]), hist(&[1]), hist(&[1])],
+            vec![hist(&[1, 1, 1]), hist(&[2]), hist(&[1, 2]), hist(&[1])],
+        ];
+        for hists in sets {
+            let h = HistogramSet::new(hists, 4).unwrap();
+            assert_eq!(h.representatives(), &naive_representatives(&h)[..]);
+        }
+        let h = HistogramSet::from_bucketization(&figure3());
+        assert_eq!(h.representatives(), &naive_representatives(&h)[..]);
+    }
+
+    #[test]
+    fn clones_share_buckets() {
+        let h = HistogramSet::from_bucketization(&figure3());
+        let c = h.clone();
+        assert_eq!(c, h);
+        assert!(std::ptr::eq(c.histograms(), h.histograms()));
     }
 
     #[test]

@@ -87,6 +87,60 @@ pub fn minimize2<B: Borrow<BucketCosts>>(buckets: &[B], k: usize) -> Minimize2Re
     Minimize2Result { r_min, allocation }
 }
 
+/// `r_min` alone, by the same recurrence as [`SuffixTable`] but keeping only
+/// two rows: `O(k)` space instead of `O(|B| · k)`, for callers that need no
+/// witness. Bit-identical to `minimize2(buckets, k).r_min`.
+pub(crate) fn minimize2_value<B: Borrow<BucketCosts>>(buckets: &[B], k: usize) -> f64 {
+    let mut next = base_row(k);
+    let mut row = vec![f64::INFINITY; row_width(k)];
+    for b in buckets.iter().rev() {
+        step(b.borrow(), &next, &mut row, k);
+        std::mem::swap(&mut next, &mut row);
+    }
+    next[2 * k]
+}
+
+/// Cells per DP row: `(k+1)` remaining-atom counts × the `placed` flag,
+/// laid out as `h * 2 + placed`.
+fn row_width(k: usize) -> usize {
+    (k + 1) * 2
+}
+
+/// The row past the last bucket — the corrected base case: only "all atoms
+/// used and A placed" costs 1, everything else is infeasible.
+fn base_row(k: usize) -> Vec<f64> {
+    let mut row = vec![f64::INFINITY; row_width(k)];
+    row[1] = 1.0;
+    row
+}
+
+/// One bucket's step of the suffix DP: fills `row` = `S(i, ·, ·)` from
+/// `next` = `S(i+1, ·, ·)`. For each cell it tries every split `c` of the
+/// remaining atoms and, when `A` is still unplaced, the option of hosting it
+/// here.
+fn step(b: &BucketCosts, next: &[f64], row: &mut [f64], k: usize) {
+    for h in 0..=k {
+        for placed in [false, true] {
+            let mut best = f64::INFINITY;
+            for c in 0..=h {
+                // A not in this bucket.
+                let skip = b.m1[c] * next[(h - c) * 2 + usize::from(placed)];
+                if skip < best {
+                    best = skip;
+                }
+                // A in this bucket (only if not placed earlier).
+                if !placed {
+                    let host = b.m1[c + 1] * b.rho * next[(h - c) * 2 + 1];
+                    if host < best {
+                        best = host;
+                    }
+                }
+            }
+            row[h * 2 + usize::from(placed)] = best;
+        }
+    }
+}
+
 /// The suffix DP `S(i, h, placed)`: minimum cost of buckets `i..`, given `h`
 /// atoms remain to place and `placed` says whether `A` was already placed in
 /// a bucket `< i`.
@@ -103,66 +157,28 @@ pub struct SuffixTable {
 }
 
 impl SuffixTable {
-    #[inline]
-    fn idx(&self, i: usize, h: usize, placed: bool) -> usize {
-        (i * (self.k + 1) + h) * 2 + usize::from(placed)
-    }
-
     /// Builds the table bottom-up from the last bucket.
     pub fn build<B: Borrow<BucketCosts>>(buckets: &[B], k: usize) -> Self {
         let n_buckets = buckets.len();
-        let mut table = Self {
-            n_buckets,
-            k,
-            s: vec![f64::INFINITY; (n_buckets + 1) * (k + 1) * 2],
-        };
-        // Corrected base case: all atoms used and A placed.
-        let base = table.idx(n_buckets, 0, true);
-        table.s[base] = 1.0;
+        let width = row_width(k);
+        let mut s = vec![f64::INFINITY; (n_buckets + 1) * width];
+        s[n_buckets * width..].copy_from_slice(&base_row(k));
         for i in (0..n_buckets).rev() {
-            for h in 0..=k {
-                for placed in [false, true] {
-                    let v = table.transition(buckets, i, h, placed);
-                    let at = table.idx(i, h, placed);
-                    table.s[at] = v;
-                }
-            }
+            let (head, next) = s.split_at_mut((i + 1) * width);
+            step(
+                buckets[i].borrow(),
+                &next[..width],
+                &mut head[i * width..],
+                k,
+            );
         }
-        table
-    }
-
-    /// One bucket's transition: try every split `c` of the remaining atoms
-    /// and, when `A` is still unplaced, the option of hosting it here.
-    fn transition<B: Borrow<BucketCosts>>(
-        &self,
-        buckets: &[B],
-        i: usize,
-        h: usize,
-        placed: bool,
-    ) -> f64 {
-        let b: &BucketCosts = buckets[i].borrow();
-        let mut best = f64::INFINITY;
-        for c in 0..=h {
-            // A not in this bucket.
-            let skip = b.m1[c] * self.get(i + 1, h - c, placed);
-            if skip < best {
-                best = skip;
-            }
-            // A in this bucket (only if not placed earlier).
-            if !placed {
-                let host = b.m1[c + 1] * b.rho * self.get(i + 1, h - c, true);
-                if host < best {
-                    best = host;
-                }
-            }
-        }
-        best
+        Self { n_buckets, k, s }
     }
 
     /// Looks up `S(i, h, placed)`.
     #[inline]
     pub fn get(&self, i: usize, h: usize, placed: bool) -> f64 {
-        self.s[self.idx(i, h, placed)]
+        self.s[i * row_width(self.k) + h * 2 + usize::from(placed)]
     }
 
     /// Number of buckets the table was built for.
@@ -249,6 +265,7 @@ mod tests {
     use super::*;
     use crate::minimize1::Minimize1Table;
     use crate::SensitiveHistogram;
+    use proptest::prelude::*;
     use wcbk_table::SValue;
 
     fn costs(vals: &[u32], kmax: usize) -> BucketCosts {
@@ -356,6 +373,119 @@ mod tests {
             let r = minimize2(&figure3(k), k).r_min;
             assert!(r <= prev + 1e-15, "k={k}");
             prev = r;
+        }
+    }
+
+    /// Every descending count vector with 1..=4 distinct values, each count
+    /// in 1..=3 (34 histogram keys).
+    fn small_keys() -> Vec<Vec<u64>> {
+        let mut keys: Vec<Vec<u64>> = vec![vec![]];
+        let mut all = Vec::new();
+        for _ in 0..4 {
+            keys = keys
+                .iter()
+                .flat_map(|key| {
+                    let cap = key.last().copied().unwrap_or(3);
+                    (1..=cap).map(move |c| {
+                        let mut next = key.clone();
+                        next.push(c);
+                        next
+                    })
+                })
+                .collect();
+            all.extend(keys.iter().cloned());
+        }
+        all
+    }
+
+    /// Bucket sequences over `n` costs: every ordered sequence of up to 3
+    /// (so every ordering of small inputs) and every multiset of 4, as an
+    /// index list.
+    fn sequences(n: usize) -> Vec<Vec<usize>> {
+        let mut out: Vec<Vec<usize>> = Vec::new();
+        let mut layer: Vec<Vec<usize>> = vec![vec![]];
+        for _ in 0..3 {
+            layer = layer
+                .iter()
+                .flat_map(|seq| {
+                    (0..n).map(move |i| {
+                        let mut next = seq.clone();
+                        next.push(i);
+                        next
+                    })
+                })
+                .collect();
+            out.extend(layer.iter().cloned());
+        }
+        for seq in &layer {
+            if seq.windows(2).all(|w| w[0] <= w[1]) {
+                out.extend((seq[2]..n).map(|i| [&seq[..], &[i]].concat()));
+            }
+        }
+        out
+    }
+
+    /// The rolling-row value DP equals the suffix table's `r_min` bit for
+    /// bit, on up to 4 buckets drawn from the small keys, at every `k ≤ 6`.
+    #[test]
+    fn rolling_value_equals_suffix_table_exhaustively() {
+        let keys = small_keys();
+        assert_eq!(keys.len(), 34);
+        let sequences = sequences(keys.len());
+        // 34 + 34² + 34³ ordered, C(37, 4) multisets of 4.
+        assert_eq!(sequences.len(), 34 + 34 * 34 + 34 * 34 * 34 + 66_045);
+        for k in 0..=6usize {
+            let costs: Vec<BucketCosts> = keys
+                .iter()
+                .map(|key| {
+                    let h = SensitiveHistogram::from_counts(
+                        key.iter().enumerate().map(|(v, &c)| (SValue(v as u32), c)),
+                    );
+                    let t = Minimize1Table::build(&h, k + 1);
+                    BucketCosts::new(&t, h.frequency(0), h.n())
+                })
+                .collect();
+            for seq in &sequences {
+                let buckets: Vec<&BucketCosts> = seq.iter().map(|&i| &costs[i]).collect();
+                let want = minimize2(&buckets, k).r_min;
+                let got = minimize2_value(&buckets, k);
+                assert_eq!(got.to_bits(), want.to_bits(), "k={k} buckets {seq:?}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Realistic sizes, arbitrary costs: infinite and zero cells (whose
+        /// products with infinity are NaN), ties and `rho ≥ 1`.
+        #[test]
+        fn rolling_value_equals_suffix_table_on_arbitrary_costs(
+            k in 0usize..=9,
+            cells in prop::collection::vec((0u32..=12, 1u32..=40), 1..=300),
+        ) {
+            let width = k + 2;
+            let buckets: Vec<BucketCosts> = cells
+                .chunks(width)
+                .map(|chunk| {
+                    let cell = |i: usize| {
+                        let (v, _) = chunk[i % chunk.len()];
+                        match v {
+                            0 => f64::INFINITY,
+                            11 => 0.0,
+                            12 => 1.0,
+                            _ => f64::from(v) / 10.0,
+                        }
+                    };
+                    BucketCosts {
+                        m1: (0..width).map(cell).collect(),
+                        rho: f64::from(chunk[0].1) / 4.0,
+                    }
+                })
+                .collect();
+            let want = minimize2(&buckets, k).r_min;
+            let got = minimize2_value(&buckets, k);
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "k={} buckets={}", k, buckets.len());
         }
     }
 

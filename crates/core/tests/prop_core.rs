@@ -7,7 +7,8 @@ use proptest::prelude::*;
 use wcbk_core::minimize1::{brute_force_profiles, paper_recursion, Minimize1Table};
 use wcbk_core::partial_order::{merge_buckets, refines};
 use wcbk_core::{
-    max_disclosure, negation_max_disclosure, Bucket, Bucketization, SensitiveHistogram,
+    max_disclosure, negation_max_disclosure, Bucket, Bucketization, DisclosureEngine, HistogramSet,
+    SensitiveHistogram,
 };
 use wcbk_table::{SValue, TupleId};
 use wcbk_worlds::inference::atom_probability_given;
@@ -20,24 +21,33 @@ fn bucket_values() -> impl Strategy<Value = Vec<u32>> {
 
 /// Strategy: 1..=4 buckets.
 fn bucketization() -> impl Strategy<Value = Bucketization> {
-    prop::collection::vec(bucket_values(), 1..=4).prop_map(|groups| {
-        let mut next = 0u32;
-        let buckets: Vec<Bucket> = groups
-            .into_iter()
-            .map(|vals| {
-                let members: Vec<TupleId> = (0..vals.len())
-                    .map(|_| {
-                        let t = TupleId(next);
-                        next += 1;
-                        t
-                    })
-                    .collect();
-                let values: Vec<SValue> = vals.into_iter().map(SValue).collect();
-                Bucket::new(members, &values)
-            })
-            .collect();
-        Bucketization::from_buckets(buckets, 4).unwrap()
-    })
+    prop::collection::vec(bucket_values(), 1..=4).prop_map(from_groups)
+}
+
+/// Strategy: 1..=12 buckets of 1..=5 tuples over codes 0..3 — few enough
+/// distinct histograms that most buckets repeat an earlier key.
+fn repetitive_bucketization() -> impl Strategy<Value = Bucketization> {
+    prop::collection::vec(prop::collection::vec(0u32..3, 1..=5), 1..=12).prop_map(from_groups)
+}
+
+/// One bucket per group of raw sensitive values, tuple ids numbered in order.
+fn from_groups(groups: Vec<Vec<u32>>) -> Bucketization {
+    let mut next = 0u32;
+    let buckets: Vec<Bucket> = groups
+        .into_iter()
+        .map(|vals| {
+            let members: Vec<TupleId> = (0..vals.len())
+                .map(|_| {
+                    let t = TupleId(next);
+                    next += 1;
+                    t
+                })
+                .collect();
+            let values: Vec<SValue> = vals.into_iter().map(SValue).collect();
+            Bucket::new(members, &values)
+        })
+        .collect();
+    Bucketization::from_buckets(buckets, 4).unwrap()
 }
 
 fn space_of(b: &Bucketization) -> WorldSpace {
@@ -237,5 +247,22 @@ proptest! {
         }
         prop_assert!(h.entropy() >= -1e-12);
         prop_assert!(h.entropy() <= (h.distinct() as f64).ln() + 1e-12);
+    }
+
+    /// The histogram-set path looks each distinct key up once; on buckets
+    /// that mostly repeat keys it must still give the per-bucket path's
+    /// value, bit for bit, and the same cache traffic.
+    #[test]
+    fn set_path_equals_bucketization_path(b in repetitive_bucketization(), k in 0usize..=5) {
+        let per_bucket = DisclosureEngine::new(k);
+        let per_key = DisclosureEngine::new(k);
+        let set = HistogramSet::from_bucketization(&b);
+        for _ in 0..2 {
+            let want = per_bucket.max_disclosure_value(&b).unwrap();
+            let got = per_key.max_disclosure_value_set(&set).unwrap();
+            prop_assert_eq!(got.to_bits(), want.to_bits());
+            prop_assert_eq!(got.to_bits(), max_disclosure(&b, k).unwrap().value.to_bits());
+            prop_assert_eq!(per_key.cache_stats(), per_bucket.cache_stats());
+        }
     }
 }

@@ -24,8 +24,8 @@
 //!   `O(rows × dims)`.
 //! * The memo is **weight-bounded** (see
 //!   [`NodeEvaluator::with_memo_capacity`]): the budget counts retained
-//!   *groups* (each group ≈ one packed signature plus its sparse sensitive
-//!   counts — the actual bytes a node table holds), not entries, so one huge
+//!   *groups* (each group ≈ one packed signature plus its sensitive
+//!   histogram — the actual bytes a node table holds), not entries, so one huge
 //!   near-bottom table can't hide behind the same cap as a handful of tiny
 //!   near-top ones. Past the budget the least-recently-touched node table is
 //!   evicted, so deep lattices don't hold every node's group table.
@@ -36,6 +36,9 @@
 //!   criteria evaluate — in **exactly** the bucket order
 //!   [`GeneralizationLattice::bucketize`] produces (first row occurrence),
 //!   with identical histograms, so search outcomes are bit-for-bit the same.
+//!   A node table *is* its set plus the signatures: it is built once, and
+//!   re-evaluating a memoized node costs an `O(1)` clone, not a histogram
+//!   per bucket.
 //!
 //! The evaluator is `Sync` (memo behind an `RwLock`, counters atomic), so
 //! one instance serves all workers of the parallel lattice search.
@@ -82,51 +85,59 @@ impl ScanOptions {
     }
 }
 
-/// One node's grouped view: packed signature and sparse sensitive counts per
+/// One node's grouped view: a packed signature and a sensitive histogram per
 /// bucket, in first-row-occurrence order (the `bucketize` bucket order).
-#[derive(Debug, Clone)]
+///
+/// The histograms are the node's [`HistogramSet`] itself, built once when
+/// the table is: every evaluation of a memoized node shares it through an
+/// `O(1)` clone, and successors are derived straight from its counts.
+#[derive(Debug)]
 struct NodeTable<S> {
     sigs: Vec<S>,
-    /// `(value, count)` pairs sorted by value code, per bucket.
-    counts: Vec<Vec<(SValue, u64)>>,
+    /// The per-bucket histograms (`Err` only for a table with no rows).
+    set: Result<HistogramSet, HierarchyError>,
 }
 
 impl<S: Signature> NodeTable<S> {
-    /// Groups `source`'s entries under re-keyed signatures, merging counts.
-    /// First-occurrence order over `source` entries preserves the row
+    /// Builds the table from `(value, count)` rows, one per signature.
+    fn new(sigs: Vec<S>, counts: Vec<Vec<(SValue, u64)>>, domain_size: u32) -> Self {
+        let set = if sigs.is_empty() {
+            // Mirror `bucketize` on an empty table, which fails building the
+            // (empty) partition.
+            Err(HierarchyError::Table(
+                CoreError::EmptyBucketization.to_string(),
+            ))
+        } else {
+            let histograms: Vec<SensitiveHistogram> = counts
+                .into_iter()
+                .map(SensitiveHistogram::from_counts)
+                .collect();
+            HistogramSet::new(histograms, domain_size)
+                .map_err(|e| HierarchyError::Table(e.to_string()))
+        };
+        Self { sigs, set }
+    }
+
+    /// Groups `source`'s buckets under re-keyed signatures, merging counts.
+    /// First-occurrence order over `source` buckets preserves the row
     /// first-occurrence bucket order transitively — from *any* ancestor, so
     /// the derivation source never affects results.
     ///
     /// Group lookup is an open-addressed [`SigMap`]; count rows merge as
-    /// dense arrays (small sensitive domains) or linear runs over the
-    /// already-sorted source rows — no hash re-insertion on either side.
-    fn derive(source: &NodeTable<S>, domain: usize, rekey: impl Fn(S) -> S) -> NodeTable<S> {
+    /// dense arrays (small sensitive domains) or sorted runs — no hash
+    /// re-insertion on either side.
+    fn derive(source: &NodeTable<S>, domain_size: u32, rekey: impl Fn(S) -> S) -> NodeTable<S> {
         let mut index = SigMap::with_capacity(source.sigs.len());
-        let mut tallies = MergeTallies::new(domain);
-        for (i, &sig) in source.sigs.iter().enumerate() {
+        let mut tallies = MergeTallies::new(domain_size as usize);
+        let histograms = source
+            .set
+            .as_ref()
+            .map_or(&[][..], HistogramSet::histograms);
+        for (&sig, histogram) in source.sigs.iter().zip(histograms) {
             let gi = index.get_or_insert(rekey(sig));
-            tallies.add_sorted(gi, &source.counts[i]);
+            tallies.add_unsorted(gi, histogram.iter_counts());
         }
-        NodeTable {
-            sigs: index.into_sigs(),
-            counts: tallies.finish(),
-        }
-    }
-
-    fn histogram_set(&self, domain_size: u32) -> Result<HistogramSet, HierarchyError> {
-        if self.sigs.is_empty() {
-            // Mirror `bucketize` on an empty table, which fails building the
-            // (empty) partition.
-            return Err(HierarchyError::Table(
-                CoreError::EmptyBucketization.to_string(),
-            ));
-        }
-        let histograms: Vec<SensitiveHistogram> = self
-            .counts
-            .iter()
-            .map(|c| SensitiveHistogram::from_counts(c.iter().copied()))
-            .collect();
-        HistogramSet::new(histograms, domain_size).map_err(|e| HierarchyError::Table(e.to_string()))
+        NodeTable::new(index.into_sigs(), tallies.finish(), domain_size)
     }
 }
 
@@ -149,7 +160,7 @@ pub struct RollupStats {
     pub memo_entries: usize,
     /// Total groups currently retained across memoized tables — the
     /// byte-ish weight the memo budget bounds (each group holds one packed
-    /// signature plus its sparse sensitive counts). Bottom excluded.
+    /// signature plus its sensitive histogram). Bottom excluded.
     pub memo_groups: u64,
     /// Distinct signatures at the lattice bottom (the scan's output size).
     pub bottom_groups: usize,
@@ -321,7 +332,7 @@ impl<S: Signature> RollupEngine<S> {
             )
         };
         let scan_micros = scan_started.elapsed().as_micros() as u64;
-        let bottom = Arc::new(NodeTable { sigs, counts });
+        let bottom = Arc::new(NodeTable::new(sigs, counts, domain as u32));
 
         Self {
             lattice,
@@ -368,7 +379,7 @@ impl<S: Signature> RollupEngine<S> {
 
     fn histograms(&self, node: &GenNode) -> Result<HistogramSet, HierarchyError> {
         self.lattice.validate(node)?;
-        self.node_table(node).histogram_set(self.domain_size)
+        self.node_table(node).set.clone()
     }
 
     fn histograms_subset(
@@ -382,7 +393,7 @@ impl<S: Signature> RollupEngine<S> {
             .map(|(&d, &level)| (d, self.lattice.hierarchy(d).level_map(level)))
             .collect();
         let derive_started = std::time::Instant::now();
-        let table = NodeTable::derive(&self.bottom, self.domain_size as usize, |sig| {
+        let table = NodeTable::derive(&self.bottom, self.domain_size, |sig| {
             let mut out = S::zero();
             for &(d, map) in &maps {
                 let base = sig.field(self.shifts[d], self.masks[d]);
@@ -395,7 +406,7 @@ impl<S: Signature> RollupEngine<S> {
             Ordering::Relaxed,
         );
         self.derived.fetch_add(1, Ordering::Relaxed);
-        table.histogram_set(self.domain_size)
+        table.set
     }
 
     /// The map taking dimension `d`'s level-`from` group ids to level-`to`
@@ -490,7 +501,7 @@ impl<S: Signature> RollupEngine<S> {
                 )
             })
             .collect();
-        let table = NodeTable::derive(&src_table, self.domain_size as usize, |sig| {
+        let table = NodeTable::derive(&src_table, self.domain_size, |sig| {
             let mut out = sig;
             for (shift, mask, map) in &maps {
                 let group = out.field(*shift, *mask);
@@ -586,8 +597,8 @@ impl NodeEvaluator {
 
     /// [`NodeEvaluator::new`] with a **group budget** on memoized node
     /// tables: `capacity = Some(n)` retains derived tables totalling at most
-    /// `n.max(1)` groups (a group ≈ one packed signature plus its sparse
-    /// sensitive counts — the actual bytes a table holds), evicting the
+    /// `n.max(1)` groups (a group ≈ one packed signature plus its sensitive
+    /// histogram — the actual bytes a table holds), evicting the
     /// least recently touched until the newcomer fits; a table that alone
     /// exceeds the whole budget is served unmemoized. Derivations that miss
     /// every immediate predecessor re-key the coarsest retained ancestor (at
@@ -859,6 +870,43 @@ mod tests {
         let stats = eval.stats();
         assert_eq!(stats.memo_entries, 1, "{stats:?}");
         assert_eq!(stats.evictions, 0, "{stats:?}");
+    }
+
+    /// A node's histogram set is built once and kept with its table:
+    /// repeated requests return equal sets at any memo budget — unbounded,
+    /// one group, and a budget that evicts — and, while the table stays
+    /// memoized, the very same shared buckets.
+    #[test]
+    fn repeated_requests_return_the_memoized_set() {
+        let (table, lattice) = hospital_lattice();
+        for cap in [None, Some(1usize), Some(6)] {
+            let eval = NodeEvaluator::with_memo_capacity(&table, &lattice, cap).unwrap();
+            let first: Vec<HistogramSet> = lattice
+                .nodes()
+                .iter()
+                .map(|n| eval.histograms(n).unwrap())
+                .collect();
+            for round in 0..2 {
+                let mut nodes = lattice.nodes();
+                if round == 1 {
+                    nodes.reverse();
+                }
+                for node in &nodes {
+                    let i = lattice.nodes().iter().position(|n| n == node).unwrap();
+                    let again = eval.histograms(node).unwrap();
+                    assert_eq!(again, first[i], "cap {cap:?} round {round} node {node}");
+                }
+            }
+            if cap.is_none() {
+                for (node, set) in lattice.nodes().iter().zip(&first) {
+                    let again = eval.histograms(node).unwrap();
+                    assert!(std::ptr::eq(again.histograms(), set.histograms()), "{node}");
+                }
+            }
+            if cap == Some(6) {
+                assert!(eval.stats().evictions > 0, "{:?}", eval.stats());
+            }
+        }
     }
 
     /// `Some(0)` behaves as a 1-group budget rather than thrashing or

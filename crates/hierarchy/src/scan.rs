@@ -303,15 +303,18 @@ impl ScanTallies {
     }
 }
 
-/// Tally accumulator for merges (chunk merge, node derivation): inputs are
-/// already value-sorted rows, so the sparse fallback is a linear two-pointer
-/// merge — no hash re-insertion anywhere.
+/// Tally accumulator for merges (chunk merge, node derivation). Chunk rows
+/// arrive value-sorted, so the sparse fallback is a linear two-pointer merge
+/// — no hash re-insertion anywhere; histogram rows arrive in frequency
+/// order and are sorted into a scratch row first.
 pub(crate) struct MergeTallies {
     domain: usize,
     dense: bool,
     flat: Vec<u64>,
     rows: Vec<Vec<(SValue, u64)>>,
     n_groups: usize,
+    /// Reused sort buffer for [`MergeTallies::add_unsorted`] (sparse only).
+    scratch: Vec<(SValue, u64)>,
 }
 
 impl MergeTallies {
@@ -322,11 +325,13 @@ impl MergeTallies {
             flat: Vec::new(),
             rows: Vec::new(),
             n_groups: 0,
+            scratch: Vec::new(),
         }
     }
 
-    /// Merges a value-sorted count row into `group`.
-    pub(crate) fn add_sorted(&mut self, group: usize, pairs: &[(SValue, u64)]) {
+    /// Opens `group` if it is the next new one (groups appear in index
+    /// order).
+    fn open(&mut self, group: usize) {
         if group == self.n_groups {
             self.n_groups += 1;
             if self.dense {
@@ -335,13 +340,41 @@ impl MergeTallies {
                 self.rows.push(Vec::new());
             }
         }
+    }
+
+    fn add_dense(&mut self, group: usize, pairs: impl IntoIterator<Item = (SValue, u64)>) {
+        let row = &mut self.flat[group * self.domain..(group + 1) * self.domain];
+        for (value, count) in pairs {
+            row[value.index()] += count;
+        }
+    }
+
+    /// Merges a value-sorted count row into `group`.
+    pub(crate) fn add_sorted(&mut self, group: usize, pairs: &[(SValue, u64)]) {
+        self.open(group);
         if self.dense {
-            let row = &mut self.flat[group * self.domain..(group + 1) * self.domain];
-            for &(value, count) in pairs {
-                row[value.index()] += count;
-            }
+            self.add_dense(group, pairs.iter().copied());
         } else {
             merge_sorted(&mut self.rows[group], pairs);
+        }
+    }
+
+    /// Merges `(value, count)` pairs with distinct values, in any order,
+    /// into `group`.
+    pub(crate) fn add_unsorted(
+        &mut self,
+        group: usize,
+        pairs: impl IntoIterator<Item = (SValue, u64)>,
+    ) {
+        self.open(group);
+        if self.dense {
+            self.add_dense(group, pairs);
+        } else {
+            let Self { rows, scratch, .. } = self;
+            scratch.clear();
+            scratch.extend(pairs);
+            scratch.sort_unstable_by_key(|&(value, _)| value);
+            merge_sorted(&mut rows[group], scratch);
         }
     }
 
