@@ -73,9 +73,9 @@
 //! of idle keep-alive clients cost ~0 threads, slow clients are reaped by
 //! deadline instead of pinning a worker, and `POST /tables` accepts
 //! `Transfer-Encoding: chunked` CSV uploads decoded incrementally off the
-//! wire. Admission is either the classic bounded queue (`queue_depth`
-//! waiting connections, then an immediate `503` with `Retry-After`) or,
-//! with `max_connections` set, a flat connection cap.
+//! wire. Admission is one connection cap (`max_connections`, by default
+//! `workers + 64`): past it, a new connection gets an immediate `503` with
+//! `Retry-After`.
 //!
 //! ```no_run
 //! use wcbk_serve::{Server, ServerConfig};

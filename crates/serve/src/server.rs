@@ -16,19 +16,16 @@
 //!   socket. Connections never block a worker; workers never block on a
 //!   socket. Streaming batches work the same way: each NDJSON line becomes
 //!   one completion, flushed by write-readiness.
-//! * **Admission** — with `max_connections = 0` (the default) the server
-//!   reproduces the classic bounded-queue semantics exactly: `workers`
-//!   virtual *leases*, up to `queue_depth` connections waiting for one, and
-//!   an immediate `503` (with `Retry-After`) beyond that. With
-//!   `max_connections = N` the server switches to evented admission: up to
-//!   `N` concurrent connections, each dispatching as soon as a request
-//!   parses, `503` past `N`.
+//! * **Admission** — one connection cap: up to `max_connections` open
+//!   connections (`0` resolves to `workers + 64`), each dispatching to the
+//!   worker queue as soon as a request parses; past the cap a new
+//!   connection gets an immediate `503` (with `Retry-After`).
 //! * **Deadlines** — the reactor reaps slow clients without spending a
 //!   worker on them: headers must complete within `read_timeout` of the
 //!   first request byte (slowloris), body and response writes must keep
 //!   making progress, and idle keep-alive connections are reaped after
-//!   `read_timeout` (lease mode) or `idle_timeout` (evented mode). Reaped
-//!   connections are closed silently and counted in `/stats`.
+//!   `idle_timeout`. Reaped connections are closed silently and counted in
+//!   `/stats`.
 //! * **Graceful shutdown** — `POST /shutdown` (or
 //!   [`ServerHandle::shutdown`]) stops accepting, closes idle connections
 //!   immediately, gives partially-read requests a short grace period, and
@@ -70,33 +67,29 @@ const SHUTDOWN_GRACE: Duration = Duration::from_secs(1);
 /// Pause on persistent `accept` errors (EMFILE under fd exhaustion) so the
 /// reactor doesn't busy-spin while workers release descriptors.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
+/// Connections admitted beyond the worker count when `max_connections` is
+/// `0`.
+const DEFAULT_EXTRA_CONNECTIONS: usize = 64;
 
 /// Server knobs; `Default` gives a loopback server with
-/// hardware-parallelism workers and classic bounded-queue admission.
+/// hardware-parallelism workers and a `workers + 64` connection cap.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Listen address, e.g. `127.0.0.1:8080` (`:0` picks a free port).
     pub addr: String,
     /// Worker threads running service work (`0` = all cores).
     pub workers: usize,
-    /// Lease mode only: connections held waiting for a worker lease before
-    /// new ones get 503.
-    pub queue_depth: usize,
-    /// Threads each `/batch` request fans out over (`0` = the worker count).
-    pub batch_threads: usize,
     /// Largest accepted request body.
     pub max_body: usize,
     /// Slow-client deadline: headers must complete within this of the first
-    /// request byte, body bytes and response writes must keep progressing,
-    /// and (in lease mode) an idle keep-alive connection is reaped after
-    /// this long. `None` disables the bound.
+    /// request byte, and body bytes and response writes must keep
+    /// progressing. `None` disables the bound.
     pub read_timeout: Option<Duration>,
-    /// Evented mode (`max_connections > 0`): connection cap, beyond which
-    /// new connections are answered 503 at accept. `0` keeps the classic
-    /// worker-lease admission (`workers` + `queue_depth` bound concurrency).
+    /// Connection cap, beyond which new connections are answered 503 at
+    /// accept. `0` resolves at bind to `workers + 64`.
     pub max_connections: usize,
-    /// Evented mode: idle keep-alive connections are reaped after this.
-    /// `None` keeps them forever (until `max_connections` pushes back).
+    /// Idle keep-alive connections are reaped after this. `None` keeps them
+    /// forever (until `max_connections` pushes back).
     pub idle_timeout: Option<Duration>,
     /// Memory budgets for the engine registry and the session store
     /// (`Default`: unbounded — the one-shot behavior).
@@ -120,8 +113,6 @@ impl Default for ServerConfig {
         Self {
             addr: "127.0.0.1:0".to_owned(),
             workers: 0,
-            queue_depth: 64,
-            batch_threads: 0,
             max_body: 64 * 1024 * 1024,
             read_timeout: Some(Duration::from_secs(5)),
             max_connections: 0,
@@ -188,12 +179,11 @@ struct Shared {
     drained: AtomicBool,
     counters: ServerCounters,
     local_addr: SocketAddr,
-    queue_depth: usize,
     workers: usize,
-    batch_threads: usize,
     max_body: usize,
     read_timeout: Option<Duration>,
     idle_timeout: Option<Duration>,
+    /// The resolved connection cap (never `0`).
     max_connections: usize,
     started: Instant,
     /// The `/metrics` registry plus every pre-registered series.
@@ -275,17 +265,14 @@ impl Server {
             drained: AtomicBool::new(false),
             counters: ServerCounters::default(),
             local_addr,
-            queue_depth: config.queue_depth.max(1),
             workers,
-            batch_threads: if config.batch_threads == 0 {
-                workers
-            } else {
-                config.batch_threads
-            },
             max_body: config.max_body,
             read_timeout: config.read_timeout,
             idle_timeout: config.idle_timeout,
-            max_connections: config.max_connections,
+            max_connections: match config.max_connections {
+                0 => workers + DEFAULT_EXTRA_CONNECTIONS,
+                cap => cap,
+            },
             started: Instant::now(),
             metrics: ServeMetrics::new(),
             log_json: config.log_json,
@@ -338,9 +325,6 @@ impl Server {
             poller: self.poller,
             conns: HashMap::new(),
             next_id: 0,
-            leases_free: shared.workers,
-            waiters: 0,
-            evented: shared.max_connections > 0,
             shutdown_seen: false,
             shutdown_at: Instant::now(),
             accept_backoff_until: None,
@@ -363,9 +347,6 @@ impl Server {
 enum ConnState {
     /// Parsing request bytes (or idle between keep-alive requests).
     Reading,
-    /// Lease mode: a complete request is parsed but waiting for a free
-    /// worker lease (the classic bounded queue, without the thread).
-    Pending,
     /// A request is on the worker pool; response bytes arrive as
     /// completions.
     Dispatched,
@@ -390,8 +371,6 @@ struct Conn {
     out_pos: usize,
     state: ConnState,
     dead: Arc<AtomicBool>,
-    /// Lease mode: this connection holds one of the `workers` leases.
-    has_lease: bool,
     /// A synthetic connection that only delivers a 503 (not counted open).
     is_reject: bool,
     read_eof: bool,
@@ -404,8 +383,6 @@ struct Conn {
     idle_since: Instant,
     /// An in-flight streamed CSV upload being decoded as bytes arrive.
     upload: Option<CsvUpload>,
-    /// Lease mode: the parsed request waiting for a lease.
-    pending_job: Option<Job>,
 }
 
 /// Poll-set key for the listener (connection ids count up from zero).
@@ -420,11 +397,6 @@ struct Reactor<'a> {
     poller: Poller,
     conns: HashMap<u64, Conn>,
     next_id: u64,
-    /// Lease mode: worker leases not currently held by a connection.
-    leases_free: usize,
-    /// Lease mode: connections waiting for a lease (the bounded queue).
-    waiters: usize,
-    evented: bool,
     shutdown_seen: bool,
     shutdown_at: Instant,
     accept_backoff_until: Option<Instant>,
@@ -520,32 +492,23 @@ impl Reactor<'_> {
     }
 
     /// First observation of the shutdown flag: stop accepting, close idle
-    /// connections, dispatch queued (lease-waiting) requests, and start the
-    /// grace clock for partially-read ones.
+    /// connections, and start the grace clock for partially-read ones.
     fn enter_shutdown(&mut self) {
         self.shutdown_seen = true;
         self.shutdown_at = Instant::now();
         self.listener = None;
-        let ids: Vec<u64> = self.conns.keys().copied().collect();
-        for id in ids {
-            let Some(conn) = self.conns.get_mut(&id) else {
-                continue;
-            };
-            match conn.state {
-                ConnState::Pending => {
-                    let job = conn.pending_job.take().expect("pending conn holds a job");
-                    conn.state = ConnState::Dispatched;
-                    self.submit(job);
-                }
-                ConnState::Reading => {
-                    if conn.parser.is_idle() && conn.out_pos >= conn.out.len() {
-                        self.close_conn(id);
-                    }
-                    // Mid-request connections get SHUTDOWN_GRACE (see
-                    // `conn_deadline`) to finish or be cut.
-                }
-                ConnState::Dispatched | ConnState::Closing => {}
-            }
+        // Mid-request connections get SHUTDOWN_GRACE (see `conn_deadline`)
+        // to finish or be cut.
+        let idle: Vec<u64> = self
+            .conns
+            .iter()
+            .filter(|(_, c)| {
+                c.state == ConnState::Reading && c.parser.is_idle() && c.out_pos >= c.out.len()
+            })
+            .map(|(&id, _)| id)
+            .collect();
+        for id in idle {
+            self.close_conn(id);
         }
     }
 
@@ -566,16 +529,8 @@ impl Reactor<'_> {
         if conn.state == ConnState::Reading {
             if conn.parser.is_idle() {
                 if conn.out_pos >= conn.out.len() {
-                    if self.evented {
-                        if let Some(it) = self.shared.idle_timeout {
-                            push(conn.idle_since + it, DeadlineKind::Idle, &mut best);
-                        }
-                    } else if conn.has_lease {
-                        // Lease mode mirrors the classic blocking-read
-                        // timeout on an idle keep-alive connection.
-                        if let Some(rt) = self.shared.read_timeout {
-                            push(conn.idle_since + rt, DeadlineKind::Idle, &mut best);
-                        }
+                    if let Some(it) = self.shared.idle_timeout {
+                        push(conn.idle_since + it, DeadlineKind::Idle, &mut best);
                     }
                 }
             } else {
@@ -663,23 +618,12 @@ impl Reactor<'_> {
         }
     }
 
-    /// Admission control: lease mode reproduces the classic queue
-    /// (lease → waiter → 503); evented mode caps open connections.
+    /// Admission control: past `max_connections` open connections, a new
+    /// one gets the 503.
     fn admit(&mut self, stream: TcpStream) {
-        let admitted = if self.evented {
-            (self.open as usize) < self.shared.max_connections
-        } else {
-            self.leases_free > 0 || self.waiters < self.shared.queue_depth
-        };
-        if !admitted {
+        if self.open as usize >= self.shared.max_connections {
             self.reject(stream);
             return;
-        }
-        let has_lease = !self.evented && self.leases_free > 0;
-        if has_lease {
-            self.leases_free -= 1;
-        } else if !self.evented {
-            self.waiters += 1;
         }
         let now = Instant::now();
         let id = self.next_id;
@@ -702,14 +646,12 @@ impl Reactor<'_> {
                 out_pos: 0,
                 state: ConnState::Reading,
                 dead: Arc::new(AtomicBool::new(false)),
-                has_lease,
                 is_reject: false,
                 read_eof: false,
                 first_byte_at: None,
                 last_progress: now,
                 idle_since: now,
                 upload: None,
-                pending_job: None,
             },
         );
     }
@@ -739,21 +681,18 @@ impl Reactor<'_> {
                 out_pos: 0,
                 state: ConnState::Closing,
                 dead: Arc::new(AtomicBool::new(false)),
-                has_lease: false,
                 is_reject: true,
                 read_eof: false,
                 first_byte_at: None,
                 last_progress: now,
                 idle_since: now,
                 upload: None,
-                pending_job: None,
             },
         );
         self.flush_conn(id);
     }
 
-    /// Removes a connection, recycling its lease (and granting it to the
-    /// longest-waiting connection) in lease mode.
+    /// Removes a connection, freeing its slot under the cap.
     fn close_conn(&mut self, id: u64) {
         let Some(conn) = self.conns.remove(&id) else {
             return;
@@ -765,39 +704,6 @@ impl Reactor<'_> {
                 .counters
                 .open
                 .store(self.open, Ordering::Relaxed);
-            if conn.has_lease {
-                self.leases_free += 1;
-            } else if !self.evented {
-                self.waiters -= 1;
-            }
-            if !self.evented && !self.shutdown_seen {
-                self.grant_leases();
-            }
-        }
-    }
-
-    /// Hands freed leases to waiting connections in arrival order.
-    fn grant_leases(&mut self) {
-        while self.leases_free > 0 {
-            let Some(id) = self
-                .conns
-                .iter()
-                .filter(|(_, c)| !c.has_lease && !c.is_reject)
-                .map(|(&id, _)| id)
-                .min()
-            else {
-                return;
-            };
-            let conn = self.conns.get_mut(&id).expect("waiter id just found");
-            conn.has_lease = true;
-            conn.idle_since = Instant::now();
-            self.leases_free -= 1;
-            self.waiters -= 1;
-            if conn.state == ConnState::Pending {
-                let job = conn.pending_job.take().expect("pending conn holds a job");
-                conn.state = ConnState::Dispatched;
-                self.submit(job);
-            }
         }
     }
 
@@ -941,17 +847,12 @@ impl Reactor<'_> {
             Outcome::Wait => {}
             Outcome::Dispatch(job) => {
                 let conn = self.conns.get_mut(&id).expect("conn parsed a request");
-                if self.evented || conn.has_lease || self.shutdown_seen {
-                    conn.state = ConnState::Dispatched;
-                    self.submit(*job);
-                } else {
-                    conn.state = ConnState::Pending;
-                    conn.pending_job = Some(*job);
-                }
+                conn.state = ConnState::Dispatched;
+                self.submit(*job);
             }
             Outcome::Respond(status, message) => {
                 // HTTP-level errors are answered by the reactor itself — no
-                // worker (or lease) needed — and close the connection.
+                // worker needed — and close the connection.
                 self.service.count_bad_request();
                 let body = Json::object(vec![("error", message.into())]);
                 let mut bytes = Vec::new();
@@ -1325,8 +1226,6 @@ fn respond<W: Write>(
                         ("requests", c.requests.load(Ordering::Relaxed).into()),
                         ("rejected_503", c.rejected.load(Ordering::Relaxed).into()),
                         ("workers", shared.workers.into()),
-                        ("queue_depth", shared.queue_depth.into()),
-                        ("batch_threads", shared.batch_threads.into()),
                         ("max_connections", shared.max_connections.into()),
                         ("open_connections", c.open.load(Ordering::Relaxed).into()),
                         ("peak_connections", c.peak.load(Ordering::Relaxed).into()),
@@ -1527,12 +1426,12 @@ fn parse_body(body: &[u8]) -> Result<Json, ServeError> {
     Json::parse(text).map_err(|e| ServeError::BadRequest(e.to_string()))
 }
 
-/// Parses the per-request `threads` override for a batch, clamped to the
-/// server's batch fan-out.
+/// Parses the per-request `threads` override for a batch, clamped to
+/// `[1, workers]` (the default fan-out).
 fn batch_threads(shared: &Shared, b: &Json) -> Result<usize, ServeError> {
     match b.get("threads").map(|t| t.as_u64()) {
-        None => Ok(shared.batch_threads),
-        Some(Some(n)) => Ok((n as usize).clamp(1, shared.batch_threads.max(1))),
+        None => Ok(shared.workers),
+        Some(Some(n)) => Ok((n as usize).clamp(1, shared.workers)),
         Some(None) => Err(ServeError::BadRequest(
             "\"threads\" must be a non-negative integer".into(),
         )),
@@ -1625,8 +1524,8 @@ fn handle_session_batch<W: Write>(
 
 /// The shared batch streamer: fan `n` jobs over the work-stealing scheduler
 /// and chunk one NDJSON line per completed job (in completion order) plus a
-/// summary line. Each chunk flushes through the writer, so on the evented
-/// server every line reaches the reactor (and the client) as it completes.
+/// summary line. Each chunk flushes through the writer, so every line
+/// reaches the reactor (and the client) as it completes.
 fn stream_jobs<W, F>(
     shared: &Shared,
     writer: &mut W,

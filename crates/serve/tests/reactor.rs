@@ -133,8 +133,8 @@ fn a_stalled_client_no_longer_pins_a_worker() {
     join.join().unwrap().unwrap();
 }
 
-/// Evented mode reaps idle keep-alive connections at `idle_timeout`, and
-/// `/stats` counts them.
+/// Idle keep-alive connections are reaped at `idle_timeout`, and `/stats`
+/// counts them.
 #[test]
 fn idle_keep_alive_connections_are_reaped() {
     let (addr, handle, _service, join) = start(ServerConfig {
@@ -152,6 +152,43 @@ fn idle_keep_alive_connections_are_reaped() {
     assert!(server_stat(&mut client, "reaped_idle") >= 1);
     // The idler's connection is gone: the next request cannot round-trip.
     assert!(idler.get("/healthz").is_err());
+
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+}
+
+/// An idle keep-alive connection holds no worker: with one worker and the
+/// default cap, a second client is answered at once while the first sits
+/// idle on its open connection, and `/stats` reports the cap resolved to
+/// `workers + 64`.
+#[test]
+fn an_idle_keep_alive_connection_does_not_hold_the_worker() {
+    let (addr, handle, _service, join) = start(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+
+    let mut holder = connect(addr);
+    assert_eq!(holder.get("/healthz").unwrap().status, 200);
+
+    let mut client = connect(addr);
+    let started = Instant::now();
+    assert_eq!(client.get("/healthz").unwrap().status, 200);
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "the request waited behind an idle connection: {:?}",
+        started.elapsed()
+    );
+
+    let stats = client.get("/stats").unwrap().json().unwrap();
+    let server = stats.get("server").unwrap();
+    assert_eq!(
+        server.get("max_connections").and_then(Json::as_u64),
+        Some(65)
+    );
+    assert!(server.get("queue_depth").is_none(), "{stats}");
+    // The idle connection was left open, not reaped.
+    assert_eq!(holder.get("/healthz").unwrap().status, 200);
 
     handle.shutdown();
     join.join().unwrap().unwrap();
@@ -392,9 +429,9 @@ fn partial_writes_resume_until_the_response_completes() {
     join.join().unwrap().unwrap();
 }
 
-/// Evented admission: past `max_connections` open sockets, new connections
-/// get the immediate 503 (counted in `/stats`), and capacity frees as
-/// connections close.
+/// Admission: past `max_connections` open sockets, new connections get the
+/// immediate 503 (counted in `/stats`), and capacity frees as connections
+/// close.
 #[test]
 fn connections_past_the_cap_are_rejected_at_accept() {
     let (addr, handle, _service, join) = start(ServerConfig {

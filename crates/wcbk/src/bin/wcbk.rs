@@ -7,8 +7,8 @@
 //!             [--memo-cap N] [--scan-threads N]
 //! wcbk anatomize <csv> --sensitive COL --l N [--seed N] [--k N]
 //! wcbk generate-adult [--rows N] [--seed N] [--out FILE]
-//! wcbk serve [--addr HOST:PORT] [--workers N] [--queue-depth N]
-//!            [--max-connections N] [--idle-timeout-ms N]
+//! wcbk serve [--addr HOST:PORT] [--workers N] [--max-connections N]
+//!            [--idle-timeout-ms N]
 //!            [--engine-cache-cap N] [--engine-budget N] [--session-budget N]
 //!            [--data-dir DIR] [--log-json] [--slow-request-ms N]
 //! wcbk table add <csv> --addr HOST:PORT --sensitive COL [--qi ...] [--hierarchy ...] [--memo-cap N]
@@ -48,7 +48,10 @@
 //! `serve` runs the `wcbk-serve` HTTP audit service (one-shot `/audit`,
 //! `/search`, `/batch` plus the dataset-handle `/tables` resources, and
 //! `/stats`, `/healthz`, `/shutdown`) on one shared engine until a graceful
-//! shutdown is requested; `--engine-cache-cap`/`--engine-budget`/
+//! shutdown is requested; `--max-connections N` caps open connections
+//! (past it a new one gets `503`; default `workers + 64`),
+//! `--idle-timeout-ms N` reaps idle keep-alive connections (default 60 s),
+//! `--engine-cache-cap`/`--engine-budget`/
 //! `--session-budget` bound its memory under long-lived diverse traffic,
 //! and `--data-dir DIR` attaches the durable catalog: registrations and
 //! releases are WAL-persisted before they are acknowledged, and a
@@ -102,8 +105,8 @@ const USAGE: &str = "usage:
               [--memo-cap N] [--scan-threads N]
   wcbk anatomize <csv> --sensitive COL --l N [--seed N] [--k N]
   wcbk generate-adult [--rows N] [--seed N] [--out FILE]
-  wcbk serve [--addr HOST:PORT] [--workers N] [--queue-depth N]
-             [--max-connections N] [--idle-timeout-ms N]
+  wcbk serve [--addr HOST:PORT] [--workers N] [--max-connections N]
+             [--idle-timeout-ms N]
              [--engine-cache-cap N] [--engine-budget N] [--session-budget N]
              [--data-dir DIR] [--log-json] [--slow-request-ms N]
   wcbk table add <csv> --addr HOST:PORT --sensitive COL [--qi COL[,COL...]]
@@ -151,13 +154,10 @@ struct Options {
     addr: Option<String>,
     /// `serve`: worker thread count (`None`/0 = all cores).
     workers: Option<usize>,
-    /// `serve`: queued-connection bound before 503s.
-    queue_depth: Option<usize>,
-    /// `serve`: evented connection cap (`0`/absent = classic worker-lease
-    /// admission; `N` = up to N concurrent connections, 503 past that).
+    /// `serve`: connection cap, 503 past it (`0`/absent = workers + 64).
     max_connections: Option<usize>,
-    /// `serve`: idle keep-alive reap deadline in milliseconds (evented
-    /// mode; `0` = never reap idle connections).
+    /// `serve`: idle keep-alive reap deadline in milliseconds (`0` = never
+    /// reap idle connections).
     idle_timeout_ms: Option<u64>,
     /// `serve`: per-engine MINIMIZE1 cache budget (groups).
     engine_cache_cap: Option<u64>,
@@ -277,13 +277,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     need_value("--workers", &mut it)?
                         .parse()
                         .map_err(|e| format!("--workers: {e}"))?,
-                )
-            }
-            "--queue-depth" => {
-                opts.queue_depth = Some(
-                    need_value("--queue-depth", &mut it)?
-                        .parse()
-                        .map_err(|e| format!("--queue-depth: {e}"))?,
                 )
             }
             "--max-connections" => {
@@ -652,7 +645,6 @@ fn serve_cmd(opts: &Options) -> Result<Verdict, Box<dyn std::error::Error>> {
             .clone()
             .unwrap_or_else(|| "127.0.0.1:8080".to_owned()),
         workers: opts.workers.unwrap_or(0),
-        queue_depth: opts.queue_depth.unwrap_or(64),
         max_connections: opts.max_connections.unwrap_or(0),
         idle_timeout: match opts.idle_timeout_ms {
             None => wcbk::serve::ServerConfig::default().idle_timeout,
@@ -1090,8 +1082,6 @@ mod tests {
             "127.0.0.1:0",
             "--workers",
             "2",
-            "--queue-depth",
-            "8",
             "--max-connections",
             "256",
             "--idle-timeout-ms",
@@ -1100,11 +1090,13 @@ mod tests {
         .unwrap();
         assert_eq!(o.addr.as_deref(), Some("127.0.0.1:0"));
         assert_eq!(o.workers, Some(2));
-        assert_eq!(o.queue_depth, Some(8));
         assert_eq!(o.max_connections, Some(256));
         assert_eq!(o.idle_timeout_ms, Some(30_000));
         assert!(parse_args(&s(&["serve", "--workers", "many"])).is_err());
-        assert!(parse_args(&s(&["serve", "--queue-depth"])).is_err());
+        assert_eq!(
+            parse_args(&s(&["serve", "--queue-depth", "8"])),
+            Err("unknown flag --queue-depth".to_owned())
+        );
         assert!(parse_args(&s(&["serve", "--max-connections", "lots"])).is_err());
         assert!(parse_args(&s(&["serve", "--idle-timeout-ms"])).is_err());
     }
