@@ -9,9 +9,8 @@
 //!
 //! * the shared roll-up [`NodeEvaluator`] (one columnar scan, built
 //!   lazily on first need; every later audit and search derives histograms
-//!   from the memo, never re-reading rows),
-//! * the exact-quasi-identifier [`Bucketization`] (the `wcbk audit`
-//!   grouping, for witness reconstruction),
+//!   from the memo, never re-reading rows — audits read the scan's bottom
+//!   histograms and fetch only the persons a witness names),
 //! * a [`dataset_fingerprint`] — the stable content identity services key
 //!   handles by,
 //! * a per-`k` [`EngineRegistry`] (own or shared with other sessions), and
@@ -208,12 +207,13 @@ struct CompositionCache {
 /// A registered dataset: table + lattice + shared evaluation state — see
 /// the module docs.
 ///
-/// The expensive pieces (roll-up evaluator, exact grouping, fingerprint)
-/// are built **lazily, at most once**: a transient register → audit → drop
-/// session only ever pays for the exact grouping, a register → search →
-/// drop session only for the evaluator. Long-lived services force
-/// everything up front (registration reports the fingerprint and the
-/// evaluator's weight), after which every path is scan-free.
+/// The expensive pieces (roll-up evaluator, fingerprint) are built
+/// **lazily, at most once**: a transient register → audit → drop or
+/// register → search → drop session pays for the one scan and never for
+/// the fingerprint. Long-lived services force everything up front
+/// (registration reports the fingerprint and the evaluator's weight),
+/// after which every path is scan-free. No tuple-level grouping is ever
+/// retained.
 pub struct DatasetSession {
     table: Table,
     lattice: Arc<GeneralizationLattice>,
@@ -223,9 +223,6 @@ pub struct DatasetSession {
     /// 128 bits and searches fall back to per-node re-scans, exactly like
     /// the one-shot paths.
     evaluator: OnceLock<Option<NodeEvaluator>>,
-    /// The exact-quasi-identifier grouping (the lattice bottom), lazily
-    /// built for witness reconstruction.
-    exact: OnceLock<Bucketization>,
     fingerprint: OnceLock<u64>,
     engines: Arc<EngineRegistry>,
     releases: Mutex<ReleaseHistory>,
@@ -259,7 +256,6 @@ impl DatasetSession {
             memo_capacity: options.memo_capacity,
             scan_threads: options.scan_threads,
             evaluator: OnceLock::new(),
-            exact: OnceLock::new(),
             fingerprint: OnceLock::new(),
             engines: options
                 .engines
@@ -292,13 +288,22 @@ impl DatasetSession {
             .as_ref()
     }
 
-    /// The exact-quasi-identifier grouping, built on first audit.
-    fn exact(&self) -> &Bucketization {
-        self.exact.get_or_init(|| {
-            self.lattice
-                .bucketize(&self.table, &self.lattice.bottom())
-                .expect("a non-empty table bucketizes at the lattice bottom")
-        })
+    /// The exact-quasi-identifier grouping, materialized for one call —
+    /// only the signature-overflow fallback needs it.
+    fn bucketize_bottom(&self) -> Result<Bucketization, AnonymizeError> {
+        Ok(self
+            .lattice
+            .bucketize(&self.table, &self.lattice.bottom())?)
+    }
+
+    /// The histograms of the exact-quasi-identifier grouping: the
+    /// evaluator's bottom set (built by the one scan, shared, never
+    /// evicted), or a per-call bucketization under the fallback.
+    fn bottom_set(&self) -> Result<HistogramSet, AnonymizeError> {
+        match self.evaluator() {
+            Some(eval) => Ok(eval.histograms(&self.lattice.bottom())?),
+            None => Ok(HistogramSet::from_bucketization(&self.bucketize_bottom()?)),
+        }
     }
 
     /// The stable content identity of this dataset (schema roles, hierarchy
@@ -408,23 +413,39 @@ impl DatasetSession {
     /// Audits the exact-quasi-identifier grouping at attacker power `k`:
     /// maximum disclosure with witness, plus the (c,k)-safety verdict when
     /// `c` is given. Bit-identical to `wcbk audit` / `POST /audit`.
+    ///
+    /// The DP runs on the scan's bottom histograms; the witness's persons
+    /// (at most `k+1` buckets' leading members) come from one member pass
+    /// over the code columns.
     pub fn audit(&self, c: Option<f64>, k: usize) -> Result<AuditReport, AnonymizeError> {
         let engine = self.engines.engine(k);
-        let exact = self.exact();
-        let disclosure = engine.max_disclosure(exact)?;
+        let (set, disclosure) = match self.evaluator() {
+            Some(eval) => {
+                let set = eval.histograms(&self.lattice.bottom())?;
+                let disclosure = engine.max_disclosure_set(&set, |requests| {
+                    eval.bottom_members(&self.table, requests)
+                })?;
+                (set, disclosure)
+            }
+            None => {
+                let exact = self.bucketize_bottom()?;
+                let disclosure = engine.max_disclosure(&exact)?;
+                (HistogramSet::from_bucketization(&exact), disclosure)
+            }
+        };
         // The verdict `CkSafety::is_safe_with` would give, read off the
         // disclosure just computed instead of running the DP again.
         let safe = match c {
             Some(c) => {
                 let c = CkSafety::new(c, k)?.c();
-                Some(exact.max_frequency_ratio() < c && disclosure.value < c)
+                Some(set.max_frequency_ratio() < c && disclosure.value < c)
             }
             None => None,
         };
         Ok(AuditReport {
-            buckets: exact.n_buckets(),
-            tuples: exact.n_tuples(),
-            domain: exact.domain_size(),
+            buckets: set.n_buckets(),
+            tuples: set.n_tuples(),
+            domain: set.domain_size(),
             k,
             disclosure,
             c,
@@ -635,8 +656,7 @@ impl DatasetSession {
         k: usize,
     ) -> Result<ModelAuditReport, AnonymizeError> {
         let resolved = model.resolve(self.engines.engine(k));
-        let exact = self.exact();
-        let set = HistogramSet::from_bucketization(exact);
+        let set = self.bottom_set()?;
         let value = resolved.max_disclosure(&set)?;
         let witness = resolved.witness(&set)?;
         let safe = match c {
@@ -862,7 +882,7 @@ mod tests {
         let ungrouped = GeneralizationLattice::new(Vec::new()).unwrap();
         for lattice in [by_sex, ungrouped] {
             let s = DatasetSession::new(table.clone(), lattice).unwrap();
-            let exact = s.exact();
+            let exact = &s.bucketize_bottom().unwrap();
             let ratio = exact.max_frequency_ratio();
             assert!(ratio < 1.0);
             for k in 0..=3 {

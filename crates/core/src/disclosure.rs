@@ -1,7 +1,7 @@
 //! Maximum disclosure (Definition 6) in polynomial time, with witnesses.
 
 use wcbk_logic::{Atom, Knowledge, SimpleImplication};
-use wcbk_table::SValue;
+use wcbk_table::{SValue, TupleId};
 
 use crate::minimize1::Minimize1Table;
 use crate::minimize2::{minimize2, BucketAllocation, BucketCosts};
@@ -83,8 +83,13 @@ pub fn max_disclosure(
         .map(|(b, t)| BucketCosts::new(t, b.histogram().frequency(0), b.histogram().n()))
         .collect();
     let result = minimize2(&costs, k);
-    let table_refs: Vec<&Minimize1Table> = tables.iter().collect();
-    let witness = build_witness(bucketization, &table_refs, &result.allocation);
+    let witness = build_witness(
+        |b| bucketization.bucket(b).histogram(),
+        bucketization.domain_size(),
+        |b| &tables[b],
+        &result.allocation,
+        |requests| leading_members(bucketization, requests),
+    );
     Ok(DisclosureResult {
         value: 1.0 / (1.0 + result.r_min),
         r_min: result.r_min,
@@ -94,23 +99,44 @@ pub fn max_disclosure(
 }
 
 /// Reconstructs the Lemma 12 witness atoms from a MINIMIZE2 allocation.
-pub(crate) fn build_witness(
-    bucketization: &Bucketization,
-    tables: &[&Minimize1Table],
+///
+/// The witness is a function of the per-bucket histograms plus the persons
+/// it names: for each allocated bucket, its first `profile.len()` members
+/// (at most `k+1` buckets, Lemma 12). `histogram_of(b)` and `table_of(b)`
+/// are bucket `b`'s histogram and MINIMIZE1 table; `members` answers every
+/// `(bucket, n)` request at once with that bucket's first `n` members, in
+/// request order — so a caller holding no tuple-level grouping can fetch
+/// just those persons in one pass.
+pub(crate) fn build_witness<'t>(
+    histogram_of: impl Fn(usize) -> &'t SensitiveHistogram,
+    domain_size: u32,
+    table_of: impl Fn(usize) -> &'t Minimize1Table,
     allocation: &[BucketAllocation],
+    members: impl FnOnce(&[(usize, usize)]) -> Vec<Vec<TupleId>>,
 ) -> DisclosureWitness {
+    let profiles: Vec<Vec<usize>> = allocation
+        .iter()
+        .map(|alloc| {
+            let atom_count = alloc.atoms + usize::from(alloc.has_consequent);
+            table_of(alloc.bucket)
+                .profile(atom_count)
+                .expect("allocation chose a feasible bucket load")
+        })
+        .collect();
+    let requests: Vec<(usize, usize)> = allocation
+        .iter()
+        .zip(&profiles)
+        .map(|(alloc, profile)| (alloc.bucket, profile.len()))
+        .collect();
+    let persons = members(&requests);
+    debug_assert_eq!(persons.len(), requests.len());
     let mut consequent: Option<Atom> = None;
     let mut antecedents: Vec<Atom> = Vec::new();
-    for alloc in allocation {
-        let bucket = bucketization.bucket(alloc.bucket);
-        let hist = bucket.histogram();
-        let atom_count = alloc.atoms + usize::from(alloc.has_consequent);
-        let profile = tables[alloc.bucket]
-            .profile(atom_count)
-            .expect("allocation chose a feasible bucket load");
-        let mut spare = spare_values(hist, bucketization.domain_size());
+    for ((alloc, profile), persons) in allocation.iter().zip(&profiles).zip(&persons) {
+        let hist = histogram_of(alloc.bucket);
+        let mut spare = spare_values(hist, domain_size);
         for (pi, &ki) in profile.iter().enumerate() {
-            let person = bucket.members()[pi];
+            let person = persons[pi];
             for rank in 0..ki {
                 let value = match hist.value_at(rank) {
                     Some(v) => v,
@@ -136,6 +162,18 @@ pub(crate) fn build_witness(
         consequent,
         antecedents,
     }
+}
+
+/// The member source of a materialized bucketization: each requested
+/// bucket's leading members.
+pub(crate) fn leading_members(
+    bucketization: &Bucketization,
+    requests: &[(usize, usize)],
+) -> Vec<Vec<TupleId>> {
+    requests
+        .iter()
+        .map(|&(b, n)| bucketization.bucket(b).members()[..n].to_vec())
+        .collect()
 }
 
 /// Domain values that do not occur in `hist`, in code order.

@@ -17,18 +17,27 @@
 //!   bucket) in `O(k²)` without touching the other buckets, as suggested by
 //!   the paper's bucket-reordering remark.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-use crate::disclosure::build_witness;
+use crate::disclosure::{build_witness, leading_members};
 use crate::minimize1::Minimize1Table;
 use crate::minimize2::{minimize2, minimize2_value, BucketCosts, SuffixTable};
 use crate::{Bucketization, CoreError, DisclosureResult, HistogramSet, SensitiveHistogram};
+use wcbk_table::TupleId;
 
 struct CachedBucket {
     table: Minimize1Table,
     costs: BucketCosts,
+}
+
+/// Lets MINIMIZE2 run straight over borrowed cache entries.
+impl Borrow<BucketCosts> for &CachedBucket {
+    fn borrow(&self) -> &BucketCosts {
+        &self.costs
+    }
 }
 
 /// A cached bucket plus its last-touch tick for LRU eviction under a cache
@@ -299,14 +308,48 @@ impl DisclosureEngine {
         if h.n_buckets() == 0 {
             return Err(CoreError::EmptyBucketization);
         }
-        Ok(self.with_set_costs(h, |costs| to_disclosure(minimize2_value(costs, self.k))))
+        Ok(self.with_set_entries(h, |entries| to_disclosure(minimize2_value(entries, self.k))))
     }
 
-    /// Calls `f` with the per-bucket costs of `h`, in bucket order. The cache
-    /// is consulted once per distinct histogram key; buckets repeating an
-    /// earlier key reuse its costs and count as cache hits, as a per-bucket
-    /// lookup would have.
-    fn with_set_costs<R>(&self, h: &HistogramSet, f: impl FnOnce(&[&BucketCosts]) -> R) -> R {
+    /// Full maximum disclosure with witness over a histogram-only view —
+    /// bit-identical to [`DisclosureEngine::max_disclosure`] on the
+    /// bucketization `h` describes, with no tuple-level grouping held.
+    ///
+    /// The witness names persons in at most `k+1` buckets (Lemma 12), so
+    /// membership is fetched on demand: `members` is called once with
+    /// `(bucket, n)` requests (distinct buckets) and must answer each with
+    /// that bucket's first `n` members in member order, in request order.
+    pub fn max_disclosure_set(
+        &self,
+        h: &HistogramSet,
+        members: impl FnOnce(&[(usize, usize)]) -> Vec<Vec<TupleId>>,
+    ) -> Result<DisclosureResult, CoreError> {
+        if h.n_buckets() == 0 {
+            return Err(CoreError::EmptyBucketization);
+        }
+        Ok(self.with_set_entries(h, |entries| {
+            let result = minimize2(entries, self.k);
+            let witness = build_witness(
+                |b| &h.histograms()[b],
+                h.domain_size(),
+                |b| &entries[b].table,
+                &result.allocation,
+                members,
+            );
+            DisclosureResult {
+                value: to_disclosure(result.r_min),
+                r_min: result.r_min,
+                k: self.k,
+                witness,
+            }
+        }))
+    }
+
+    /// Calls `f` with the per-bucket cache entries of `h`, in bucket order.
+    /// The cache is consulted once per distinct histogram key; buckets
+    /// repeating an earlier key reuse its entry and count as cache hits, as
+    /// a per-bucket lookup would have.
+    fn with_set_entries<R>(&self, h: &HistogramSet, f: impl FnOnce(&[&CachedBucket]) -> R) -> R {
         let histograms = h.histograms();
         let representatives = h.representatives();
         let distinct: Vec<Arc<CachedBucket>> = representatives
@@ -320,16 +363,16 @@ impl DisclosureEngine {
             self.hits.fetch_add(repeats, Ordering::Relaxed);
         }
         let mut fresh = distinct.iter();
-        let mut costs: Vec<&BucketCosts> = Vec::with_capacity(histograms.len());
+        let mut entries: Vec<&CachedBucket> = Vec::with_capacity(histograms.len());
         for (i, &rep) in representatives.iter().enumerate() {
-            let bucket_costs = if rep == i {
-                &fresh.next().expect("one entry per distinct key").costs
+            let entry = if rep == i {
+                fresh.next().expect("one entry per distinct key")
             } else {
-                costs[rep]
+                entries[rep]
             };
-            costs.push(bucket_costs);
+            entries.push(entry);
         }
-        f(&costs)
+        f(&entries)
     }
 
     /// Full maximum disclosure with witness, using the cache.
@@ -344,8 +387,13 @@ impl DisclosureEngine {
             .collect();
         let costs: Vec<&BucketCosts> = entries.iter().map(|e| &e.costs).collect();
         let result = minimize2(&costs, self.k);
-        let tables: Vec<&Minimize1Table> = entries.iter().map(|e| &e.table).collect();
-        let witness = build_witness(b, &tables, &result.allocation);
+        let witness = build_witness(
+            |i| b.bucket(i).histogram(),
+            b.domain_size(),
+            |i| &entries[i].table,
+            &result.allocation,
+            |requests| leading_members(b, requests),
+        );
         Ok(DisclosureResult {
             value: to_disclosure(result.r_min),
             r_min: result.r_min,
@@ -666,12 +714,12 @@ mod tests {
             let engine = DisclosureEngine::new(k);
             for b in [repeated_keys(), figure3(), four_buckets()] {
                 let set = HistogramSet::from_bucketization(&b);
-                engine.with_set_costs(&set, |costs| {
-                    assert_eq!(costs.len(), b.n_buckets());
-                    for (got, bucket) in costs.iter().zip(b.buckets()) {
+                engine.with_set_entries(&set, |entries| {
+                    assert_eq!(entries.len(), b.n_buckets());
+                    for (got, bucket) in entries.iter().zip(b.buckets()) {
                         let want = engine.costs(bucket.histogram());
-                        assert_eq!(got.m1, want.m1, "k={k}");
-                        assert_eq!(got.rho.to_bits(), want.rho.to_bits(), "k={k}");
+                        assert_eq!(got.costs.m1, want.m1, "k={k}");
+                        assert_eq!(got.costs.rho.to_bits(), want.rho.to_bits(), "k={k}");
                     }
                 });
             }

@@ -49,7 +49,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use wcbk_core::{CoreError, HistogramSet, SensitiveHistogram};
-use wcbk_table::{SValue, Table};
+use wcbk_table::{SValue, Table, TupleId};
 
 use crate::scan::{self, MergeTallies, ScanResult, SigMap, Signature};
 use crate::{GenNode, GeneralizationLattice, Hierarchy, HierarchyError};
@@ -170,6 +170,10 @@ pub struct RollupStats {
     /// Cumulative wall-clock microseconds spent deriving node tables
     /// (re-keying and merging, the `O(groups × dims)` roll-up work).
     pub derive_micros: u64,
+    /// Cumulative wall-clock microseconds spent in
+    /// [`NodeEvaluator::bottom_members`] passes (fetching the persons a
+    /// disclosure witness names).
+    pub member_micros: u64,
 }
 
 /// A memoized node table plus its last-touch tick for LRU eviction.
@@ -241,6 +245,8 @@ struct RollupEngine<S> {
     /// The bottom node's table, built by the single scan. Never evicted, so
     /// ancestor derivation always has a source.
     bottom: Arc<NodeTable<S>>,
+    /// Each bottom group's first row, as the scan recorded it.
+    bottom_first_rows: Vec<u32>,
     memo: RwLock<Memo<S>>,
     /// Group budget for `memo` (`None` = unbounded): total retained groups
     /// across memoized tables may not exceed it.
@@ -258,6 +264,8 @@ struct RollupEngine<S> {
     scan_chunk_micros: Vec<u64>,
     /// Cumulative derivation wall time, in microseconds.
     derive_micros: AtomicU64,
+    /// Cumulative `bottom_members` wall time, in microseconds.
+    member_micros: AtomicU64,
 }
 
 /// The per-dimension field layout, shared by both signature widths.
@@ -317,6 +325,7 @@ impl<S: Signature> RollupEngine<S> {
         let scan_started = std::time::Instant::now();
         let ScanResult {
             sigs,
+            first_rows,
             counts,
             chunk_micros,
         } = if scan.reference {
@@ -341,6 +350,7 @@ impl<S: Signature> RollupEngine<S> {
             masks: layout.masks,
             parent_maps,
             bottom,
+            bottom_first_rows: first_rows,
             memo: RwLock::new(Memo::new()),
             capacity: capacity.map(|c| (c as u64).max(1)),
             clock: AtomicU64::new(0),
@@ -351,6 +361,7 @@ impl<S: Signature> RollupEngine<S> {
             scan_micros,
             scan_chunk_micros: chunk_micros,
             derive_micros: AtomicU64::new(0),
+            member_micros: AtomicU64::new(0),
         }
     }
 
@@ -370,6 +381,7 @@ impl<S: Signature> RollupEngine<S> {
             bottom_groups: self.bottom.sigs.len(),
             scan_micros: self.scan_micros,
             derive_micros: self.derive_micros.load(Ordering::Relaxed),
+            member_micros: self.member_micros.load(Ordering::Relaxed),
         }
     }
 
@@ -380,6 +392,66 @@ impl<S: Signature> RollupEngine<S> {
     fn histograms(&self, node: &GenNode) -> Result<HistogramSet, HierarchyError> {
         self.lattice.validate(node)?;
         self.node_table(node).set.clone()
+    }
+
+    /// See [`NodeEvaluator::bottom_members`].
+    fn bottom_members(&self, table: &Table, requests: &[(usize, usize)]) -> Vec<Vec<TupleId>> {
+        let started = std::time::Instant::now();
+        let mut out: Vec<Vec<TupleId>> = requests
+            .iter()
+            .map(|&(group, n)| {
+                let mut members = Vec::with_capacity(n);
+                if n > 0 {
+                    members.push(TupleId(self.bottom_first_rows[group]));
+                }
+                members
+            })
+            .collect();
+        // Requests still short after their first row, keyed by signature:
+        // `wanted` maps a signature to its slot in `pending`.
+        let mut wanted = SigMap::with_capacity(requests.len());
+        let mut pending: Vec<usize> = Vec::new();
+        let mut start = table.n_rows();
+        for (i, &(group, n)) in requests.iter().enumerate() {
+            if n > 1 {
+                let slot = wanted.get_or_insert(self.bottom.sigs[group]);
+                debug_assert_eq!(slot, pending.len(), "requests name distinct groups");
+                pending.push(i);
+                start = start.min(self.bottom_first_rows[group] as usize + 1);
+            }
+        }
+        let mut unfilled = pending.len();
+        let columns: Vec<&[u32]> = (0..self.lattice.n_dims())
+            .map(|d| table.column(self.lattice.column(d)).codes())
+            .collect();
+        let mut sigs = vec![S::zero(); MEMBER_BLOCK_ROWS.min(table.n_rows().saturating_sub(start))];
+        while unfilled > 0 && start < table.n_rows() {
+            let end = (start + MEMBER_BLOCK_ROWS).min(table.n_rows());
+            let block = &mut sigs[..end - start];
+            scan::pack_signatures(&columns, &self.shifts, start, block);
+            for (offset, &sig) in block.iter().enumerate() {
+                let Some(slot) = wanted.get(sig) else {
+                    continue;
+                };
+                let i = pending[slot];
+                let row = start + offset;
+                let members = &mut out[i];
+                if members.len() < requests[i].1 && row > members[0].index() {
+                    members.push(TupleId(row as u32));
+                    if members.len() == requests[i].1 {
+                        unfilled -= 1;
+                        if unfilled == 0 {
+                            break;
+                        }
+                    }
+                }
+            }
+            start = end;
+        }
+        debug_assert_eq!(unfilled, 0, "every request fits its group");
+        self.member_micros
+            .fetch_add(started.elapsed().as_micros() as u64, Ordering::Relaxed);
+        out
     }
 
     fn histograms_subset(
@@ -566,6 +638,11 @@ impl<S: Signature> RollupEngine<S> {
     }
 }
 
+/// Rows packed per block by [`NodeEvaluator::bottom_members`]: small enough
+/// that a pass stopping early wastes little packing, large enough to keep
+/// the columnar packing loop efficient.
+const MEMBER_BLOCK_ROWS: usize = 4096;
+
 /// The two signature widths an evaluator can run at.
 enum Inner {
     Narrow(RollupEngine<u64>),
@@ -683,6 +760,23 @@ impl NodeEvaluator {
         match &self.inner {
             Inner::Narrow(e) => e.histograms(node),
             Inner::Wide(e) => e.histograms(node),
+        }
+    }
+
+    /// For each `(group, n)` request, the first `n` rows, in row order, of
+    /// the lattice bottom's group `group` — that bucket's leading members
+    /// in the order [`GeneralizationLattice::bucketize`] lists them, fetched
+    /// without materializing the grouping. Answers are in request order.
+    ///
+    /// `table` must be the table the evaluator scanned, requests must name
+    /// distinct groups, and `n` may not exceed the group's size. The scan
+    /// recorded each group's first row, so a request for one member costs
+    /// nothing; longer ones re-pack signatures from the earliest such row
+    /// onward and stop as soon as every request is filled.
+    pub fn bottom_members(&self, table: &Table, requests: &[(usize, usize)]) -> Vec<Vec<TupleId>> {
+        match &self.inner {
+            Inner::Narrow(e) => e.bottom_members(table, requests),
+            Inner::Wide(e) => e.bottom_members(table, requests),
         }
     }
 
@@ -1025,6 +1119,87 @@ mod tests {
             NodeEvaluator::new(&table, &lattice),
             Err(HierarchyError::SignatureOverflow { bits: 130 })
         ));
+    }
+
+    /// Every bottom group's members as `bucketize` lists them, asked for
+    /// all at once and as every single prefix.
+    fn assert_bottom_members(table: &Table, lattice: &GeneralizationLattice, eval: &NodeEvaluator) {
+        let exact = lattice.bucketize(table, &lattice.bottom()).unwrap();
+        let all: Vec<(usize, usize)> = exact
+            .buckets()
+            .iter()
+            .enumerate()
+            .map(|(g, b)| (g, b.members().len()))
+            .collect();
+        let members = eval.bottom_members(table, &all);
+        for (g, bucket) in exact.buckets().iter().enumerate() {
+            assert_eq!(members[g], bucket.members(), "group {g}");
+            for n in 0..=bucket.members().len() {
+                assert_eq!(
+                    eval.bottom_members(table, &[(g, n)]),
+                    vec![bucket.members()[..n].to_vec()],
+                    "group {g} prefix {n}"
+                );
+            }
+        }
+        // Requests out of group order answer in request order.
+        let reversed: Vec<(usize, usize)> = all.iter().rev().copied().collect();
+        let mut answers = eval.bottom_members(table, &reversed);
+        answers.reverse();
+        assert_eq!(answers, members);
+    }
+
+    #[test]
+    fn bottom_members_match_bucketize() {
+        let (table, lattice) = hospital_lattice();
+        let eval = NodeEvaluator::new(&table, &lattice).unwrap();
+        assert_bottom_members(&table, &lattice, &eval);
+
+        // Many rows per group, in runs of three equal rows (so a group's
+        // next member can sit right after its first row), scanned in small
+        // chunks over two threads so the recorded first rows come through
+        // the chunk merge.
+        let schema = table.schema().clone();
+        let mut builder = wcbk_table::TableBuilder::new(schema);
+        for r in 0..500usize {
+            let q = r / 3;
+            let age = (20 + (q * 7) % 13).to_string();
+            let zip = format!("1300{}", (q * 3) % 5);
+            let sex = if q % 11 < 4 { "F" } else { "M" };
+            let disease = ["Flu", "Cold", "Cancer"][r % 3];
+            builder
+                .push_row(&[format!("p{r}").as_str(), &zip, &age, sex, disease])
+                .unwrap();
+        }
+        let big = builder.build();
+        let zip = big.column(1).dictionary().clone();
+        let age = big.column(2).dictionary().clone();
+        let sex = big.column(3).dictionary().clone();
+        let lattice = GeneralizationLattice::new(vec![
+            (1, Hierarchy::suppression("Zip", &zip)),
+            (2, Hierarchy::intervals("Age", &age, &[5]).unwrap()),
+            (3, Hierarchy::suppression("Sex", &sex)),
+        ])
+        .unwrap();
+        let scan = ScanOptions {
+            threads: 2,
+            chunk_rows: 37,
+            reference: false,
+        };
+        let eval =
+            NodeEvaluator::shared_with_scan(&big, Arc::new(lattice.clone()), None, scan).unwrap();
+        assert_bottom_members(&big, &lattice, &eval);
+
+        // The same over `u128` signatures (70 one-bit fields).
+        let dims: Vec<(usize, Hierarchy)> = (0..70)
+            .map(|_| (3usize, Hierarchy::suppression("Sex", &sex)))
+            .chain([(2usize, Hierarchy::intervals("Age", &age, &[5]).unwrap())])
+            .collect();
+        let wide = GeneralizationLattice::new(dims).unwrap();
+        let eval =
+            NodeEvaluator::shared_with_scan(&big, Arc::new(wide.clone()), None, scan).unwrap();
+        assert!(!eval.is_narrow());
+        assert_bottom_members(&big, &wide, &eval);
     }
 
     #[test]

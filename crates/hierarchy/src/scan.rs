@@ -14,7 +14,8 @@
 //!   drops `std::collections::HashMap` (SipHash per probe) for a linear-probe
 //!   table keyed by a multiply-shift hash of the packed signature. Insertion
 //!   order is the group order, which keeps the first-row-occurrence bucket
-//!   order `bucketize` defines.
+//!   order `bucketize` defines. Each group's first row is recorded as it
+//!   is inserted, so a later member pass (witness persons) starts there.
 //! * **Dense tallies** ([`ScanTallies`] / [`MergeTallies`]): sensitive counts
 //!   accumulate into a flat `groups × domain` array when the sensitive domain
 //!   is small (the common case — e.g. 14 occupations), falling back to
@@ -196,6 +197,23 @@ impl<S: Signature> SigMap<S> {
 
     pub(crate) fn into_sigs(self) -> Vec<S> {
         self.sigs
+    }
+
+    /// The group index of `sig`, if it has been inserted.
+    #[inline]
+    pub(crate) fn get(&self, sig: S) -> Option<usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = (sig.hash64().wrapping_mul(HASH_MUL) >> self.shift) as usize;
+        loop {
+            let g = self.slots[i];
+            if g == EMPTY_SLOT {
+                return None;
+            }
+            if self.sigs[g as usize] == sig {
+                return Some(g as usize);
+            }
+            i = (i + 1) & mask;
+        }
     }
 
     /// The group index of `sig`, inserting it as a new group when unseen.
@@ -447,12 +465,14 @@ fn merge_sorted(dst: &mut Vec<(SValue, u64)>, src: &[(SValue, u64)]) {
     *dst = merged;
 }
 
-/// The scan's output: distinct signatures in first-row-occurrence order and
-/// their value-sorted sensitive count rows, plus per-chunk wall timings
-/// (one entry per chunk in chunk index order; a single entry for the
-/// reference or single-chunk scan) for phase profiling.
+/// The scan's output: distinct signatures in first-row-occurrence order,
+/// each group's first row and value-sorted sensitive count row, plus
+/// per-chunk wall timings (one entry per chunk in chunk index order; a
+/// single entry for the reference or single-chunk scan) for phase
+/// profiling.
 pub(crate) struct ScanResult<S> {
     pub(crate) sigs: Vec<S>,
+    pub(crate) first_rows: Vec<u32>,
     pub(crate) counts: Vec<Vec<(SValue, u64)>>,
     pub(crate) chunk_micros: Vec<u64>,
 }
@@ -460,6 +480,8 @@ pub(crate) struct ScanResult<S> {
 /// One chunk's partial scan, in the chunk's own first-occurrence order.
 struct ChunkScan<S> {
     sigs: Vec<S>,
+    /// Each group's first row (a table row index, not chunk-local).
+    first_rows: Vec<u32>,
     counts: Vec<Vec<(SValue, u64)>>,
     /// Wall time this chunk's scan took, in microseconds.
     micros: u64,
@@ -483,12 +505,17 @@ fn scan_chunk<S: Signature>(
     pack_signatures(columns, shifts, start, &mut sig_buf);
     let mut map = SigMap::with_capacity((end - start).min(1024));
     let mut tallies = ScanTallies::new(domain);
+    let mut first_rows = Vec::new();
     for (i, &sig) in sig_buf.iter().enumerate() {
         let group = map.get_or_insert(sig);
+        if group == first_rows.len() {
+            first_rows.push((start + i) as u32);
+        }
         tallies.bump(group, SValue(sensitive[start + i]));
     }
     ChunkScan {
         sigs: map.into_sigs(),
+        first_rows,
         counts: tallies.finish(),
         micros: started.elapsed().as_micros() as u64,
     }
@@ -502,14 +529,19 @@ fn merge_chunks<S: Signature>(chunks: Vec<ChunkScan<S>>, domain: usize) -> ScanR
     let chunk_micros: Vec<u64> = chunks.iter().map(|c| c.micros).collect();
     let mut map = SigMap::with_capacity(groups_hint);
     let mut tallies = MergeTallies::new(domain);
+    let mut first_rows = Vec::with_capacity(groups_hint);
     for chunk in chunks {
         for (local, sig) in chunk.sigs.into_iter().enumerate() {
             let group = map.get_or_insert(sig);
+            if group == first_rows.len() {
+                first_rows.push(chunk.first_rows[local]);
+            }
             tallies.add_sorted(group, &chunk.counts[local]);
         }
     }
     ScanResult {
         sigs: map.into_sigs(),
+        first_rows,
         counts: tallies.finish(),
         chunk_micros,
     }
@@ -546,6 +578,7 @@ pub(crate) fn scan_kernel<S: Signature>(
         let chunk = scan_chunk(columns, shifts, sensitive, domain, 0, n_rows);
         return ScanResult {
             sigs: chunk.sigs,
+            first_rows: chunk.first_rows,
             counts: chunk.counts,
             chunk_micros: vec![chunk.micros],
         };
@@ -600,6 +633,7 @@ pub(crate) fn scan_reference<S: Signature>(
     let started = std::time::Instant::now();
     let mut index: HashMap<S, usize> = HashMap::new();
     let mut sigs: Vec<S> = Vec::new();
+    let mut first_rows: Vec<u32> = Vec::new();
     let mut tallies: Vec<HashMap<SValue, u64>> = Vec::new();
     for row in 0..sensitive.len() {
         let mut sig = S::zero();
@@ -608,6 +642,7 @@ pub(crate) fn scan_reference<S: Signature>(
         }
         let gi = *index.entry(sig).or_insert_with(|| {
             sigs.push(sig);
+            first_rows.push(row as u32);
             tallies.push(HashMap::new());
             sigs.len() - 1
         });
@@ -623,6 +658,7 @@ pub(crate) fn scan_reference<S: Signature>(
         .collect();
     ScanResult {
         sigs,
+        first_rows,
         counts,
         chunk_micros: vec![started.elapsed().as_micros() as u64],
     }
@@ -634,6 +670,7 @@ mod tests {
 
     fn assert_same<S: Signature + std::fmt::Debug>(a: &ScanResult<S>, b: &ScanResult<S>) {
         assert_eq!(a.sigs, b.sigs);
+        assert_eq!(a.first_rows, b.first_rows);
         assert_eq!(a.counts, b.counts);
     }
 

@@ -288,10 +288,16 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Parses a string literal. Maximal runs free of `"`, `\` and raw
+    /// control bytes are copied whole; those stop bytes are ASCII, so every
+    /// run ends on a char boundary of the (valid) input.
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            let run = run_len(&self.bytes[self.pos..]);
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -300,56 +306,51 @@ impl<'a> Parser<'a> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{0008}'),
-                        Some(b'f') => out.push('\u{000C}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let hi = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: require \uXXXX low half.
-                                if self.peek() != Some(b'\\') {
-                                    return Err(self.err("lone high surrogate"));
-                                }
-                                self.pos += 1;
-                                if self.peek() != Some(b'u') {
-                                    return Err(self.err("lone high surrogate"));
-                                }
-                                self.pos += 1;
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("invalid surrogate pair"))?
-                            } else {
-                                char::from_u32(hi).ok_or_else(|| self.err("invalid \\u escape"))?
-                            };
-                            out.push(c);
-                            continue; // hex4 already advanced
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                    self.pos += 1;
+                    out.push(self.escape()?);
                 }
-                Some(c) if c < 0x20 => return Err(self.err("raw control character")),
-                Some(_) => {
-                    // Consume one UTF-8 scalar; `pos` only ever advances by
-                    // whole ASCII bytes or whole chars, so it sits on a char
-                    // boundary of the (valid) input.
-                    let ch = self.text[self.pos..].chars().next().expect("non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+                Some(_) => return Err(self.err("raw control character")),
             }
         }
+    }
+
+    /// Decodes the escape after a `\` (at `pos`), leaving `pos` past it.
+    fn escape(&mut self) -> Result<char, JsonError> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{0008}',
+            Some(b'f') => '\u{000C}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                self.pos += 1;
+                let hi = self.hex4()?;
+                return if (0xD800..0xDC00).contains(&hi) {
+                    // Surrogate pair: require \uXXXX low half.
+                    if self.peek() != Some(b'\\') {
+                        return Err(self.err("lone high surrogate"));
+                    }
+                    self.pos += 1;
+                    if self.peek() != Some(b'u') {
+                        return Err(self.err("lone high surrogate"));
+                    }
+                    self.pos += 1;
+                    let lo = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&lo) {
+                        return Err(self.err("invalid low surrogate"));
+                    }
+                    let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                    char::from_u32(code).ok_or_else(|| self.err("invalid surrogate pair"))
+                } else {
+                    char::from_u32(hi).ok_or_else(|| self.err("invalid \\u escape"))
+                };
+            }
+            _ => return Err(self.err("invalid escape")),
+        };
+        self.pos += 1;
+        Ok(c)
     }
 
     fn hex4(&mut self) -> Result<u32, JsonError> {
@@ -392,6 +393,33 @@ impl<'a> Parser<'a> {
             .map(Json::Number)
             .map_err(|_| self.err(format!("invalid number {text:?}")))
     }
+}
+
+/// The length of the leading run of `bytes` free of `"`, `\` and raw
+/// control bytes. Eight bytes at a time: a word is skipped whole when none
+/// of its bytes stops the run (the has-less-than-byte test never misses
+/// one; the word that trips it is finished byte by byte).
+fn run_len(bytes: &[u8]) -> usize {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    // Nonzero exactly when some byte of `w` is below `n` (for n <= 0x80).
+    let has_less = |w: u64, n: u8| w.wrapping_sub(ONES * u64::from(n)) & !w & HIGHS;
+    let mut skipped = 0;
+    for word in bytes.chunks_exact(8) {
+        let w = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+        let stops = has_less(w ^ (ONES * u64::from(b'"')), 1)
+            | has_less(w ^ (ONES * u64::from(b'\\')), 1)
+            | has_less(w, 0x20);
+        if stops != 0 {
+            break;
+        }
+        skipped += 8;
+    }
+    skipped
+        + bytes[skipped..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+            .unwrap_or(bytes.len() - skipped)
 }
 
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
@@ -533,6 +561,230 @@ mod tests {
         let v = Json::parse(text).unwrap();
         assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
         assert_eq!(v.to_string(), text);
+    }
+
+    /// The char-at-a-time string parser `Parser::string` replaced, kept as
+    /// its differential oracle.
+    fn string_by_chars(p: &mut Parser<'_>) -> Result<String, JsonError> {
+        p.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            match p.peek() {
+                None => return Err(p.err("unterminated string")),
+                Some(b'"') => {
+                    p.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    p.pos += 1;
+                    match p.peek() {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'b') => out.push('\u{0008}'),
+                        Some(b'f') => out.push('\u{000C}'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'u') => {
+                            p.pos += 1;
+                            let hi = p.hex4()?;
+                            let c = if (0xD800..0xDC00).contains(&hi) {
+                                // Surrogate pair: require \uXXXX low half.
+                                if p.peek() != Some(b'\\') {
+                                    return Err(p.err("lone high surrogate"));
+                                }
+                                p.pos += 1;
+                                if p.peek() != Some(b'u') {
+                                    return Err(p.err("lone high surrogate"));
+                                }
+                                p.pos += 1;
+                                let lo = p.hex4()?;
+                                if !(0xDC00..0xE000).contains(&lo) {
+                                    return Err(p.err("invalid low surrogate"));
+                                }
+                                let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                                char::from_u32(code)
+                                    .ok_or_else(|| p.err("invalid surrogate pair"))?
+                            } else {
+                                char::from_u32(hi).ok_or_else(|| p.err("invalid \\u escape"))?
+                            };
+                            out.push(c);
+                            continue; // hex4 already advanced
+                        }
+                        _ => return Err(p.err("invalid escape")),
+                    }
+                    p.pos += 1;
+                }
+                Some(c) if c < 0x20 => return Err(p.err("raw control character")),
+                Some(_) => {
+                    // Consume one UTF-8 scalar; `pos` only ever advances by
+                    // whole ASCII bytes or whole chars, so it sits on a char
+                    // boundary of the (valid) input.
+                    let ch = p.text[p.pos..].chars().next().expect("non-empty");
+                    out.push(ch);
+                    p.pos += ch.len_utf8();
+                }
+            }
+        }
+    }
+
+    fn parser(text: &str) -> Parser<'_> {
+        Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+        }
+    }
+
+    /// One piece of a generated string literal's body, chosen by `kind`
+    /// and shaped by `x`: plain or multi-byte text, every escape form
+    /// (surrogate pairs and lone halves included), raw control bytes, and
+    /// broken escapes.
+    fn piece(kind: u8, x: u32) -> String {
+        let scalar = |lo: u32, span: u32| char::from_u32(lo + x % span).unwrap().to_string();
+        match kind {
+            // Printable ASCII, raw `"` and `\` included.
+            0 => scalar(0x20, 95),
+            1 => "abcdefghijklmnopqrstuvwxyz,0123456789"[..(x % 38) as usize].to_owned(),
+            // Two-, three- (surrogate range skipped) and four-byte UTF-8.
+            2 => scalar(0x80, 0x800 - 0x80),
+            3 => scalar(0xE000, 0x1_0000 - 0xE000),
+            4 => scalar(0x800, 0xD800 - 0x800),
+            5 => scalar(0x1_0000, 0x11_0000 - 0x1_0000),
+            6 => ["\\\"", "\\\\", "\\/", "\\b", "\\f", "\\n", "\\r", "\\t"][(x % 8) as usize]
+                .to_owned(),
+            7 if x & 1 == 0 => format!("\\u{:04x}", (x >> 1) % 0x1_0000),
+            7 => format!("\\u{:04X}", (x >> 1) % 0x1_0000),
+            // A valid surrogate pair.
+            8 => {
+                let c = x % 0x10_0000;
+                format!(
+                    "\\u{:04x}\\u{:04x}",
+                    0xD800 + (c >> 10),
+                    0xDC00 + (c & 0x3FF)
+                )
+            }
+            // Lone or mismatched surrogate halves.
+            9 => format!("\\u{:04x}", 0xD800 + x % 0x400),
+            10 => format!("\\u{:04x}", 0xDC00 + x % 0x400),
+            11 => format!("\\u{:04x}\\u{:04x}", 0xD800 + x % 0x400, x % 0xD800),
+            12 => format!("\\u{:04x}\\n", 0xD800 + x % 0x400),
+            // A raw control byte.
+            13 => scalar(0, 0x20),
+            // Broken escapes.
+            _ => {
+                ["\\x", "\\u12", "\\uZZZZ", "\\u+041", "\\", "\\u00e9"][(x % 6) as usize].to_owned()
+            }
+        }
+    }
+
+    /// A generated literal: opening quote, pieces, usually a closing
+    /// quote, then optionally cut at a char boundary and spliced with one
+    /// more piece.
+    fn literal(
+        pieces: &[(u8, u32)],
+        close: bool,
+        cut: Option<usize>,
+        splice: Option<(usize, u8, u32)>,
+    ) -> String {
+        let mut text = String::from("\"");
+        for &(kind, x) in pieces {
+            text.push_str(&piece(kind, x));
+        }
+        if close {
+            text.push('"');
+        }
+        let boundary = |text: &str, at: usize| {
+            let mut at = at % (text.len() + 1);
+            while !text.is_char_boundary(at) {
+                at -= 1;
+            }
+            at
+        };
+        if let Some(at) = cut {
+            let at = boundary(&text, at);
+            text.truncate(at);
+        }
+        if let Some((at, kind, x)) = splice {
+            let at = boundary(&text, at);
+            text.insert_str(at, &piece(kind, x));
+        }
+        text
+    }
+
+    /// `run_len` finds the first stop byte wherever it sits relative to
+    /// the eight-byte words, after any filler (ASCII, UTF-8 lead and
+    /// continuation bytes, bytes adjacent to the stop values).
+    #[test]
+    fn run_len_finds_every_stop_byte() {
+        let fillers = [
+            b'a', b' ', b'!', b'#', b'[', b']', 0x7F, 0x80, 0xA9, 0xC3, 0xFF,
+        ];
+        let stops = (0u8..0x20).chain([b'"', b'\\']);
+        for stop in stops {
+            for filler in fillers {
+                for len in 0..=19 {
+                    let mut bytes = vec![filler; len];
+                    assert_eq!(run_len(&bytes), len);
+                    for at in 0..len {
+                        bytes[at] = stop;
+                        assert_eq!(run_len(&bytes), at, "stop {stop:#x} at {at} of {len}");
+                        bytes[at] = filler;
+                    }
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(4096))]
+
+        /// The run-copying string parser answers exactly like the
+        /// char-at-a-time one: the same string and end position, or the
+        /// same error at the same byte. A whole-document parse around the
+        /// literal never panics, and yields the string when the literal is
+        /// the whole text.
+        #[test]
+        fn string_runs_match_the_char_at_a_time_oracle(
+            pieces in proptest::collection::vec((0u8..=14, 0u32..0x11_0000), 0..=12),
+            shape in (0u8..10, 0u8..4, 0usize..200, 0u8..4, (0usize..200, 0u8..=14, 0u32..0x11_0000)),
+        ) {
+            let (close, cut_roll, cut_at, splice_roll, splice) = shape;
+            let text = literal(
+                &pieces,
+                close > 0,
+                (cut_roll == 0).then_some(cut_at),
+                (splice_roll == 0).then_some(splice),
+            );
+            let (mut runs, mut chars) = (parser(&text), parser(&text));
+            let got = runs.string();
+            let want = string_by_chars(&mut chars);
+            proptest::prop_assert_eq!(&got, &want, "literal {:?}", text);
+            proptest::prop_assert_eq!(runs.pos, chars.pos, "literal {:?}", text);
+            let document = format!("{{\"csv\": {text}, \"k\": 1}}");
+            let parsed = Json::parse(&document);
+            if let (Ok(s), true) = (&want, chars.pos == text.len()) {
+                let value = parsed.expect("a valid literal in a valid document parses");
+                proptest::prop_assert_eq!(value.get("csv").and_then(Json::as_str), Some(s.as_str()));
+            }
+        }
+    }
+
+    #[test]
+    fn string_errors_point_at_the_offending_byte() {
+        for (text, at, message) in [
+            ("\"abc", 4, "unterminated string"),
+            ("\"ab\u{1}c\"", 3, "raw control character"),
+            ("\"ab\\qc\"", 4, "invalid escape"),
+            ("\"é\\ud800x\"", 9, "lone high surrogate"),
+            ("\"\\ud800\\u0041\"", 13, "invalid low surrogate"),
+            ("\"\\udc00\"", 7, "invalid \\u escape"),
+            ("\"\\u12\"", 3, "truncated \\u escape"),
+        ] {
+            let err = parser(text).string().unwrap_err();
+            assert_eq!((err.at, err.message.as_str()), (at, message), "{text:?}");
+        }
     }
 
     #[test]

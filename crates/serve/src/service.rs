@@ -630,7 +630,10 @@ impl AuditService {
         let model = parse_model(request)?;
         self.count_model(model, ModelOp::Audit);
         let profile = profile_requested(request)?;
+        // As in `search_on`: peek, so a one-shot audit's scan stays inside
+        // the timed section.
         let build_before = profile.then(|| self.engines.stats().totals().build_micros);
+        let rollup_before = profile.then(|| session.rollup_stats_peek()).flatten();
         let started = profile.then(std::time::Instant::now);
         // A non-default adversary answers through the plugin surface; the
         // default stays on the classic path, byte-identical to pre-model
@@ -651,6 +654,8 @@ impl AuditService {
                 .totals()
                 .build_micros
                 .saturating_sub(build_before);
+            let rollup = session.rollup_stats_peek();
+            let delta = |f| rollup_delta(rollup_before.as_ref(), rollup.as_ref(), f);
             push_field(
                 &mut out,
                 "profile",
@@ -661,7 +666,12 @@ impl AuditService {
                     ),
                     (
                         "detail",
-                        Json::object(vec![("minimize1_build_micros", build.into())]),
+                        Json::object(vec![
+                            ("scan_micros", delta(|s| s.scan_micros).into()),
+                            ("derive_micros", delta(|s| s.derive_micros).into()),
+                            ("witness_micros", delta(|s| s.member_micros).into()),
+                            ("minimize1_build_micros", build.into()),
+                        ]),
                     ),
                 ]),
             );
@@ -747,12 +757,7 @@ impl AuditService {
                 .totals()
                 .build_micros
                 .saturating_sub(build_before);
-            let delta = |f: fn(&RollupStats) -> u64| -> u64 {
-                rollup
-                    .as_ref()
-                    .map_or(0, f)
-                    .saturating_sub(rollup_before.as_ref().map_or(0, f))
-            };
+            let delta = |f| rollup_delta(rollup_before.as_ref(), rollup.as_ref(), f);
             push_field(
                 &mut out,
                 "profile",
@@ -776,9 +781,9 @@ impl AuditService {
     }
 
     /// Handles `POST /audit`: **register → run → drop** over a transient
-    /// session — bucketize by the exact quasi-identifiers and report
-    /// maximum disclosure (and the (c,k)-safety verdict when `c` is given),
-    /// exactly like `wcbk audit`.
+    /// session — group by the exact quasi-identifiers (the session's one
+    /// scan) and report maximum disclosure (and the (c,k)-safety verdict
+    /// when `c` is given), exactly like `wcbk audit`.
     pub fn audit(&self, request: &Json) -> Result<Json, ServeError> {
         let (session, _, _) = self.build_session(request)?;
         self.audit_on(&session, request)
@@ -1405,6 +1410,18 @@ fn push_field(out: &mut Json, key: &str, value: Json) {
     if let Json::Object(pairs) = out {
         pairs.push((key.to_owned(), value));
     }
+}
+
+/// How much one cumulative roll-up counter grew between two snapshots (a
+/// missing snapshot counts as zero: no evaluator, or not built yet).
+fn rollup_delta(
+    before: Option<&RollupStats>,
+    after: Option<&RollupStats>,
+    counter: fn(&RollupStats) -> u64,
+) -> u64 {
+    after
+        .map_or(0, counter)
+        .saturating_sub(before.map_or(0, counter))
 }
 
 /// Parses the optional `"profile"` flag (absent or `null` → off).

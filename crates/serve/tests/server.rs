@@ -1066,10 +1066,13 @@ fn profile_flag_returns_phase_breakdown_that_sums_to_total() {
         assert_eq!(parse + queue + compute, total, "{op}: {profile}");
         let detail = profile.get("detail").expect("detail");
         assert!(detail.get("minimize1_build_micros").is_some(), "{detail}");
+        // The one-shot table scan happened inside compute, on both ops.
+        assert!(detail.get("scan_micros").is_some(), "{detail}");
+        assert!(detail.get("derive_micros").is_some(), "{detail}");
         if op == "search" {
-            // The one-shot search's table scan happened inside compute.
-            assert!(detail.get("scan_micros").is_some(), "{detail}");
             assert!(field("compute_micros") >= 1);
+        } else {
+            assert!(detail.get("witness_micros").is_some(), "{detail}");
         }
         // The verdict fields are unchanged by profiling.
         assert!(out.get("max_disclosure").is_some() || out.get("minimal").is_some());
@@ -1105,6 +1108,14 @@ fn profile_flag_returns_phase_breakdown_that_sums_to_total() {
         .unwrap();
     let profile = out.get("profile").unwrap_or_else(|| panic!("{out}"));
     assert!(profile.get("total_micros").is_some(), "{profile}");
+    // A registered handle was scanned at registration, never per audit.
+    let detail = profile.get("detail").expect("detail");
+    assert_eq!(
+        detail.get("scan_micros").and_then(Json::as_u64),
+        Some(0),
+        "{detail}"
+    );
+    assert!(detail.get("witness_micros").is_some(), "{detail}");
 
     handle.shutdown();
     join.join().unwrap().unwrap();
