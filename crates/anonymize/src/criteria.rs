@@ -298,9 +298,11 @@ impl PrivacyCriterion for CkSafetyCriterion {
 ///
 /// With the conjunction model this is exactly [`CkSafetyCriterion`] (the
 /// bound is computed by the same engine, bit-for-bit); the other models
-/// substitute their own knowledge language. All shipped models are
-/// merge-monotone (pinned by the `wcbk-adversary` proptests), which is the
-/// property the pruned lattice search requires.
+/// substitute their own knowledge language. The pruned lattice search
+/// requires a merge-monotone model, and not every shipped model is one:
+/// the `minimality` model bounds buckets {3,2,1} and {3,1,2} at 0.6 at
+/// k=1, but their merge at 6/9, so a pruned search under it can call a
+/// node safe that the exhaustive sweep calls unsafe (ROADMAP open item 4).
 pub struct ModelSafetyCriterion {
     model: std::sync::Arc<dyn AdversaryModel>,
     c: f64,

@@ -24,7 +24,11 @@
 //! pieces as a wire upload arrives, asserting the two tables are `==`.
 //! It does so twice: on the Adult table (`ingest`, few distinct values per
 //! column) and on the same table with a unique-valued `Id` column in front
-//! (`ingest_unique`, where every row adds a dictionary entry).
+//! (`ingest_unique`, where every row adds a dictionary entry). A
+//! `register` section then times what `POST /tables` does with the same
+//! CSV, stage by stage: decode, session (fingerprint and bottom scan),
+//! `encode_session`, and `DatasetStore::register` (one WAL append and its
+//! `fsync`) into a fresh temporary store.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -33,10 +37,12 @@ use wcbk_anonymize::search::{
     find_minimal_safe, find_minimal_safe_rescan, find_minimal_safe_with, sweep_all,
     sweep_all_rescan, SearchConfig,
 };
-use wcbk_anonymize::CkSafetyCriterion;
+use wcbk_anonymize::{CkSafetyCriterion, DatasetSession, SessionOptions};
 use wcbk_bench::{small_adult, HarnessError};
 use wcbk_hierarchy::adult::adult_lattice;
 use wcbk_hierarchy::{NodeEvaluator, ScanOptions};
+use wcbk_serve::persist::encode_session;
+use wcbk_store::DatasetStore;
 use wcbk_table::csv::{write_table, RecordSplitter, TableDecoder};
 use wcbk_table::{Attribute, AttributeKind, ChunkedTableBuilder, Schema, Table, TableError};
 
@@ -134,6 +140,63 @@ fn ingest_section(table: &Table) -> Result<(String, f64), HarnessError> {
     Ok((body, speedup))
 }
 
+/// Times registration of `table`'s CSV end to end, as `POST /tables` runs
+/// it, into a fresh store per repetition, and renders the JSON section
+/// body: per-stage medians and the end-to-end rows/s.
+fn register_section(table: &Table) -> Result<String, HarnessError> {
+    let mut csv = Vec::new();
+    write_table(&mut csv, table)?;
+    let schema = table.schema();
+    let qi: Vec<String> = ["Age", "Marital-Status", "Race", "Gender"]
+        .map(str::to_owned)
+        .into();
+    let sensitive = schema.attribute(schema.sensitive_index()).name().to_owned();
+    let dir = std::env::temp_dir().join(format!("wcbk-bench-register-{}", std::process::id()));
+    eprintln!("registration: decode, session, encode, store…");
+    let mut stages: [Vec<Duration>; 5] = Default::default();
+    for _ in 0..REPS {
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = DatasetStore::open(&dir)?;
+        let started = Instant::now();
+        let decoded = ingest_decoder(&csv, schema)?;
+        let decoded_at = Instant::now();
+        let lattice = adult_lattice(&decoded)?;
+        let session = DatasetSession::with_options(decoded, lattice, SessionOptions::default())?;
+        let fingerprint = session.fingerprint();
+        session.has_evaluator();
+        let session_at = Instant::now();
+        let payload = encode_session(&session, &qi, &sensitive);
+        let encoded_at = Instant::now();
+        assert!(store.register(fingerprint, &payload)?, "fresh store");
+        let registered_at = Instant::now();
+        for (stage, time) in stages.iter_mut().zip([
+            decoded_at - started,
+            session_at - decoded_at,
+            encoded_at - session_at,
+            registered_at - encoded_at,
+            registered_at - started,
+        ]) {
+            stage.push(time);
+        }
+        assert!(session.table() == table, "registration did not round-trip");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    let [decode, session, encode, store, total] = stages.map(|mut times| {
+        times.sort();
+        times[REPS / 2]
+    });
+    let ms = |t: Duration| t.as_secs_f64() * 1e3;
+    Ok(format!(
+        "{{ \"decode_ms\": {:.3}, \"session_ms\": {:.3}, \"encode_ms\": {:.3}, \"store_ms\": {:.3}, \"total_ms\": {:.3}, \"rows_per_s\": {:.0} }}",
+        ms(decode),
+        ms(session),
+        ms(encode),
+        ms(store),
+        ms(total),
+        table.n_rows() as f64 / total.as_secs_f64(),
+    ))
+}
+
 /// `table` with a unique-valued `Id` column in front.
 fn with_unique_ids(table: &Table) -> Result<Table, TableError> {
     let mut attributes = vec![Attribute::new("Id", AttributeKind::Insensitive)];
@@ -209,6 +272,7 @@ fn run_scale(n_rows: usize, threads: usize, out_path: &str) -> Result<(), Harnes
 
     let (ingest, ingest_speedup) = ingest_section(&table)?;
     let (ingest_unique, unique_speedup) = ingest_section(&with_unique_ids(&table)?)?;
+    let register = register_section(&table)?;
 
     let rows_per_s = |t: Duration| n_rows as f64 / t.as_secs_f64();
     let kernel_speedup = rows_per_s(kernel_time) / rows_per_s(reference_time);
@@ -220,7 +284,8 @@ fn run_scale(n_rows: usize, threads: usize, out_path: &str) -> Result<(), Harnes
 \"reference_rows_per_s\": {:.0}, \"kernel_rows_per_s\": {:.0}, \"parallel_rows_per_s\": {:.0}, \
 \"kernel_speedup\": {:.2}, \"parallel_speedup\": {:.2} }},\n  \
            \"ingest\": {ingest},\n  \
-           \"ingest_unique\": {ingest_unique}\n}}\n",
+           \"ingest_unique\": {ingest_unique},\n  \
+           \"register\": {register}\n}}\n",
         reference_time.as_secs_f64() * 1e3,
         kernel_time.as_secs_f64() * 1e3,
         parallel_time.as_secs_f64() * 1e3,

@@ -48,4 +48,4 @@ pub use error::HierarchyError;
 pub use fingerprint::dataset_fingerprint;
 pub use lattice::{GenNode, GeneralizationLattice};
 pub use rollup::{NodeEvaluator, RollupStats, ScanOptions};
-pub use serial::{decode_dataset, decode_node, encode_dataset, encode_node};
+pub use serial::{decode_dataset, decode_node, encode_dataset, encode_dataset_into, encode_node};

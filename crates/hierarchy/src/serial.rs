@@ -129,39 +129,51 @@ fn kind_from(code: u8) -> Result<AttributeKind, HierarchyError> {
 /// Serializes a (table, lattice) pair into the stable dataset format.
 pub fn encode_dataset(table: &Table, lattice: &GeneralizationLattice) -> Vec<u8> {
     let mut buf = Vec::new();
+    encode_dataset_into(&mut buf, table, lattice);
+    buf
+}
+
+/// [`encode_dataset`], appended to `buf` — for callers that wrap the
+/// dataset in a larger record without copying it there. Reserves room for
+/// the row codes, the bulk of the encoding, up front.
+pub fn encode_dataset_into(buf: &mut Vec<u8>, table: &Table, lattice: &GeneralizationLattice) {
+    let schema = table.schema();
+    let values: usize = (0..schema.arity())
+        .flat_map(|i| table.column(i).dictionary().values())
+        .map(|v| 8 + v.len())
+        .sum();
+    buf.reserve(64 + values + schema.arity() * (16 + 4 * table.n_rows()));
     buf.extend_from_slice(DATASET_MAGIC);
     // Schema: names and roles in column order.
-    let schema = table.schema();
-    put_u64(&mut buf, schema.arity() as u64);
+    put_u64(buf, schema.arity() as u64);
     for a in schema.attributes() {
-        put_str(&mut buf, a.name());
+        put_str(buf, a.name());
         buf.push(kind_code(a.kind()));
     }
     // Columns: dictionary values (code order) then per-row codes.
     for i in 0..schema.arity() {
         let col = table.column(i);
-        put_u64(&mut buf, col.dictionary().len() as u64);
+        put_u64(buf, col.dictionary().len() as u64);
         for v in col.dictionary().values() {
-            put_str(&mut buf, v);
+            put_str(buf, v);
         }
-        put_codes(&mut buf, col.codes());
+        put_codes(buf, col.codes());
     }
     // Lattice dimensions: column index, attribute, per-level maps + labels.
-    put_u64(&mut buf, lattice.n_dims() as u64);
+    put_u64(buf, lattice.n_dims() as u64);
     for d in 0..lattice.n_dims() {
         let h = lattice.hierarchy(d);
-        put_u64(&mut buf, lattice.column(d) as u64);
-        put_str(&mut buf, h.attribute());
-        put_u64(&mut buf, h.n_levels() as u64);
+        put_u64(buf, lattice.column(d) as u64);
+        put_str(buf, h.attribute());
+        put_u64(buf, h.n_levels() as u64);
         for level in 0..h.n_levels() {
-            put_codes(&mut buf, h.level_map(level));
-            put_u64(&mut buf, h.n_groups(level) as u64);
+            put_codes(buf, h.level_map(level));
+            put_u64(buf, h.n_groups(level) as u64);
             for g in 0..h.n_groups(level) {
-                put_str(&mut buf, h.label(level, g as u32));
+                put_str(buf, h.label(level, g as u32));
             }
         }
     }
-    buf
 }
 
 /// Decodes [`encode_dataset`] output back into a validated (table, lattice)

@@ -16,7 +16,7 @@
 //! replays the node **under the model it was audited with**.
 
 use wcbk_anonymize::{DatasetSession, ModelId, MODEL_IDS};
-use wcbk_hierarchy::{decode_dataset, encode_dataset, GenNode, GeneralizationLattice};
+use wcbk_hierarchy::{decode_dataset, encode_dataset_into, GenNode, GeneralizationLattice};
 use wcbk_table::Table;
 
 const MAGIC: &[u8; 8] = b"WCBKSS01";
@@ -65,9 +65,13 @@ pub fn encode_session(session: &DatasetSession, qi: &[String], sensitive: &str) 
         None => buf.push(0),
     }
     put_u64(&mut buf, session.scan_threads() as u64);
-    let dataset = encode_dataset(session.table(), session.lattice());
-    put_u64(&mut buf, dataset.len() as u64);
-    buf.extend_from_slice(&dataset);
+    // The dataset is encoded in place behind its length prefix, which is
+    // filled in once the length is known.
+    let prefix = buf.len();
+    put_u64(&mut buf, 0);
+    encode_dataset_into(&mut buf, session.table(), session.lattice());
+    let len = (buf.len() - prefix - 8) as u64;
+    buf[prefix..prefix + 8].copy_from_slice(&len.to_le_bytes());
     buf
 }
 
@@ -213,6 +217,18 @@ mod tests {
             wcbk_hierarchy::dataset_fingerprint(&payload.table, &payload.lattice),
             session.fingerprint()
         );
+    }
+
+    /// The dataset sits in place at the payload's end, behind its length:
+    /// the same bytes as `encode_dataset` plus a prefix.
+    #[test]
+    fn dataset_is_encoded_in_place_behind_its_length() {
+        let (session, qi, sensitive) = session();
+        let bytes = encode_session(&session, &qi, &sensitive);
+        let dataset = wcbk_hierarchy::encode_dataset(session.table(), session.lattice());
+        let (head, tail) = bytes.split_at(bytes.len() - dataset.len());
+        assert_eq!(tail, dataset);
+        assert_eq!(head[head.len() - 8..], (dataset.len() as u64).to_le_bytes());
     }
 
     #[test]

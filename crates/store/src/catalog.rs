@@ -34,6 +34,14 @@ pub struct Entry {
     pub releases: Vec<Vec<u8>>,
 }
 
+impl Entry {
+    /// Payload plus release bytes: what a checkpoint rewrites for this entry.
+    pub fn live_bytes(&self) -> u64 {
+        let releases: usize = self.releases.iter().map(Vec::len).sum();
+        (self.payload.len() + releases) as u64
+    }
+}
+
 /// A decoded snapshot: the entry map plus the WAL sequence number it is
 /// current through.
 pub struct Snapshot {
@@ -137,11 +145,11 @@ fn decode(raw: &[u8]) -> Result<Snapshot, StoreError> {
         }
         let mut r = Reader::new(body);
         let fp = r.u64("entry fingerprint")?;
-        let payload = r.bytes("entry payload")?;
+        let payload = r.bytes("entry payload")?.to_vec();
         let n_releases = r.u64("release count")?;
         let mut releases = Vec::new();
         for j in 0..n_releases {
-            releases.push(r.bytes(&format!("release record {j}"))?);
+            releases.push(r.bytes(&format!("release record {j}"))?.to_vec());
         }
         if !r.done() {
             return Err(StoreError::Corrupt(format!(

@@ -10,7 +10,13 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 /// it detects torn writes and bit rot, the only adversaries here (the same
 /// trade the dataset fingerprint makes).
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
+    fnv64_extend(FNV_OFFSET, bytes)
+}
+
+/// Continues an FNV-1a hash `h` over `bytes`: the checksum of `a ++ b` is
+/// `fnv64_extend(fnv64(a), b)`, so a record framed in parts is never
+/// concatenated to be checksummed.
+pub fn fnv64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(FNV_PRIME);
@@ -87,9 +93,9 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
     }
 
-    /// Length-prefixed raw bytes; the length is validated against the
-    /// remaining input before any allocation.
-    pub fn bytes(&mut self, what: &str) -> Result<Vec<u8>, StoreError> {
+    /// Length-prefixed raw bytes, borrowed from the input; the length is
+    /// validated against the remaining input.
+    pub fn bytes(&mut self, what: &str) -> Result<&'a [u8], StoreError> {
         let len = self.u64(what)?;
         let remaining = (self.buf.len() - self.pos) as u64;
         if len > remaining {
@@ -97,7 +103,7 @@ impl<'a> Reader<'a> {
                 "{what}: declared length {len} exceeds the {remaining} bytes left"
             )));
         }
-        Ok(self.take(len as usize, what)?.to_vec())
+        self.take(len as usize, what)
     }
 
     /// Whether every byte has been consumed.
@@ -144,5 +150,6 @@ mod tests {
         // Pinned constant: the on-disk format depends on this function
         // never changing.
         assert_eq!(fnv64(b"wcbk"), 0x4f9c_71f6_2468_0d54);
+        assert_eq!(fnv64_extend(fnv64(b"wc"), b"bk"), fnv64(b"wcbk"));
     }
 }

@@ -21,12 +21,15 @@
 //!    as `[len][checksum][payload]` and appended to the log,
 //! 2. the log is `fsync`ed — only now is the operation acknowledged,
 //! 3. the operation is applied to the in-memory catalog,
-//! 4. once the log outgrows a threshold, a **checkpoint** rewrites the
-//!    page-based catalog file atomically (write `catalog.tmp`, `fsync`,
-//!    rename over `catalog`, `fsync` the directory) and truncates the log.
+//! 4. once the log outgrows the live catalog (payload plus release bytes)
+//!    by a threshold ([`StoreOptions::checkpoint_bytes`]), a
+//!    **checkpoint** rewrites the page-based catalog file atomically (write
+//!    `catalog.tmp`, `fsync`, rename over `catalog`, `fsync` the
+//!    directory) and truncates the log.
 //!
 //! On [`DatasetStore::open`] the catalog file is loaded (it records the
-//! sequence number it is current through) and the WAL is **replayed**:
+//! sequence number it is current through) and the WAL is **replayed**,
+//! one record at a time:
 //! records with stale sequence numbers are skipped (a crash between
 //! checkpoint-rename and log-truncate re-reads them harmlessly), and the
 //! first torn or corrupt frame — a crash mid-append — truncates the log

@@ -182,45 +182,53 @@ impl Tokenizer {
     }
 
     /// The single-pass path for a fresh record without quotes: splits it
-    /// at delimiters up to its `\n`. `Some(false)` when that line was
-    /// blank; `None`, with nothing consumed, when the record holds a quote
-    /// or the input ends first — then the boundary scan and
-    /// [`split`](Self::split) take it.
+    /// at delimiters up to its `\n`, eight bytes at a time — each word's
+    /// stop bytes (`\n`, the delimiter, `"`) are found at once and taken in
+    /// order. `Some(false)` when that line was blank; `None`, with nothing
+    /// consumed, when the record holds a quote or the input ends first —
+    /// then the boundary scan and [`split`](Self::split) take it.
     fn split_plain(&mut self, input: &[u8]) -> Option<bool> {
         self.spans.clear();
         let mut field = self.start;
-        for i in self.start..input.len() {
-            match input[i] {
-                b'"' => return None,
-                b'\n' => {
-                    let end = if i > self.start && input[i - 1] == b'\r' {
-                        i - 1
-                    } else {
-                        i
-                    };
-                    let blank = end == self.start;
-                    (self.record_start, self.record_end) = (self.start, end);
-                    self.line += 1;
-                    self.start = i + 1;
-                    self.scan = self.start;
-                    if !blank {
+        for at in (self.start..input.len()).step_by(8) {
+            let (word, valid) = word_at(input, at);
+            let mut stops =
+                (eq_bytes(word, b'\n') | eq_bytes(word, self.delimiter) | eq_bytes(word, b'"'))
+                    & valid;
+            while stops != 0 {
+                let i = at + (stops.trailing_zeros() / 8) as usize;
+                stops &= stops - 1;
+                match input[i] {
+                    b'"' => return None,
+                    b'\n' => {
+                        let end = if i > self.start && input[i - 1] == b'\r' {
+                            i - 1
+                        } else {
+                            i
+                        };
+                        let blank = end == self.start;
+                        (self.record_start, self.record_end) = (self.start, end);
+                        self.line += 1;
+                        self.start = i + 1;
+                        self.scan = self.start;
+                        if !blank {
+                            self.spans.push(Span {
+                                start: field,
+                                end,
+                                unescaped: false,
+                            });
+                        }
+                        return Some(!blank);
+                    }
+                    _ => {
                         self.spans.push(Span {
                             start: field,
-                            end,
+                            end: i,
                             unescaped: false,
                         });
+                        field = i + 1;
                     }
-                    return Some(!blank);
                 }
-                b if b == self.delimiter => {
-                    self.spans.push(Span {
-                        start: field,
-                        end: i,
-                        unescaped: false,
-                    });
-                    field = i + 1;
-                }
-                _ => {}
             }
         }
         None
@@ -353,6 +361,33 @@ impl Tokenizer {
             message: message.into(),
         }
     }
+}
+
+const ONES: u64 = 0x0101_0101_0101_0101;
+const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+
+/// The little-endian word of the (up to) eight bytes at `input[at..]`, and
+/// the mask of its bytes that lie inside `input`.
+fn word_at(input: &[u8], at: usize) -> (u64, u64) {
+    match input.get(at..at + 8) {
+        Some(word) => (
+            u64::from_le_bytes(word.try_into().expect("eight bytes")),
+            !0,
+        ),
+        None => {
+            let rest = &input[at..];
+            let mut word = [0; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            (u64::from_le_bytes(word), (1 << (8 * rest.len())) - 1)
+        }
+    }
+}
+
+/// The high bit of every byte of `word` equal to `byte`, and no other bit.
+/// Exact per byte: `(x & LOW7) + LOW7` cannot carry across bytes.
+fn eq_bytes(word: u64, byte: u8) -> u64 {
+    let x = word ^ (ONES * u64::from(byte));
+    !(((x & LOW7) + LOW7) | x | LOW7)
 }
 
 fn odd_quotes(bytes: &[u8]) -> bool {
@@ -943,6 +978,141 @@ mod tests {
             })
             .collect();
         Schema::new(attributes)
+    }
+
+    /// Decodes `csv` (header `A,B,…`) pushed in `step`-byte pieces.
+    fn decode_in_pieces(csv: &str, step: usize) -> Table {
+        let mut decoder = TableDecoder::new(schema_of);
+        for piece in csv.as_bytes().chunks(step) {
+            decoder.push(piece);
+            decoder.decode(false).unwrap();
+        }
+        decoder.decode(true).unwrap();
+        decoder.into_table().unwrap()
+    }
+
+    /// The decoder's oracle: `TableBuilder` over the `str::trim`med rows.
+    fn trimmed_rows(names: &[&str], rows: &[Vec<String>]) -> Table {
+        let mut builder = crate::TableBuilder::new(schema_of(names, 1).unwrap());
+        for row in rows {
+            let trimmed: Vec<&str> = row.iter().map(|f| f.trim()).collect();
+            builder.push_row(&trimmed).unwrap();
+        }
+        builder.build()
+    }
+
+    /// Plain CSV text of `rows` under a header of `names`.
+    fn csv_text(names: &[&str], rows: &[Vec<String>]) -> String {
+        let mut text = names.join(",");
+        for row in rows {
+            text.push('\n');
+            text.push_str(&row.join(","));
+        }
+        text.push('\n');
+        text
+    }
+
+    /// Values that share a length and their first and last eight bytes
+    /// (the front cache's whole view of a value), and more distinct values
+    /// than the cache has slots, revisited in a shuffled order: every code
+    /// stays the dictionary's, in first-seen order.
+    #[test]
+    fn decoder_codes_survive_front_cache_collisions() {
+        let twins = [
+            "prefix-8-a-suffix-8",
+            "prefix-8-b-suffix-8",
+            "prefix-8-c-suffix-8",
+        ];
+        let rows: Vec<Vec<String>> = (0..3000u32)
+            .map(|i| {
+                let spread = i.wrapping_mul(2_654_435_761) % 1000;
+                vec![
+                    twins[(i % 3) as usize].to_owned(),
+                    format!("v{spread}"),
+                    format!("{}", i % 7),
+                ]
+            })
+            .collect();
+        let names = ["A", "B", "C"];
+        let csv = csv_text(&names, &rows);
+        assert_eq!(decode_in_pieces(&csv, 4096), trimmed_rows(&names, &rows));
+    }
+
+    #[test]
+    fn decoder_handles_a_unique_valued_column() {
+        let rows: Vec<Vec<String>> = (0..5000)
+            .map(|i| vec![format!("id-{i:06}"), format!("s{}", i % 3)])
+            .collect();
+        let names = ["Id", "B"];
+        let csv = csv_text(&names, &rows);
+        let table = decode_in_pieces(&csv, 65_536);
+        assert_eq!(table.column(0).cardinality(), 5000);
+        assert_eq!(table, trimmed_rows(&names, &rows));
+    }
+
+    /// Whitespace and near-whitespace at field ends: space, tab, DEL (not
+    /// whitespace), NBSP and other Unicode spaces (whitespace), alone and
+    /// around text, so both the printable-ends fast path and `str::trim`
+    /// are taken.
+    #[test]
+    fn decoder_trims_field_ends_like_str_trim() {
+        let edges = [
+            "x",
+            " x",
+            "x ",
+            "\tx",
+            "x\t",
+            "\u{7f}x",
+            "x\u{7f}",
+            "\u{7f}",
+            "\u{a0}x",
+            "x\u{a0}",
+            "\u{a0}",
+            " ",
+            "",
+            "\t",
+            "x\r",
+            "\u{85}x",
+            "x\u{2003}",
+            "\u{e9}",
+            "a b",
+            "!",
+            "~",
+        ];
+        let rows: Vec<Vec<String>> = (0..edges.len() * edges.len())
+            .map(|i| {
+                let (a, b) = (edges[i % edges.len()], edges[i / edges.len()]);
+                vec![a.to_owned(), b.to_owned(), format!("{a}|{b}")]
+            })
+            .collect();
+        let names = ["A", "B", "C"];
+        let csv = csv_text(&names, &rows);
+        assert_eq!(decode_in_pieces(&csv, 1 << 20), trimmed_rows(&names, &rows));
+    }
+
+    /// Every piece size splits records — and the eight-byte words the plain
+    /// path scans — at every offset; quoted and CRLF records are mixed in.
+    #[test]
+    fn decoder_is_the_same_at_every_push_boundary() {
+        let rows: Vec<Vec<String>> = (0..40)
+            .map(|i| {
+                vec![
+                    format!("{}", i % 4).repeat(1 + i % 11),
+                    format!("value-{}", i % 5),
+                    " \u{e9}t\u{e9} ".to_owned(),
+                ]
+            })
+            .collect();
+        let names = ["A", "B", "C"];
+        let mut csv = csv_text(&names, &rows);
+        csv.push_str("\"q,1\",\"say \"\"hi\"\"\", x\r\nlast,row,here");
+        let mut all = rows.clone();
+        all.push(vec!["q,1".into(), "say \"hi\"".into(), " x".into()]);
+        all.push(vec!["last".into(), "row".into(), "here".into()]);
+        let expected = trimmed_rows(&names, &all);
+        for step in 1..=80 {
+            assert_eq!(decode_in_pieces(&csv, step), expected, "step {step}");
+        }
     }
 
     #[test]

@@ -229,6 +229,9 @@ impl TableBuilder {
 /// already blocked the way the scanner will read it.
 pub const DEFAULT_BUILDER_CHUNK_ROWS: usize = 65_536;
 
+/// Slots in each column's front cache (a power of two).
+const CACHE_SLOTS: usize = 256;
+
 /// One column under chunked construction: the dictionary plus sealed
 /// fixed-size code blocks. Once a block fills it is never touched again —
 /// unlike a single growing `Vec<u32>`, no realloc ever re-copies codes that
@@ -237,9 +240,32 @@ pub const DEFAULT_BUILDER_CHUNK_ROWS: usize = 65_536;
 struct ChunkedCodes {
     dict: Dictionary,
     chunks: Vec<Vec<u32>>,
+    /// A direct-mapped front cache of the dictionary: slot → a code whose
+    /// value once hashed there. A slot only suggests a code; the value is
+    /// compared byte for byte before it counts, so the dictionary stays the
+    /// authority and a hostile slot collision is only a miss.
+    recent: Box<[u32; CACHE_SLOTS]>,
 }
 
 impl ChunkedCodes {
+    fn new() -> Self {
+        Self {
+            dict: Dictionary::new(),
+            chunks: Vec::new(),
+            recent: Box::new([0; CACHE_SLOTS]),
+        }
+    }
+
+    /// The code of `value`, interned in first-seen order on a cache miss.
+    fn code_of(&mut self, value: &str) -> u32 {
+        let slot = &mut self.recent[cache_slot(value.as_bytes())];
+        if self.dict.get(*slot) == Some(value) {
+            return *slot;
+        }
+        *slot = self.dict.intern(value);
+        *slot
+    }
+
     fn push(&mut self, code: u32, chunk_rows: usize) {
         match self.chunks.last_mut() {
             Some(chunk) if chunk.len() < chunk_rows => chunk.push(code),
@@ -249,6 +275,38 @@ impl ChunkedCodes {
                 self.chunks.push(chunk);
             }
         }
+    }
+}
+
+/// The front-cache slot of `bytes`: a multiplicative hash of the length and
+/// of the first and last eight bytes (of every byte, when there are fewer
+/// than nine). Cheap, and never trusted (see [`ChunkedCodes::code_of`]).
+fn cache_slot(bytes: &[u8]) -> usize {
+    let n = bytes.len();
+    let le = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("eight bytes"));
+    let le4 = |at: usize| {
+        u64::from(u32::from_le_bytes(
+            bytes[at..at + 4].try_into().expect("four bytes"),
+        ))
+    };
+    let word = match n {
+        8.. => le(0) ^ le(n - 8).rotate_left(29),
+        4..=7 => le4(0) | le4(n - 4) << 32,
+        1..=3 => u64::from(bytes[0]) | u64::from(bytes[n / 2]) << 8 | u64::from(bytes[n - 1]) << 16,
+        0 => 0,
+    };
+    let h = (word ^ n as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    (h >> (64 - CACHE_SLOTS.trailing_zeros())) as usize
+}
+
+/// `field` without leading and trailing whitespace (Unicode `str::trim`).
+/// A field whose first and last bytes are printable ASCII has none, so it
+/// is returned as is without the scan.
+fn trimmed(field: &str) -> &str {
+    let printable = |b: &u8| (0x21..0x80).contains(b);
+    match (field.as_bytes().first(), field.as_bytes().last()) {
+        (Some(first), Some(last)) if printable(first) && printable(last) => field,
+        _ => field.trim(),
     }
 }
 
@@ -279,12 +337,7 @@ impl ChunkedTableBuilder {
     /// (`0` is treated as `1`). The block size only shapes memory traffic;
     /// the built table never depends on it.
     pub fn with_chunk_rows(schema: Schema, chunk_rows: usize) -> Self {
-        let columns = (0..schema.arity())
-            .map(|_| ChunkedCodes {
-                dict: Dictionary::new(),
-                chunks: Vec::new(),
-            })
-            .collect();
+        let columns = (0..schema.arity()).map(|_| ChunkedCodes::new()).collect();
         Self {
             schema,
             columns,
@@ -303,7 +356,7 @@ impl ChunkedTableBuilder {
             });
         }
         for (col, field) in self.columns.iter_mut().zip(fields) {
-            let code = col.dict.intern(field.as_ref());
+            let code = col.code_of(field.as_ref());
             col.push(code, self.chunk_rows);
         }
         let id = TupleId(self.n_rows as u32);
@@ -329,7 +382,7 @@ impl ChunkedTableBuilder {
             });
         }
         for (col, field) in self.columns.iter_mut().zip(fields) {
-            let code = col.dict.intern(field.trim());
+            let code = col.code_of(trimmed(field));
             col.push(code, self.chunk_rows);
         }
         let id = TupleId(self.n_rows as u32);
@@ -507,6 +560,35 @@ mod tests {
         let short = fields.push_fields(["98"]).unwrap_err();
         assert!(matches!(short, TableError::ArityMismatch { row: 4, .. }));
         assert_eq!(fields.build(), strings.build());
+    }
+
+    /// Values equal in length and in their first and last eight bytes
+    /// share a front-cache slot; the byte comparison keeps their codes
+    /// apart, and codes stay in first-seen order through every eviction.
+    #[test]
+    fn front_cache_collisions_are_misses_not_wrong_codes() {
+        let (a, b) = ("01234567-a-89abcdef", "01234567-b-89abcdef");
+        assert_eq!(cache_slot(a.as_bytes()), cache_slot(b.as_bytes()));
+        let schema = Schema::new(vec![Attribute::new("D", AttributeKind::Sensitive)]).unwrap();
+        let mut chunked = ChunkedTableBuilder::new(schema.clone());
+        let mut plain = TableBuilder::new(schema);
+        for value in [a, b, b, a, "x", a, b] {
+            chunked.push_fields([value]).unwrap();
+            plain.push_row(&[value]).unwrap();
+        }
+        let table = chunked.build();
+        assert_eq!(table.column(0).codes(), [0, 1, 1, 0, 2, 0, 1]);
+        assert_eq!(table, plain.build());
+    }
+
+    #[test]
+    fn trimmed_matches_str_trim_on_edge_bytes() {
+        for field in [
+            "", " ", "x", " x", "x ", "\tx", "x\t", "\u{7f}", "x\u{7f}", "\u{a0}x", "x\u{a0}",
+            "\u{3000}", "\u{e9}", "a b", "\x0bx",
+        ] {
+            assert_eq!(trimmed(field), field.trim(), "{field:?}");
+        }
     }
 
     #[test]
