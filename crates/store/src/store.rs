@@ -121,7 +121,7 @@ impl<'a> Op<'a> {
                 record.len()
             )));
         }
-        let seq = u64::from_le_bytes(record[..8].try_into().unwrap());
+        let seq = u64::from_le_bytes(record[..8].try_into().expect("eight bytes"));
         let mut r = Reader::new(&record[9..]);
         let fp = r.u64("record fingerprint")?;
         let op = match record[8] {

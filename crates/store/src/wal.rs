@@ -76,8 +76,8 @@ impl Wal {
         while len - good >= HEADER as u64 {
             let mut header = [0; HEADER];
             reader.read_exact(&mut header)?;
-            let size = u32::from_le_bytes(header[..4].try_into().unwrap());
-            let crc = u64::from_le_bytes(header[4..].try_into().unwrap());
+            let size = u32::from_le_bytes(header[..4].try_into().expect("four bytes"));
+            let crc = u64::from_le_bytes(header[4..].try_into().expect("eight bytes"));
             if size > MAX_RECORD {
                 break;
             }

@@ -184,9 +184,12 @@ impl Tokenizer {
     /// The single-pass path for a fresh record without quotes: splits it
     /// at delimiters up to its `\n`, eight bytes at a time — each word's
     /// stop bytes (`\n`, the delimiter, `"`) are found at once and taken in
-    /// order. `Some(false)` when that line was blank; `None`, with nothing
-    /// consumed, when the record holds a quote or the input ends first —
-    /// then the boundary scan and [`split`](Self::split) take it.
+    /// order. Bytes >= 0x80 are ordinary field bytes here: the per-byte
+    /// test is exact on them, and [`record`](Self::record) validates the
+    /// record's UTF-8 whole. `Some(false)` when that line was blank; `None`,
+    /// with nothing consumed, when the record holds a quote or the input
+    /// ends first — then the boundary scan and [`split`](Self::split) take
+    /// it.
     fn split_plain(&mut self, input: &[u8]) -> Option<bool> {
         self.spans.clear();
         let mut field = self.start;

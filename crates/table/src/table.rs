@@ -582,16 +582,6 @@ mod tests {
     }
 
     #[test]
-    fn trimmed_matches_str_trim_on_edge_bytes() {
-        for field in [
-            "", " ", "x", " x", "x ", "\tx", "x\t", "\u{7f}", "x\u{7f}", "\u{a0}x", "x\u{a0}",
-            "\u{3000}", "\u{e9}", "a b", "\x0bx",
-        ] {
-            assert_eq!(trimmed(field), field.trim(), "{field:?}");
-        }
-    }
-
-    #[test]
     fn chunked_builder_rejects_arity_mismatch() {
         let schema = Schema::new(vec![Attribute::new("D", AttributeKind::Sensitive)]).unwrap();
         let mut b = ChunkedTableBuilder::new(schema);
