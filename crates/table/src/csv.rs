@@ -12,7 +12,10 @@
 //! * at end of input, a final line without a newline is still a record;
 //! * fields are slices of the input, except quoted fields holding `""`
 //!   escapes, which are unescaped into one reused scratch buffer;
-//! * each record is UTF-8-validated once, as a whole, so fields are `&str`.
+//! * each record is UTF-8-validated as a whole, so fields are `&str` —
+//!   [`TableDecoder`] checks whole windows of input at once and a record
+//!   inside a checked window needs no check of its own; an invalid record
+//!   fails alone, with the same error either way.
 //!
 //! A record without quotes is split in a single pass; one with quotes takes
 //! a boundary scan, then a split. Quote parity is carried across
@@ -166,13 +169,19 @@ impl Tokenizer {
     }
 
     /// The record the last successful [`advance`](Self::advance) completed.
-    /// It is validated as UTF-8 once, as a whole: a record is valid exactly
-    /// when each of its fields is, since fields are separated by ASCII
-    /// bytes. An invalid one is the CSV "invalid UTF-8" error at its line.
-    fn record<'a>(&'a self, input: &'a [u8]) -> Result<Record<'a>, TableError> {
+    /// It is validated as UTF-8 as a whole, through `checked`: a record is
+    /// valid exactly when each of its fields is, since fields are separated
+    /// by ASCII bytes. An invalid one is the CSV "invalid UTF-8" error at
+    /// its line.
+    fn record<'a, 'i: 'a>(
+        &'a self,
+        input: &'i [u8],
+        checked: &mut Checked<'i>,
+    ) -> Result<Record<'a>, TableError> {
         let invalid = |_| TableError::invalid_utf8(self.line);
         Ok(Record {
-            text: std::str::from_utf8(&input[self.record_start..self.record_end])
+            text: checked
+                .text(input, self.record_start, self.record_end)
                 .map_err(invalid)?,
             base: self.record_start,
             scratch: std::str::from_utf8(&self.scratch).map_err(invalid)?,
@@ -192,6 +201,7 @@ impl Tokenizer {
     /// it.
     fn split_plain(&mut self, input: &[u8]) -> Option<bool> {
         self.spans.clear();
+        self.scratch.clear();
         let mut field = self.start;
         for at in (self.start..input.len()).step_by(8) {
             let (word, valid) = word_at(input, at);
@@ -366,6 +376,54 @@ impl Tokenizer {
     }
 }
 
+/// A window of the input known to be valid UTF-8. A record inside it is
+/// a slice of valid UTF-8 between ASCII bytes, so it needs no check of its
+/// own; the window is checked once, in one pass over many records.
+struct Checked<'a> {
+    /// Input offset of `text`.
+    from: usize,
+    text: &'a str,
+    /// How many bytes from a record's start a new window checks.
+    window: usize,
+}
+
+impl<'a> Checked<'a> {
+    fn new(window: usize) -> Self {
+        Self {
+            from: 0,
+            text: "",
+            window,
+        }
+    }
+
+    /// `input[start..end]` as text. A record outside the window moves it to
+    /// the longest valid prefix of the `window` bytes (at least the record)
+    /// from `start`. A record the window cannot cover holds invalid UTF-8:
+    /// it is validated alone, which reports the error.
+    fn text(
+        &mut self,
+        input: &'a [u8],
+        start: usize,
+        end: usize,
+    ) -> Result<&'a str, std::str::Utf8Error> {
+        if start < self.from || end > self.from + self.text.len() {
+            let ahead = &input[start..input.len().min(start + self.window).max(end)];
+            self.from = start;
+            self.text = match std::str::from_utf8(ahead) {
+                Ok(text) => text,
+                Err(e) => std::str::from_utf8(&ahead[..e.valid_up_to()]).expect("a valid prefix"),
+            };
+        }
+        match self.text.get(start - self.from..end - self.from) {
+            Some(text) => Ok(text),
+            None => std::str::from_utf8(&input[start..end]),
+        }
+    }
+}
+
+/// The span a [`TableDecoder`] validates UTF-8 in at once.
+const CHECK_WINDOW: usize = 64 * 1024;
+
 const ONES: u64 = 0x0101_0101_0101_0101;
 const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
 
@@ -537,7 +595,7 @@ impl RecordSplitter {
     }
 
     fn record(&self) -> Result<Record<'_>, TableError> {
-        self.tokenizer.record(&self.buf)
+        self.tokenizer.record(&self.buf, &mut Checked::new(0))
     }
 }
 
@@ -641,8 +699,9 @@ where
     E: From<TableError>,
 {
     fn consume(&mut self, tokenizer: &mut Tokenizer, input: &[u8], eof: bool) -> Result<(), E> {
+        let mut checked = Checked::new(CHECK_WINDOW);
         while tokenizer.advance(input, eof)? {
-            let record = tokenizer.record(input)?;
+            let record = tokenizer.record(input, &mut checked)?;
             if let Some(builder) = &mut self.builder {
                 builder.push_fields(record.fields())?;
                 continue;
@@ -929,7 +988,7 @@ mod tests {
         let input = b"plain,\"quoted\",\"a \"\"b\"\"\"\n";
         let mut tokenizer = Tokenizer::new(b',');
         assert!(tokenizer.advance(input, false).unwrap());
-        let record = tokenizer.record(input).unwrap();
+        let record = tokenizer.record(input, &mut Checked::new(0)).unwrap();
         let fields: Vec<&str> = record.fields().collect();
         assert_eq!(fields, ["plain", "quoted", "a \"b\""]);
         // The first two are slices of the input itself.
@@ -945,10 +1004,14 @@ mod tests {
         input.extend_from_slice(b"ok,\xc3\n");
         let mut tokenizer = Tokenizer::new(b',');
         assert!(tokenizer.advance(&input, false).unwrap());
-        let fields: Vec<&str> = tokenizer.record(&input).unwrap().fields().collect();
+        let fields: Vec<&str> = tokenizer
+            .record(&input, &mut Checked::new(0))
+            .unwrap()
+            .fields()
+            .collect();
         assert_eq!(fields, ["\u{e9}", "\u{3000}\"", "\u{ff}"]);
         assert!(tokenizer.advance(&input, false).unwrap());
-        let err = tokenizer.record(&input).unwrap_err();
+        let err = tokenizer.record(&input, &mut Checked::new(0)).unwrap_err();
         assert_eq!(err.to_string(), "CSV error at line 2: invalid UTF-8");
     }
 
@@ -1116,6 +1179,47 @@ mod tests {
         for step in 1..=80 {
             assert_eq!(decode_in_pieces(&csv, step), expected, "step {step}");
         }
+    }
+
+    /// Records validated a window at a time read exactly as records
+    /// validated one by one: multibyte text across window and piece
+    /// boundaries, and an invalid record deep in the input, which fails
+    /// alone at its line and is skipped when decoding goes on.
+    #[test]
+    fn decoder_checks_utf8_in_windows_like_record_by_record() {
+        let rows: Vec<Vec<String>> = (0..15_000)
+            .map(|i| {
+                vec![
+                    format!("\u{e9}\u{3000}{}", i % 17),
+                    format!("\u{1f600}x{}", i % 5),
+                ]
+            })
+            .collect();
+        let names = ["A", "B"];
+        let csv = csv_text(&names, &rows);
+        assert!(csv.len() > 3 * CHECK_WINDOW);
+        let expected = trimmed_rows(&names, &rows);
+        for step in [1000, 4099, CHECK_WINDOW, csv.len()] {
+            assert_eq!(decode_in_pieces(&csv, step), expected, "step {step}");
+        }
+
+        // Row 10000 (line 10002) gets an invalid byte.
+        let mut bytes = csv.into_bytes();
+        let at = bytes
+            .iter()
+            .enumerate()
+            .filter(|&(_, &b)| b == b'\n')
+            .nth(10_000)
+            .map(|(i, _)| i + 1)
+            .unwrap();
+        bytes.insert(at, 0xff);
+        let mut decoder = TableDecoder::new(schema_of);
+        let err = decoder.decode_slice(&bytes).unwrap_err();
+        assert_eq!(err.to_string(), "CSV error at line 10002: invalid UTF-8");
+        decoder.decode_slice(&bytes).unwrap();
+        let mut kept = rows;
+        kept.remove(10_000);
+        assert_eq!(decoder.into_table().unwrap(), trimmed_rows(&names, &kept));
     }
 
     #[test]
