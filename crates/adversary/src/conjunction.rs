@@ -80,7 +80,7 @@ pub(crate) fn allocation_witness(
         if alloc.atoms == 0 {
             continue;
         }
-        let table = Minimize1Table::build(&set.histograms()[alloc.bucket], k);
+        let table = Minimize1Table::build(&set.histograms()[alloc.bucket], alloc.atoms);
         // The DP only allocates atoms where MINIMIZE1 is feasible, so the
         // profile reconstruction cannot fail.
         let profile = table

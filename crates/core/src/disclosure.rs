@@ -71,22 +71,19 @@ pub fn max_disclosure(
     bucketization: &Bucketization,
     k: usize,
 ) -> Result<DisclosureResult, CoreError> {
-    let tables: Vec<Minimize1Table> = bucketization
-        .buckets()
-        .iter()
-        .map(|b| Minimize1Table::build(b.histogram(), k + 1))
-        .collect();
     let costs: Vec<BucketCosts> = bucketization
         .buckets()
         .iter()
-        .zip(&tables)
-        .map(|(b, t)| BucketCosts::new(t, b.histogram().frequency(0), b.histogram().n()))
+        .map(|b| {
+            let h = b.histogram();
+            let table = Minimize1Table::build(h, k + 1);
+            BucketCosts::new(table.values().to_vec(), h.frequency(0), h.n())
+        })
         .collect();
     let result = minimize2(&costs, k);
     let witness = build_witness(
         |b| bucketization.bucket(b).histogram(),
         bucketization.domain_size(),
-        |b| &tables[b],
         &result.allocation,
         |requests| leading_members(bucketization, requests),
     );
@@ -102,15 +99,17 @@ pub fn max_disclosure(
 ///
 /// The witness is a function of the per-bucket histograms plus the persons
 /// it names: for each allocated bucket, its first `profile.len()` members
-/// (at most `k+1` buckets, Lemma 12). `histogram_of(b)` and `table_of(b)`
-/// are bucket `b`'s histogram and MINIMIZE1 table; `members` answers every
-/// `(bucket, n)` request at once with that bucket's first `n` members, in
-/// request order — so a caller holding no tuple-level grouping can fetch
-/// just those persons in one pass.
+/// (at most `k+1` buckets, Lemma 12). `histogram_of(b)` is bucket `b`'s
+/// histogram; `members` answers every `(bucket, n)` request at once with
+/// that bucket's first `n` members, in request order — so a caller holding
+/// no tuple-level grouping can fetch just those persons in one pass.
+///
+/// Each allocated bucket's profile comes from a MINIMIZE1 table sized by
+/// that bucket's own atom count `c`: `profile(c)` reads only cells with
+/// `cap, r ≤ c`, which no larger table would compute differently.
 pub(crate) fn build_witness<'t>(
     histogram_of: impl Fn(usize) -> &'t SensitiveHistogram,
     domain_size: u32,
-    table_of: impl Fn(usize) -> &'t Minimize1Table,
     allocation: &[BucketAllocation],
     members: impl FnOnce(&[(usize, usize)]) -> Vec<Vec<TupleId>>,
 ) -> DisclosureWitness {
@@ -118,7 +117,7 @@ pub(crate) fn build_witness<'t>(
         .iter()
         .map(|alloc| {
             let atom_count = alloc.atoms + usize::from(alloc.has_consequent);
-            table_of(alloc.bucket)
+            Minimize1Table::build(histogram_of(alloc.bucket), atom_count)
                 .profile(atom_count)
                 .expect("allocation chose a feasible bucket load")
         })

@@ -2,48 +2,38 @@
 //!
 //! The closing remark of Section 3.3.3: if bucketization `B*` differs from an
 //! already-analyzed `B` by removing some buckets and adding `x` new ones,
-//! only the new buckets' MINIMIZE1 tables need computing
-//! (`O(x·k³)`), plus one MINIMIZE2 pass (`O(|B*|·k²)` here). Two pieces
-//! implement that:
+//! only the new buckets' MINIMIZE1 values need computing, plus one
+//! MINIMIZE2 pass (`O(|B*|·k²)` here). Two pieces implement that:
 //!
-//! * [`DisclosureEngine`] — caches MINIMIZE1 tables keyed by the bucket's
-//!   descending frequency vector, shared across *all* bucketizations it
-//!   analyzes (during lattice search, sibling anonymizations share most
-//!   buckets). The cache is sharded behind [`RwLock`]s and the engine is
-//!   `Send + Sync`, so one engine can serve many search threads at once —
-//!   the foundation of the parallel lattice search in `wcbk-anonymize`.
+//! * [`DisclosureEngine`] — caches each bucket's MINIMIZE1 values `m1`
+//!   (its [`BucketCosts`], `k+2` numbers) keyed by the bucket's descending
+//!   frequency vector, shared across *all* bucketizations it analyzes
+//!   (during lattice search, sibling anonymizations share most buckets).
+//!   MINIMIZE2 reads nothing else; a witness builds a MINIMIZE1 table,
+//!   sized by the atoms it places there, only for each of the at most
+//!   `k+1` buckets it names. The cache is sharded behind [`RwLock`]s and
+//!   the engine is `Send + Sync`, so one engine can serve many search
+//!   threads at once — the foundation of the parallel lattice search in
+//!   `wcbk-anonymize`.
 //! * [`IncrementalDisclosure`] — prefix/suffix MINIMIZE2 tables over a fixed
 //!   bucket order, answering *what-if* queries (replace / remove / merge one
 //!   bucket) in `O(k²)` without touching the other buckets, as suggested by
 //!   the paper's bucket-reordering remark.
 
-use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use crate::disclosure::{build_witness, leading_members};
-use crate::minimize1::Minimize1Table;
+use crate::minimize1::minimize1_values;
 use crate::minimize2::{minimize2, minimize2_value, BucketCosts, SuffixTable};
 use crate::{Bucketization, CoreError, DisclosureResult, HistogramSet, SensitiveHistogram};
 use wcbk_table::TupleId;
 
-struct CachedBucket {
-    table: Minimize1Table,
-    costs: BucketCosts,
-}
-
-/// Lets MINIMIZE2 run straight over borrowed cache entries.
-impl Borrow<BucketCosts> for &CachedBucket {
-    fn borrow(&self) -> &BucketCosts {
-        &self.costs
-    }
-}
-
-/// A cached bucket plus its last-touch tick for LRU eviction under a cache
-/// budget.
+/// A cached bucket's costs plus its last-touch tick for LRU eviction under
+/// a cache budget.
 struct CacheEntry {
-    bucket: Arc<CachedBucket>,
+    costs: Arc<BucketCosts>,
     touch: AtomicU64,
 }
 
@@ -57,19 +47,20 @@ const N_SHARDS: usize = 16;
 pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
-    /// Lookups that had to build a MINIMIZE1 table.
+    /// Lookups that had to compute MINIMIZE1 values.
     pub misses: u64,
     /// Distinct histograms currently cached.
     pub entries: usize,
     /// Total retained weight across entries — each entry weighs its
-    /// histogram's distinct-frequency **group** count, the driver of its
-    /// `O(groups·k²)` table size. This is what a cache budget bounds
-    /// (mirroring the roll-up memo's group-weighted eviction).
+    /// histogram's distinct-frequency **group** count, the length of its
+    /// key. This is what a cache budget bounds (mirroring the roll-up
+    /// memo's group-weighted eviction).
     pub groups: u64,
     /// Entries evicted to respect the cache budget (0 when unbounded).
     pub evictions: u64,
-    /// Cumulative microseconds spent building MINIMIZE1 tables on cache
-    /// misses (the `O(k³)` work memoization exists to avoid).
+    /// Cumulative microseconds spent computing MINIMIZE1 values on cache
+    /// misses (the work memoization exists to avoid), rounded up from
+    /// the nanoseconds the engine accumulates.
     pub build_micros: u64,
     /// High-water mark of the retained group weight since the engine was
     /// created — the memory-broker accounting signal.
@@ -109,22 +100,24 @@ pub struct DisclosureEngine {
     /// High-water mark of `groups`.
     peak_groups: AtomicU64,
     evictions: AtomicU64,
-    /// Cumulative MINIMIZE1 build time on misses, in microseconds.
-    build_micros: AtomicU64,
+    /// Cumulative MINIMIZE1 build time on misses, in nanoseconds: a
+    /// value-only build often takes under a microsecond, which per-build
+    /// microsecond truncation would drop.
+    build_nanos: AtomicU64,
     /// Monotone tick supplying `CacheEntry::touch` values.
     clock: AtomicU64,
 }
 
 /// The LRU weight of one cached histogram: its distinct-frequency group
-/// count (`key` length), the factor its MINIMIZE1 table size scales with.
+/// count (`key` length). The entry itself keeps its key plus `k+2` f64s.
 fn entry_weight(key: &[u64]) -> u64 {
     (key.len() as u64).max(1)
 }
 
 impl DisclosureEngine {
     /// Creates an engine for attacker power `k` with an **unbounded** cache
-    /// (every MINIMIZE1 table ever built is retained — the right default
-    /// for one-shot CLI runs).
+    /// (every MINIMIZE1 vector ever computed is retained — the right
+    /// default for one-shot CLI runs).
     pub fn new(k: usize) -> Self {
         Self::with_cache_capacity(k, None)
     }
@@ -145,7 +138,7 @@ impl DisclosureEngine {
             groups: AtomicU64::new(0),
             peak_groups: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            build_micros: AtomicU64::new(0),
+            build_nanos: AtomicU64::new(0),
             clock: AtomicU64::new(0),
         }
     }
@@ -180,7 +173,7 @@ impl DisclosureEngine {
             entries: self.cache_len(),
             groups: self.groups.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            build_micros: self.build_micros.load(Ordering::Relaxed),
+            build_micros: self.build_nanos.load(Ordering::Relaxed).div_ceil(1000),
             peak_groups: self.peak_groups.load(Ordering::Relaxed),
         }
     }
@@ -199,31 +192,28 @@ impl DisclosureEngine {
         (h % N_SHARDS as u64) as usize
     }
 
-    fn cached(&self, hist: &SensitiveHistogram) -> Arc<CachedBucket> {
+    fn cached(&self, hist: &SensitiveHistogram) -> Arc<BucketCosts> {
         let shard_index = Self::shard_of(hist.key());
         let shard = &self.shards[shard_index];
         if let Some(entry) = shard.read().expect("cache shard poisoned").get(hist.key()) {
             entry.touch.store(self.tick(), Ordering::Relaxed);
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(&entry.bucket);
+            return Arc::clone(&entry.costs);
         }
-        // Build outside any lock: the O(k³) table dominates, and concurrent
-        // builders for the same key are rare (they waste a little work but
-        // never race on results — the first insert wins below).
+        // Build outside any lock: concurrent builders for the same key are
+        // rare (they waste a little work but never race on results — the
+        // first insert wins below).
         let build_started = std::time::Instant::now();
-        let table = Minimize1Table::build(hist, self.k + 1);
-        let costs = BucketCosts::new(&table, hist.frequency(0), hist.n());
-        self.build_micros.fetch_add(
-            build_started.elapsed().as_micros() as u64,
-            Ordering::Relaxed,
-        );
-        let bucket = Arc::new(CachedBucket { table, costs });
+        let m1 = minimize1_values(hist, self.k + 1);
+        let costs = Arc::new(BucketCosts::new(m1, hist.frequency(0), hist.n()));
+        self.build_nanos
+            .fetch_add(build_started.elapsed().as_nanos() as u64, Ordering::Relaxed);
         self.misses.fetch_add(1, Ordering::Relaxed);
         let weight = entry_weight(hist.key());
         if self.capacity.is_some_and(|budget| weight > budget) {
             // It can never fit: serve it unmemoized rather than flushing the
             // whole cache for nothing (the roll-up memo's contract).
-            return bucket;
+            return costs;
         }
         {
             let mut w = shard.write().expect("cache shard poisoned");
@@ -231,11 +221,11 @@ impl DisclosureEngine {
                 std::collections::hash_map::Entry::Occupied(e) => {
                     // Lost a race with a concurrent builder: keep the first.
                     e.get().touch.store(self.tick(), Ordering::Relaxed);
-                    return Arc::clone(&e.get().bucket);
+                    return Arc::clone(&e.get().costs);
                 }
                 std::collections::hash_map::Entry::Vacant(v) => {
                     v.insert(CacheEntry {
-                        bucket: Arc::clone(&bucket),
+                        costs: Arc::clone(&costs),
                         touch: AtomicU64::new(self.tick()),
                     });
                     let now = self.groups.fetch_add(weight, Ordering::Relaxed) + weight;
@@ -244,7 +234,7 @@ impl DisclosureEngine {
             }
         }
         self.enforce_budget();
-        bucket
+        costs
     }
 
     /// Evicts least-recently-touched entries until the retained weight fits
@@ -284,7 +274,7 @@ impl DisclosureEngine {
 
     /// The per-bucket DP costs for a histogram (cached).
     pub fn costs(&self, hist: &SensitiveHistogram) -> BucketCosts {
-        self.cached(hist).costs.clone()
+        BucketCosts::clone(&self.cached(hist))
     }
 
     /// Maximum disclosure value only (no witness reconstruction).
@@ -292,13 +282,12 @@ impl DisclosureEngine {
         if b.n_buckets() == 0 {
             return Err(CoreError::EmptyBucketization);
         }
-        let entries: Vec<Arc<CachedBucket>> = b
+        let entries: Vec<Arc<BucketCosts>> = b
             .buckets()
             .iter()
             .map(|bucket| self.cached(bucket.histogram()))
             .collect();
-        let costs: Vec<&BucketCosts> = entries.iter().map(|e| &e.costs).collect();
-        Ok(to_disclosure(minimize2_value(&costs, self.k)))
+        Ok(to_disclosure(minimize2_value(&entries, self.k)))
     }
 
     /// Maximum disclosure value of a histogram-only bucketization view —
@@ -332,7 +321,6 @@ impl DisclosureEngine {
             let witness = build_witness(
                 |b| &h.histograms()[b],
                 h.domain_size(),
-                |b| &entries[b].table,
                 &result.allocation,
                 members,
             );
@@ -349,10 +337,10 @@ impl DisclosureEngine {
     /// The cache is consulted once per distinct histogram key; buckets
     /// repeating an earlier key reuse its entry and count as cache hits, as
     /// a per-bucket lookup would have.
-    fn with_set_entries<R>(&self, h: &HistogramSet, f: impl FnOnce(&[&CachedBucket]) -> R) -> R {
+    fn with_set_entries<R>(&self, h: &HistogramSet, f: impl FnOnce(&[&BucketCosts]) -> R) -> R {
         let histograms = h.histograms();
         let representatives = h.representatives();
-        let distinct: Vec<Arc<CachedBucket>> = representatives
+        let distinct: Vec<Arc<BucketCosts>> = representatives
             .iter()
             .enumerate()
             .filter(|&(i, &rep)| rep == i)
@@ -363,7 +351,7 @@ impl DisclosureEngine {
             self.hits.fetch_add(repeats, Ordering::Relaxed);
         }
         let mut fresh = distinct.iter();
-        let mut entries: Vec<&CachedBucket> = Vec::with_capacity(histograms.len());
+        let mut entries: Vec<&BucketCosts> = Vec::with_capacity(histograms.len());
         for (i, &rep) in representatives.iter().enumerate() {
             let entry = if rep == i {
                 fresh.next().expect("one entry per distinct key")
@@ -380,17 +368,15 @@ impl DisclosureEngine {
         if b.n_buckets() == 0 {
             return Err(CoreError::EmptyBucketization);
         }
-        let entries: Vec<Arc<CachedBucket>> = b
+        let entries: Vec<Arc<BucketCosts>> = b
             .buckets()
             .iter()
             .map(|bucket| self.cached(bucket.histogram()))
             .collect();
-        let costs: Vec<&BucketCosts> = entries.iter().map(|e| &e.costs).collect();
-        let result = minimize2(&costs, self.k);
+        let result = minimize2(&entries, self.k);
         let witness = build_witness(
             |i| b.bucket(i).histogram(),
             b.domain_size(),
-            |i| &entries[i].table,
             &result.allocation,
             |requests| leading_members(b, requests),
         );
@@ -546,7 +532,7 @@ impl IncrementalDisclosure {
     }
 
     /// Commits a replacement of bucket `i`, rebuilding the tables
-    /// (`O(|B|·k²)`; the per-histogram `O(k³)` work stays cached in the
+    /// (`O(|B|·k²)`; the per-histogram MINIMIZE1 work stays cached in the
     /// engine that produced `new_costs`).
     pub fn replace(&mut self, i: usize, new_costs: BucketCosts) -> Result<(), CoreError> {
         self.check_index(i)?;
@@ -718,8 +704,8 @@ mod tests {
                     assert_eq!(entries.len(), b.n_buckets());
                     for (got, bucket) in entries.iter().zip(b.buckets()) {
                         let want = engine.costs(bucket.histogram());
-                        assert_eq!(got.costs.m1, want.m1, "k={k}");
-                        assert_eq!(got.costs.rho.to_bits(), want.rho.to_bits(), "k={k}");
+                        assert_eq!(got.m1, want.m1, "k={k}");
+                        assert_eq!(got.rho.to_bits(), want.rho.to_bits(), "k={k}");
                     }
                 });
             }
@@ -741,6 +727,27 @@ mod tests {
             assert_eq!(per_key.cache_stats(), (hits, misses), "round {round}");
             assert_eq!(per_key.cache_len(), 3);
         }
+    }
+
+    /// The value path sizes MINIMIZE1 by each bucket, not by k: at
+    /// k = 1000 a k-sized table would take about 8 GB per bucket. Two
+    /// atoms already rule out both values of a bucket, so disclosure is
+    /// certain.
+    #[test]
+    fn large_k_value_path_is_sized_by_the_bucket() {
+        let values = |v: [u32; 2]| v.map(wcbk_table::SValue);
+        let two = Bucketization::from_buckets(
+            vec![
+                crate::Bucket::new(vec![TupleId(0), TupleId(1)], &values([0, 1])),
+                crate::Bucket::new(vec![TupleId(2), TupleId(3)], &values([0, 2])),
+            ],
+            3,
+        )
+        .unwrap();
+        let engine = DisclosureEngine::new(1000);
+        let set = HistogramSet::from_bucketization(&two);
+        assert_eq!(engine.max_disclosure_value_set(&set).unwrap(), 1.0);
+        assert_eq!(engine.costs(two.bucket(0).histogram()).m1.len(), 1002);
     }
 
     #[test]

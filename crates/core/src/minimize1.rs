@@ -15,7 +15,7 @@
 //! of negations is impossible, i.e. certain disclosure). MINIMIZE1 then
 //! minimizes over profiles.
 //!
-//! Two implementations are provided:
+//! Three implementations are provided:
 //!
 //! * [`paper_recursion`] — a direct transcription of Algorithm 1 (exponential
 //!   without memoization; used as a cross-check and in the benches that
@@ -23,7 +23,11 @@
 //! * [`Minimize1Table`] — an `O(k³)`-time/-space dynamic program over states
 //!   `(i, cap, r)` using the refactored recurrence
 //!   `h(i,cap,r) = min( h(i,cap−1,r), factor(i,cap)·h(i+1,cap,r−cap) )`,
-//!   which shaves the `O(k)` inner loop of the memoized Algorithm 1.
+//!   which shaves the `O(k)` inner loop of the memoized Algorithm 1. It is
+//!   kept for profile (witness) reconstruction;
+//! * [`minimize1_values`] — the same recurrence, one person row at a time,
+//!   over only `kb = min(k, d_b)` atoms and `kb` persons: the `m1` vector
+//!   alone, which is all MINIMIZE2 reads.
 
 use crate::SensitiveHistogram;
 
@@ -89,39 +93,19 @@ pub struct Minimize1Table {
 impl Minimize1Table {
     /// Builds the DP table for `hist`, supporting up to `kmax` atoms.
     pub fn build(hist: &SensitiveHistogram, kmax: usize) -> Self {
-        let persons = kmax + 2; // i ∈ 0..=kmax+1
-        let caps = kmax + 1; // cap ∈ 0..=kmax
-        let rs = kmax + 1; // r ∈ 0..=kmax
-        let idx = |i: usize, cap: usize, r: usize| (i * caps + cap) * rs + r;
-        let mut h = vec![f64::INFINITY; persons * caps * rs];
-
-        // r = 0: empty profile, probability 1 (for every i, cap).
-        for i in 0..persons {
-            for cap in 0..caps {
-                h[idx(i, cap, 0)] = 1.0;
-            }
+        let row_len = (kmax + 1) * (kmax + 1); // (cap, r) ∈ 0..=kmax × 0..=kmax
+        let border = border_row(kmax);
+        // Persons i ∈ 0..=kmax+1; row kmax+1 keeps its borders (no person).
+        let mut h = Vec::with_capacity((kmax + 2) * row_len);
+        for _ in 0..kmax + 2 {
+            h.extend_from_slice(&border);
         }
         // Fill persons from the back: h(i, ·, ·) depends on h(i+1, ·, ·).
         for i in (0..=kmax).rev() {
-            for r in 1..=kmax {
-                for cap in 1..=kmax {
-                    // Option 1: all persons from i on take < cap atoms.
-                    let mut best = h[idx(i, cap - 1, r)];
-                    // Option 2: person i takes exactly `cap` atoms.
-                    if cap <= r {
-                        if let Some(f) = factor_cached(hist, i, cap) {
-                            let tail = h[idx(i + 1, cap, r - cap)];
-                            let take = f * tail;
-                            if take < best {
-                                best = take;
-                            }
-                        }
-                    }
-                    h[idx(i, cap, r)] = best;
-                }
-            }
+            let (head, tail) = h.split_at_mut((i + 1) * row_len);
+            step(hist, i, &tail[..row_len], &mut head[i * row_len..], kmax);
         }
-        let m1 = (0..=kmax).map(|c| h[idx(0, c, c)]).collect();
+        let m1 = (0..=kmax).map(|c| h[c * (kmax + 2)]).collect();
         Self {
             kmax,
             n: hist.n(),
@@ -181,9 +165,64 @@ impl Minimize1Table {
     }
 }
 
-#[inline]
-fn factor_cached(hist: &SensitiveHistogram, i: usize, c: usize) -> Option<f64> {
-    factor(hist, i, c)
+/// `m1(c)` for `c = 0..=kmax` — bit-identical to
+/// `Minimize1Table::build(hist, kmax).values()` — in `O(kb²)` space, where
+/// `kb = min(kmax, d_b)` for the bucket's `d_b` distinct values.
+///
+/// Exact because `m1(c) = h(0, c, c)` depends only on cells with
+/// `cap ≤ c` and `i + r ≤ c` (each later person spends at least one atom),
+/// so a table over `kb` atoms agrees on `c ≤ kb`, and its person row `kb`
+/// is read only at `r = 0`, where it is the border row: the fill covers
+/// persons `0..kb`, and `kb ≤ d_b ≤ n_b` persons exist. One person ruling
+/// out all `d_b` values has factor 0, so `m1(c) = +0.0` for every
+/// `c ≥ d_b`.
+pub fn minimize1_values(hist: &SensitiveHistogram, kmax: usize) -> Vec<f64> {
+    debug_assert!(hist.n() > 0, "buckets are non-empty");
+    let kb = kmax.min(hist.distinct());
+    let mut next = border_row(kb);
+    let mut row = border_row(kb);
+    for i in (0..kb).rev() {
+        step(hist, i, &next, &mut row, kb);
+        std::mem::swap(&mut next, &mut row);
+    }
+    let mut m1: Vec<f64> = (0..=kb).map(|c| next[c * (kb + 2)]).collect();
+    m1.resize(kmax + 1, 0.0);
+    m1
+}
+
+/// A person row `h(i, ·, ·)` before its fill, laid out `cap * (kmax+1) + r`:
+/// probability 1 for the empty remainder `r = 0`, infeasible elsewhere.
+/// Past the last person this is the whole row.
+fn border_row(kmax: usize) -> Vec<f64> {
+    let w = kmax + 1;
+    let mut row = vec![f64::INFINITY; w * w];
+    for cap in 0..w {
+        row[cap * w] = 1.0;
+    }
+    row
+}
+
+/// One person's step of the DP: fills `row` = `h(i, ·, ·)` from `next` =
+/// `h(i+1, ·, ·)` by `h(i,cap,r) = min(h(i,cap−1,r), factor(i,cap)·h(i+1,cap,r−cap))`.
+/// Writes only the cells with `cap, r ≥ 1`; the borders stay as
+/// [`border_row`] laid them.
+fn step(hist: &SensitiveHistogram, i: usize, next: &[f64], row: &mut [f64], kmax: usize) {
+    let w = kmax + 1;
+    for cap in 1..=kmax {
+        let f = factor(hist, i, cap);
+        for r in 1..=kmax {
+            // Option 1: all persons from i on take < cap atoms.
+            let mut best = row[(cap - 1) * w + r];
+            // Option 2: person i takes exactly `cap` atoms.
+            if let Some(f) = f.filter(|_| cap <= r) {
+                let take = f * next[cap * w + r - cap];
+                if take < best {
+                    best = take;
+                }
+            }
+            row[cap * w + r] = best;
+        }
+    }
 }
 
 /// Brute-force minimum of `Pr(∧ ¬A_i | B)` by enumerating *all* profiles and
@@ -341,6 +380,49 @@ mod tests {
         assert!((t.m1(1) - 2.0 / 3.0).abs() < 1e-12);
         assert!((t.m1(2) - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(t.m1(3), 0.0);
+    }
+
+    /// Every histogram with 1..=5 distinct values of counts 1..=4, as raw
+    /// values: value `j` repeated `counts[j]` times, counts non-increasing.
+    fn small_histograms() -> Vec<SensitiveHistogram> {
+        fn grow(counts: &mut Vec<u32>, out: &mut Vec<SensitiveHistogram>) {
+            if !counts.is_empty() {
+                let vals: Vec<u32> = (0u32..)
+                    .zip(counts.iter())
+                    .flat_map(|(v, &n)| std::iter::repeat_n(v, n as usize))
+                    .collect();
+                out.push(hist(&vals));
+            }
+            if counts.len() == 5 {
+                return;
+            }
+            for next in 1..=counts.last().copied().unwrap_or(4) {
+                counts.push(next);
+                grow(counts, out);
+                counts.pop();
+            }
+        }
+        let mut out = Vec::new();
+        grow(&mut Vec::new(), &mut out);
+        out
+    }
+
+    #[test]
+    fn values_and_profiles_do_not_depend_on_table_size() {
+        let hists = small_histograms();
+        assert_eq!(hists.len(), 125);
+        for h in &hists {
+            for kmax in 0..=12 {
+                let full = Minimize1Table::build(h, kmax);
+                let values = minimize1_values(h, kmax);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&values), bits(full.values()), "{h:?} kmax={kmax}");
+                for c in 0..=kmax {
+                    let sized = Minimize1Table::build(h, c);
+                    assert_eq!(sized.profile(c), full.profile(c), "{h:?} c={c} kmax={kmax}");
+                }
+            }
+        }
     }
 
     #[test]

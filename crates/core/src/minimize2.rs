@@ -28,23 +28,21 @@
 
 use std::borrow::Borrow;
 
-use crate::minimize1::Minimize1Table;
-
 /// Per-bucket inputs to the cross-bucket DP.
 #[derive(Debug, Clone)]
 pub struct BucketCosts {
-    /// `m1[c]` for `c = 0..=k+1` (the `Minimize1Table` values).
+    /// `m1[c]` for `c = 0..=k+1` (the MINIMIZE1 values).
     pub m1: Vec<f64>,
     /// `n_b / n_b(s⁰_b)` = `1 / Pr(A | B)` for the bucket's best consequent.
     pub rho: f64,
 }
 
 impl BucketCosts {
-    /// Extracts costs from a built MINIMIZE1 table and the histogram ratio.
-    pub fn new(table: &Minimize1Table, top_frequency: u64, n: u64) -> Self {
+    /// Costs from a bucket's MINIMIZE1 values and its histogram ratio.
+    pub fn new(m1: Vec<f64>, top_frequency: u64, n: u64) -> Self {
         debug_assert!(top_frequency > 0 && n >= top_frequency);
         Self {
-            m1: table.values().to_vec(),
+            m1,
             rho: n as f64 / top_frequency as f64,
         }
     }
@@ -263,7 +261,7 @@ pub fn brute_force(buckets: &[BucketCosts], k: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::minimize1::Minimize1Table;
+    use crate::minimize1::minimize1_values;
     use crate::SensitiveHistogram;
     use proptest::prelude::*;
     use wcbk_table::SValue;
@@ -271,8 +269,7 @@ mod tests {
     fn costs(vals: &[u32], kmax: usize) -> BucketCosts {
         let v: Vec<SValue> = vals.iter().map(|&x| SValue(x)).collect();
         let h = SensitiveHistogram::from_values(&v);
-        let t = Minimize1Table::build(&h, kmax);
-        BucketCosts::new(&t, h.frequency(0), h.n())
+        BucketCosts::new(minimize1_values(&h, kmax), h.frequency(0), h.n())
     }
 
     /// Figure 3: male {0,0,1,1,2}, female {0,0,3,4,5}.
@@ -441,8 +438,7 @@ mod tests {
                     let h = SensitiveHistogram::from_counts(
                         key.iter().enumerate().map(|(v, &c)| (SValue(v as u32), c)),
                     );
-                    let t = Minimize1Table::build(&h, k + 1);
-                    BucketCosts::new(&t, h.frequency(0), h.n())
+                    BucketCosts::new(minimize1_values(&h, k + 1), h.frequency(0), h.n())
                 })
                 .collect();
             for seq in &sequences {

@@ -4,7 +4,9 @@
 
 use proptest::prelude::*;
 
-use wcbk_core::minimize1::{brute_force_profiles, paper_recursion, Minimize1Table};
+use wcbk_core::minimize1::{
+    brute_force_profiles, minimize1_values, paper_recursion, Minimize1Table,
+};
 use wcbk_core::partial_order::{merge_buckets, refines};
 use wcbk_core::{
     max_disclosure, negation_max_disclosure, Bucket, Bucketization, DisclosureEngine, HistogramSet,
@@ -80,6 +82,26 @@ proptest! {
             } else {
                 prop_assert!(!dp.is_finite());
             }
+        }
+    }
+
+    /// At realistic bucket sizes the bucket-sized value path equals the
+    /// k-sized table bit for bit, and a table sized by the atom count
+    /// reconstructs the same profile as the k-sized one.
+    #[test]
+    fn bucket_sized_minimize1_matches_full_table(
+        counts in prop::collection::vec(1u64..=1000, 1..=20),
+        k in 0usize..=24,
+    ) {
+        let hist = SensitiveHistogram::from_counts(
+            counts.iter().enumerate().map(|(v, &c)| (SValue(v as u32), c)),
+        );
+        let full = Minimize1Table::build(&hist, k + 1);
+        let values = minimize1_values(&hist, k + 1);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&values), bits(full.values()));
+        for c in 0..=k + 1 {
+            prop_assert_eq!(Minimize1Table::build(&hist, c).profile(c), full.profile(c), "c={}", c);
         }
     }
 

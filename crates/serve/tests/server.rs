@@ -407,6 +407,28 @@ fn malformed_requests_get_4xx() {
     join.join().unwrap().unwrap();
 }
 
+/// A huge `k` on a tiny table: MINIMIZE1 values are sized by the bucket,
+/// so the search answers instead of allocating a `k³` table, and the
+/// server stays up.
+#[test]
+fn large_k_search_answers_and_server_stays_up() {
+    let (addr, handle, _service, join) = start(ServerConfig::default());
+    let mut client = connect(addr);
+    let job = Json::object(vec![
+        ("csv", "Age,Sex,Disease\n21,M,Flu\n23,F,Cold\n".into()),
+        ("sensitive", "Disease".into()),
+        ("qi", Json::Array(vec!["Age".into(), "Sex".into()])),
+        ("k", 1000u64.into()),
+        ("c", 0.9.into()),
+    ]);
+    let r = client.post("/search", &job.to_string()).unwrap();
+    assert_eq!(r.status, 200, "{}", r.body);
+    assert_eq!(client.get("/healthz").unwrap().status, 200);
+
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+}
+
 /// Shutdown during a streaming batch: the batch runs to completion (every
 /// line plus the summary arrives), then the server exits and the port
 /// closes.
