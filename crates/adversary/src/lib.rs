@@ -108,12 +108,18 @@ pub trait AdversaryModel: Send + Sync {
     fn composition(&self) -> CompositionStyle {
         CompositionStyle::UnionOfBuckets
     }
+
+    /// Whether merging buckets can never raise the bound (Theorem 14 for
+    /// the paper's language). The pruned lattice search infers a node safe
+    /// from a safe predecessor only under a merge-monotone model; any other
+    /// model gets the exhaustive sweep.
+    fn merge_monotone(&self) -> bool {
+        true
+    }
 }
 
-/// Registry identifier for the shipped adversary models.
-///
-/// `Copy` + `Default` so it can ride inside `SearchConfig` without breaking
-/// its value semantics; the default is the paper's conjunction language.
+/// Registry identifier for the shipped adversary models. The default is
+/// the paper's conjunction language.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ModelId {
     /// The paper's `L_k` conjunctions of basic implications.
@@ -241,6 +247,7 @@ mod tests {
             let model = id.resolve(Arc::clone(&engine));
             assert_eq!(model.name(), id.name());
             assert_eq!(model.k(), 2);
+            assert_eq!(model.merge_monotone(), id != ModelId::Minimality, "{id}");
         }
     }
 

@@ -172,8 +172,9 @@ mod tests {
     fn produces_distinct_l_diverse_buckets() {
         let t = table_with(&["a", "a", "a", "b", "b", "c", "c", "d", "e"]);
         let out = anatomize(&t, 3, 7).unwrap();
+        let histograms = wcbk_core::HistogramSet::from_bucketization(&out.bucketization);
         assert!(DistinctLDiversity::new(3)
-            .is_satisfied(&out.bucketization)
+            .is_satisfied_hist(&histograms)
             .unwrap());
         // Every bucket has size l or l+1 (residue absorption).
         for bucket in out.bucketization.buckets() {

@@ -1,41 +1,42 @@
 //! Pluggable privacy criteria.
 //!
-//! Each criterion is a predicate over bucketizations that is **monotone**
-//! with respect to the `⪯` partial order: if it holds for `B`, it holds for
-//! every coarsening of `B`. Monotonicity is what lets lattice search prune
-//! (evaluate a node's predecessors first) and chain binary search work. For
-//! (c,k)-safety this is the paper's Theorem 14; for k-anonymity and the
-//! ℓ-diversity family it is classical.
+//! Each criterion is a predicate over the per-bucket sensitive histograms
+//! of a bucketization. All but one are **monotone** with respect to the
+//! `⪯` partial order: if it holds for `B`, it holds for every coarsening of
+//! `B`. Monotonicity is what lets lattice search prune (evaluate a node's
+//! predecessors first) and chain binary search work. For (c,k)-safety this
+//! is the paper's Theorem 14; for k-anonymity and the ℓ-diversity family it
+//! is classical. A criterion that is not monotone says so through
+//! [`PrivacyCriterion::monotone`], and the search sweeps every node for it.
 
 use wcbk_adversary::AdversaryModel;
-use wcbk_core::{Bucketization, CacheStats, CkSafety, CoreError, DisclosureEngine, HistogramSet};
+use wcbk_core::{CacheStats, CkSafety, CoreError, DisclosureEngine, HistogramSet};
 
 use crate::AnonymizeError;
 
-/// A monotone privacy predicate over bucketizations.
+/// A privacy predicate over histogram-only bucketization views.
 ///
 /// `Send + Sync` so one criterion instance can be shared across the worker
 /// threads of the parallel lattice search; implementations that memoize
-/// (the (c,k)-safety criterion caches MINIMIZE1 tables across calls) do so
-/// through interior mutability — both check methods take `&self`.
+/// (the (c,k)-safety criterion caches MINIMIZE1 values across calls) do so
+/// through interior mutability — the check takes `&self`.
 ///
-/// The primary surface is [`is_satisfied_hist`](Self::is_satisfied_hist):
-/// every shipped criterion depends only on per-bucket sensitive histograms,
+/// Every shipped criterion depends only on per-bucket sensitive histograms,
 /// which is what lets the lattice search evaluate nodes from rolled-up
-/// histograms without materializing a [`Bucketization`].
+/// histograms without materializing a `Bucketization`; a materialized one
+/// is judged through [`HistogramSet::from_bucketization`].
 pub trait PrivacyCriterion: Send + Sync {
     /// Human-readable name with parameters, e.g. `"(0.70,3)-safety"`.
     fn name(&self) -> String;
 
-    /// Whether the histogram-only view satisfies the criterion — the search
-    /// hot path.
+    /// Whether the histogram view satisfies the criterion.
     fn is_satisfied_hist(&self, h: &HistogramSet) -> Result<bool, AnonymizeError>;
 
-    /// Whether `b` satisfies the criterion. The default delegates to the
-    /// histogram surface; implementations may override to skip the
-    /// histogram-cloning view.
-    fn is_satisfied(&self, b: &Bucketization) -> Result<bool, AnonymizeError> {
-        self.is_satisfied_hist(&HistogramSet::from_bucketization(b))
+    /// Whether a node satisfying the criterion implies every coarsening
+    /// satisfies it — what lets the search infer safety instead of
+    /// evaluating. `true` unless an implementation says otherwise.
+    fn monotone(&self) -> bool {
+        true
     }
 }
 
@@ -50,8 +51,8 @@ impl<T: PrivacyCriterion + ?Sized> PrivacyCriterion for Box<T> {
         (**self).is_satisfied_hist(h)
     }
 
-    fn is_satisfied(&self, b: &Bucketization) -> Result<bool, AnonymizeError> {
-        (**self).is_satisfied(b)
+    fn monotone(&self) -> bool {
+        (**self).monotone()
     }
 }
 
@@ -66,8 +67,8 @@ impl<T: PrivacyCriterion + ?Sized> PrivacyCriterion for &T {
         (**self).is_satisfied_hist(h)
     }
 
-    fn is_satisfied(&self, b: &Bucketization) -> Result<bool, AnonymizeError> {
-        (**self).is_satisfied(b)
+    fn monotone(&self) -> bool {
+        (**self).monotone()
     }
 }
 
@@ -82,8 +83,8 @@ impl<T: PrivacyCriterion + ?Sized> PrivacyCriterion for std::sync::Arc<T> {
         (**self).is_satisfied_hist(h)
     }
 
-    fn is_satisfied(&self, b: &Bucketization) -> Result<bool, AnonymizeError> {
-        (**self).is_satisfied(b)
+    fn monotone(&self) -> bool {
+        (**self).monotone()
     }
 }
 
@@ -111,10 +112,6 @@ impl PrivacyCriterion for KAnonymity {
     fn is_satisfied_hist(&self, h: &HistogramSet) -> Result<bool, AnonymizeError> {
         Ok(h.min_bucket_size() >= self.k)
     }
-
-    fn is_satisfied(&self, b: &Bucketization) -> Result<bool, AnonymizeError> {
-        Ok(b.min_bucket_size() >= self.k)
-    }
 }
 
 /// Distinct ℓ-diversity: every bucket contains at least `l` distinct
@@ -138,12 +135,6 @@ impl PrivacyCriterion for DistinctLDiversity {
 
     fn is_satisfied_hist(&self, h: &HistogramSet) -> Result<bool, AnonymizeError> {
         Ok(h.histograms().iter().all(|hist| hist.distinct() >= self.l))
-    }
-
-    fn is_satisfied(&self, b: &Bucketization) -> Result<bool, AnonymizeError> {
-        Ok(b.buckets()
-            .iter()
-            .all(|bucket| bucket.histogram().distinct() >= self.l))
     }
 }
 
@@ -176,13 +167,6 @@ impl PrivacyCriterion for EntropyLDiversity {
         Ok(h.histograms()
             .iter()
             .all(|hist| hist.entropy() >= threshold - 1e-12))
-    }
-
-    fn is_satisfied(&self, b: &Bucketization) -> Result<bool, AnonymizeError> {
-        let threshold = self.l.ln();
-        Ok(b.buckets()
-            .iter()
-            .all(|bucket| bucket.histogram().entropy() >= threshold - 1e-12))
     }
 }
 
@@ -221,19 +205,13 @@ impl PrivacyCriterion for RecursiveCLDiversity {
     fn is_satisfied_hist(&self, h: &HistogramSet) -> Result<bool, AnonymizeError> {
         Ok(h.histograms().iter().all(|hist| self.histogram_ok(hist)))
     }
-
-    fn is_satisfied(&self, b: &Bucketization) -> Result<bool, AnonymizeError> {
-        Ok(b.buckets()
-            .iter()
-            .all(|bucket| self.histogram_ok(bucket.histogram())))
-    }
 }
 
 /// (c,k)-safety (Definition 13), evaluated through a memoizing
 /// [`DisclosureEngine`].
 ///
 /// The engine's sharded cache is interior-mutable, so the criterion can be
-/// shared across search threads: concurrent `is_satisfied` calls memoize
+/// shared across search threads: concurrent `is_satisfied_hist` calls memoize
 /// MINIMIZE1 tables into the same cache. The engine itself is held behind an
 /// [`Arc`](std::sync::Arc), so long-lived callers (the `wcbk-serve` audit
 /// service) can hand **one** engine to many criteria via
@@ -287,10 +265,6 @@ impl PrivacyCriterion for CkSafetyCriterion {
     fn is_satisfied_hist(&self, h: &HistogramSet) -> Result<bool, AnonymizeError> {
         Ok(self.safety.is_safe_set(&self.engine, h)?)
     }
-
-    fn is_satisfied(&self, b: &Bucketization) -> Result<bool, AnonymizeError> {
-        Ok(self.safety.is_safe_with(&self.engine, b)?)
-    }
 }
 
 /// (c,k)-safety under **any** registered [`AdversaryModel`]: satisfied when
@@ -298,11 +272,12 @@ impl PrivacyCriterion for CkSafetyCriterion {
 ///
 /// With the conjunction model this is exactly [`CkSafetyCriterion`] (the
 /// bound is computed by the same engine, bit-for-bit); the other models
-/// substitute their own knowledge language. The pruned lattice search
-/// requires a merge-monotone model, and not every shipped model is one:
-/// the `minimality` model bounds buckets {3,2,1} and {3,1,2} at 0.6 at
-/// k=1, but their merge at 6/9, so a pruned search under it can call a
-/// node safe that the exhaustive sweep calls unsafe (ROADMAP open item 4).
+/// substitute their own knowledge language. The criterion is
+/// [`monotone`](PrivacyCriterion::monotone) exactly when its model is
+/// [`merge_monotone`](AdversaryModel::merge_monotone). The `minimality`
+/// model is not: it bounds buckets {3,2,1} and {3,1,2} at 0.6 at k=1 but
+/// their merge at 6/9, so searches under it sweep every node instead of
+/// pruning.
 pub struct ModelSafetyCriterion {
     model: std::sync::Arc<dyn AdversaryModel>,
     c: f64,
@@ -336,12 +311,17 @@ impl PrivacyCriterion for ModelSafetyCriterion {
     fn is_satisfied_hist(&self, h: &HistogramSet) -> Result<bool, AnonymizeError> {
         Ok(self.model.max_disclosure(h)? < self.c)
     }
+
+    fn monotone(&self) -> bool {
+        self.model.merge_monotone()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use wcbk_core::partial_order::merge_all;
+    use wcbk_core::{is_ck_safe, Bucketization, SensitiveHistogram};
     use wcbk_table::datasets::{hospital_bucket_of, hospital_table};
 
     fn figure3() -> Bucketization {
@@ -352,20 +332,26 @@ mod tests {
         Bucketization::from_grouping(&hospital_table(), |t| t).unwrap()
     }
 
+    /// Judges a materialized bucketization through its histogram view.
+    fn holds(c: &dyn PrivacyCriterion, b: &Bucketization) -> bool {
+        c.is_satisfied_hist(&HistogramSet::from_bucketization(b))
+            .unwrap()
+    }
+
     #[test]
     fn k_anonymity_thresholds() {
         let b = figure3();
-        assert!(KAnonymity::new(5).is_satisfied(&b).unwrap());
-        assert!(!KAnonymity::new(6).is_satisfied(&b).unwrap());
-        assert!(!KAnonymity::new(2).is_satisfied(&bottom()).unwrap());
+        assert!(holds(&KAnonymity::new(5), &b));
+        assert!(!holds(&KAnonymity::new(6), &b));
+        assert!(!holds(&KAnonymity::new(2), &bottom()));
     }
 
     #[test]
     fn distinct_l_diversity() {
         let b = figure3();
         // Male bucket has 3 distinct, female 4.
-        assert!(DistinctLDiversity::new(3).is_satisfied(&b).unwrap());
-        assert!(!DistinctLDiversity::new(4).is_satisfied(&b).unwrap());
+        assert!(holds(&DistinctLDiversity::new(3), &b));
+        assert!(!holds(&DistinctLDiversity::new(4), &b));
     }
 
     #[test]
@@ -374,14 +360,8 @@ mod tests {
         let male_entropy = b.bucket(0).histogram().entropy();
         let ok_l = male_entropy.exp() - 0.01;
         let bad_l = male_entropy.exp() + 0.1;
-        assert!(EntropyLDiversity::new(ok_l)
-            .unwrap()
-            .is_satisfied(&b)
-            .unwrap());
-        assert!(!EntropyLDiversity::new(bad_l)
-            .unwrap()
-            .is_satisfied(&b)
-            .unwrap());
+        assert!(holds(&EntropyLDiversity::new(ok_l).unwrap(), &b));
+        assert!(!holds(&EntropyLDiversity::new(bad_l).unwrap(), &b));
         assert!(EntropyLDiversity::new(0.5).is_err());
     }
 
@@ -390,14 +370,8 @@ mod tests {
         let b = figure3();
         // Male bucket (2,2,1), l=2: f0=2 < c·(f1+f2)=c·3 ⟺ c > 2/3.
         // Female bucket (2,1,1,1), l=2: 2 < c·3 — same bound.
-        assert!(RecursiveCLDiversity::new(0.7, 2)
-            .unwrap()
-            .is_satisfied(&b)
-            .unwrap());
-        assert!(!RecursiveCLDiversity::new(0.6, 2)
-            .unwrap()
-            .is_satisfied(&b)
-            .unwrap());
+        assert!(holds(&RecursiveCLDiversity::new(0.7, 2).unwrap(), &b));
+        assert!(!holds(&RecursiveCLDiversity::new(0.6, 2).unwrap(), &b));
         assert!(RecursiveCLDiversity::new(1.0, 1).is_err());
     }
 
@@ -405,9 +379,9 @@ mod tests {
     fn ck_safety_criterion_delegates_to_core() {
         let b = figure3();
         let safe = CkSafetyCriterion::new(0.7, 1).unwrap();
-        assert!(safe.is_satisfied(&b).unwrap());
+        assert!(holds(&safe, &b));
         let unsafe_ = CkSafetyCriterion::new(0.5, 1).unwrap();
-        assert!(!unsafe_.is_satisfied(&b).unwrap());
+        assert!(!holds(&unsafe_, &b));
     }
 
     #[test]
@@ -416,14 +390,14 @@ mod tests {
         let b = figure3();
         let engine = Arc::new(DisclosureEngine::new(1));
         let first = CkSafetyCriterion::with_engine(0.7, Arc::clone(&engine)).unwrap();
-        assert!(first.is_satisfied(&b).unwrap());
+        assert!(holds(&first, &b));
         let (hits0, misses0) = engine.cache_stats();
         assert_eq!(hits0, 0);
         assert!(misses0 > 0);
         // A second criterion (different c, same engine) reuses the MINIMIZE1
         // tables the first one built.
         let second = CkSafetyCriterion::with_engine(0.5, Arc::clone(&engine)).unwrap();
-        assert!(!second.is_satisfied(&b).unwrap());
+        assert!(!holds(&second, &b));
         let (hits1, misses1) = engine.cache_stats();
         assert!(hits1 > 0, "second criterion must hit the shared cache");
         assert_eq!(misses1, misses0);
@@ -434,43 +408,65 @@ mod tests {
     fn criteria_are_monotone_under_full_merge() {
         let fine = figure3();
         let coarse = merge_all(&fine).unwrap();
-        let criteria: Vec<Box<dyn PrivacyCriterion>> = vec![
+        let mut criteria: Vec<Box<dyn PrivacyCriterion>> = vec![
             Box::new(KAnonymity::new(5)),
             Box::new(DistinctLDiversity::new(3)),
             Box::new(EntropyLDiversity::new(2.5).unwrap()),
             Box::new(CkSafetyCriterion::new(0.7, 1).unwrap()),
         ];
+        // A model criterion, even boxed, is monotone exactly when its
+        // model is merge-monotone.
+        let engine = std::sync::Arc::new(DisclosureEngine::new(1));
+        for id in wcbk_adversary::MODEL_IDS {
+            let model = id.resolve(engine.clone());
+            criteria.push(Box::new(ModelSafetyCriterion::new(0.7, model).unwrap()));
+        }
         for c in criteria.iter() {
-            if c.is_satisfied(&fine).unwrap() {
-                assert!(
-                    c.is_satisfied(&coarse).unwrap(),
-                    "{} not monotone",
-                    c.name()
-                );
+            assert_eq!(
+                c.monotone(),
+                !c.name().ends_with("minimality"),
+                "{}",
+                c.name()
+            );
+            if c.monotone() && holds(c, &fine) {
+                assert!(holds(c, &coarse), "{} not monotone", c.name());
             }
         }
     }
 
+    /// Each criterion's histogram view agrees with its definition over the
+    /// materialized buckets.
     #[test]
     fn histogram_surface_agrees_with_bucketization_surface() {
-        let criteria: Vec<Box<dyn PrivacyCriterion>> = vec![
-            Box::new(KAnonymity::new(3)),
-            Box::new(KAnonymity::new(6)),
-            Box::new(DistinctLDiversity::new(3)),
-            Box::new(DistinctLDiversity::new(4)),
-            Box::new(EntropyLDiversity::new(2.5).unwrap()),
-            Box::new(RecursiveCLDiversity::new(0.7, 2).unwrap()),
-            Box::new(CkSafetyCriterion::new(0.7, 1).unwrap()),
-            Box::new(CkSafetyCriterion::new(0.5, 1).unwrap()),
+        type BucketTest = fn(&SensitiveHistogram) -> bool;
+        let recursive: BucketTest = |h| {
+            let tail: u64 = (1..h.distinct()).map(|r| h.frequency(r)).sum();
+            (h.frequency(0) as f64) < 0.7 * tail as f64
+        };
+        let per_bucket: Vec<(Box<dyn PrivacyCriterion>, BucketTest)> = vec![
+            (Box::new(KAnonymity::new(3)), |h| h.n() >= 3),
+            (Box::new(KAnonymity::new(6)), |h| h.n() >= 6),
+            (Box::new(DistinctLDiversity::new(3)), |h| h.distinct() >= 3),
+            (Box::new(DistinctLDiversity::new(4)), |h| h.distinct() >= 4),
+            (Box::new(EntropyLDiversity::new(2.5).unwrap()), |h| {
+                h.entropy() >= 2.5f64.ln() - 1e-12
+            }),
+            (
+                Box::new(RecursiveCLDiversity::new(0.7, 2).unwrap()),
+                recursive,
+            ),
         ];
         for b in [figure3(), bottom()] {
-            let h = wcbk_core::HistogramSet::from_bucketization(&b);
-            for c in &criteria {
+            for (c, ok) in &per_bucket {
+                let want = b.buckets().iter().all(|x| ok(x.histogram()));
+                assert_eq!(want, holds(c, &b), "{} disagrees across surfaces", c.name());
+            }
+            for c in [0.7, 0.5] {
+                let criterion = CkSafetyCriterion::new(c, 1).unwrap();
                 assert_eq!(
-                    c.is_satisfied(&b).unwrap(),
-                    c.is_satisfied_hist(&h).unwrap(),
-                    "{} disagrees across surfaces",
-                    c.name()
+                    is_ck_safe(&b, c, 1).unwrap(),
+                    holds(&criterion, &b),
+                    "c={c}"
                 );
             }
         }

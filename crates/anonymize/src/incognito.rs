@@ -21,18 +21,18 @@
 
 use std::collections::{HashMap, HashSet};
 
-use wcbk_core::sched::{evaluate_work_stealing, MonotoneDag};
+use wcbk_core::sched::{MonotoneDag, NodeResolution};
 use wcbk_hierarchy::{GenNode, GeneralizationLattice};
 use wcbk_table::Table;
 
-use crate::search::SearchConfig;
+use crate::search::{drain, evaluator, require_monotone, SearchConfig, Source};
 use crate::{AnonymizeError, PrivacyCriterion};
 
 /// Statistics and results of an Incognito run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IncognitoOutcome {
     /// All ⪯-minimal safe nodes of the **full** lattice (same contract as
-    /// [`crate::search::find_minimal_safe`]).
+    /// [`crate::search::search`]).
     pub minimal_nodes: Vec<GenNode>,
     /// Criterion evaluations actually performed, across all subsets.
     pub evaluated: usize,
@@ -42,15 +42,6 @@ pub struct IncognitoOutcome {
 }
 
 /// Runs generalized Incognito over the lattice's quasi-identifier subsets.
-pub fn incognito<C: PrivacyCriterion>(
-    table: &Table,
-    lattice: &GeneralizationLattice,
-    criterion: &C,
-) -> Result<IncognitoOutcome, AnonymizeError> {
-    incognito_with(table, lattice, criterion, &SearchConfig::with_threads(1))
-}
-
-/// [`incognito`] with an explicit [`SearchConfig`].
 ///
 /// The apriori join is inherently sequential across subset sizes, but each
 /// subset's surviving candidates form a monotone-pruned DAG of their own.
@@ -59,23 +50,28 @@ pub fn incognito<C: PrivacyCriterion>(
 /// become runnable as their last in-set predecessor resolves; idle workers
 /// speculate). Either way the outcome — minimal nodes, per-size evaluation
 /// counts, first-error semantics — is identical to the sequential run's.
-pub fn incognito_with<C: PrivacyCriterion>(
+///
+/// Subset pruning is only sound for a
+/// [`monotone`](PrivacyCriterion::monotone) criterion; any other is
+/// rejected with [`AnonymizeError::InvalidParameter`].
+pub fn incognito<C: PrivacyCriterion>(
     table: &Table,
     lattice: &GeneralizationLattice,
     criterion: &C,
     config: &SearchConfig,
 ) -> Result<IncognitoOutcome, AnonymizeError> {
+    require_monotone(criterion, "Incognito")?;
     let threads = config.effective_threads();
     let n_dims = lattice.n_dims();
     // One table scan up front; every subset projection is evaluated from
     // rolled-up histograms. Signature-overflow tables fall back to
     // per-candidate `bucketize_subset` scans.
-    let evaluator = crate::search::try_evaluator_capped(
+    let evaluator = evaluator(table, lattice, config)?;
+    let source = Source {
         table,
         lattice,
-        config.memo_capacity,
-        config.scan_options(),
-    )?;
+        evaluator: evaluator.as_ref(),
+    };
     let mut evaluated_total = 0usize;
     let mut per_size = Vec::with_capacity(n_dims);
     // safe[subset-bitmask] = set of level vectors (over that subset's dims,
@@ -102,39 +98,30 @@ pub fn incognito_with<C: PrivacyCriterion>(
             // one height keep their join order.
             let mut order = candidates;
             order.sort_by_key(|v| v.iter().sum::<usize>());
-            let candidate_set: HashSet<Vec<usize>> = order.iter().cloned().collect();
-            let judge = |v: &Vec<usize>| -> Result<bool, AnonymizeError> {
-                match &evaluator {
-                    Some(eval) => criterion.is_satisfied_hist(&eval.histograms_subset(&dims, v)?),
-                    None => {
-                        let b = lattice.bucketize_subset(table, &dims, v)?;
-                        criterion.is_satisfied(&b)
-                    }
-                }
-            };
-            let subset_safe = if threads > 1 {
-                let (safe_set, evaluated) =
-                    steal_candidates(&order, &candidate_set, threads, &judge)?;
-                evaluated_this_size += evaluated;
-                safe_set
-            } else {
-                // In height order every in-set predecessor is resolved
-                // before the candidates above it.
-                let mut subset_safe: HashSet<Vec<usize>> = HashSet::new();
-                for v in order {
-                    let inherited = predecessors(&v)
-                        .into_iter()
-                        .any(|p| subset_safe.contains(&p));
-                    if !inherited {
-                        evaluated_this_size += 1;
-                        if !judge(&v)? {
-                            continue;
-                        }
-                    }
-                    subset_safe.insert(v);
-                }
-                subset_safe
-            };
+            let index: HashMap<&Vec<usize>, u32> = order
+                .iter()
+                .enumerate()
+                .map(|(i, v)| (v, i as u32))
+                .collect();
+            let preds: Vec<Vec<u32>> = order
+                .iter()
+                .map(|v| {
+                    predecessors(v)
+                        .iter()
+                        .filter_map(|p| index.get(p).copied())
+                        .collect()
+                })
+                .collect();
+            let outcome = drain(&MonotoneDag::new(preds), threads, |i| {
+                criterion.is_satisfied_hist(&source.subset_histograms(&dims, &order[i])?)
+            })?;
+            evaluated_this_size += outcome.evaluated;
+            let subset_safe: HashSet<Vec<usize>> = order
+                .iter()
+                .zip(&outcome.resolutions)
+                .filter(|(_, r)| **r != NodeResolution::EvaluatedUnsafe)
+                .map(|(v, _)| v.clone())
+                .collect();
             safe.insert(mask, subset_safe);
         }
         evaluated_total += evaluated_this_size;
@@ -160,53 +147,6 @@ pub fn incognito_with<C: PrivacyCriterion>(
         evaluated: evaluated_total,
         per_size,
     })
-}
-
-/// Drains one subset's candidate DAG (candidates in height-major order,
-/// edges between in-set immediate predecessors) through the work-stealing
-/// scheduler. Returns the safe level vectors and the number of required
-/// evaluations — both identical to what the one-thread drain computes.
-fn steal_candidates<F>(
-    order: &[Vec<usize>],
-    candidate_set: &HashSet<Vec<usize>>,
-    threads: usize,
-    judge: &F,
-) -> Result<(HashSet<Vec<usize>>, usize), AnonymizeError>
-where
-    F: Fn(&Vec<usize>) -> Result<bool, AnonymizeError> + Sync,
-{
-    use wcbk_core::sched::NodeResolution;
-
-    let index: HashMap<&Vec<usize>, u32> = order
-        .iter()
-        .enumerate()
-        .map(|(i, v)| (v, i as u32))
-        .collect();
-    let preds: Vec<Vec<u32>> = order
-        .iter()
-        .map(|v| {
-            predecessors(v)
-                .iter()
-                .filter(|p| candidate_set.contains(*p))
-                .map(|p| index[p])
-                .collect::<Vec<u32>>()
-        })
-        .collect();
-    let dag = MonotoneDag::new(preds);
-    let outcome = evaluate_work_stealing(&dag, threads, true, |i| judge(&order[i]))?;
-    let safe_set: HashSet<Vec<usize>> = outcome
-        .resolutions
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| {
-            matches!(
-                r,
-                NodeResolution::PrunedSafe | NodeResolution::EvaluatedSafe
-            )
-        })
-        .map(|(i, _)| order[i].clone())
-        .collect();
-    Ok((safe_set, outcome.evaluated))
 }
 
 /// All bitmasks over `n` dims with exactly `size` bits set, ascending.
@@ -277,7 +217,7 @@ fn predecessors(v: &[usize]) -> Vec<Vec<usize>> {
 mod tests {
     use super::*;
     use crate::criteria::{CkSafetyCriterion, DistinctLDiversity, KAnonymity};
-    use crate::search::find_minimal_safe;
+    use crate::search::search;
     use wcbk_hierarchy::Hierarchy;
     use wcbk_table::datasets::hospital_table;
 
@@ -298,16 +238,29 @@ mod tests {
         nodes
     }
 
+    fn sequential() -> SearchConfig {
+        SearchConfig::with_threads(1)
+    }
+
+    /// The sequential lattice search's minimal nodes, sorted.
+    fn bfs<C: PrivacyCriterion>(t: &Table, l: &GeneralizationLattice, c: &C) -> Vec<GenNode> {
+        sorted(
+            search(t, l, c, &sequential())
+                .unwrap()
+                .outcome
+                .minimal_nodes,
+        )
+    }
+
     #[test]
     fn incognito_matches_bfs_for_k_anonymity() {
         let t = hospital_table();
         let l = lattice(&t);
         for k in [2u64, 3, 5, 10, 11] {
-            let inc = incognito(&t, &l, &KAnonymity::new(k)).unwrap();
-            let bfs = find_minimal_safe(&t, &l, &KAnonymity::new(k)).unwrap();
+            let inc = incognito(&t, &l, &KAnonymity::new(k), &sequential()).unwrap();
             assert_eq!(
                 inc.minimal_nodes,
-                sorted(bfs.minimal_nodes),
+                bfs(&t, &l, &KAnonymity::new(k)),
                 "k={k} mismatch"
             );
         }
@@ -318,11 +271,11 @@ mod tests {
         let t = hospital_table();
         let l = lattice(&t);
         for (c, k) in [(0.5, 0), (0.7, 1), (0.9, 1), (1.0, 2), (0.45, 0)] {
-            let inc = incognito(&t, &l, &CkSafetyCriterion::new(c, k).unwrap()).unwrap();
-            let bfs = find_minimal_safe(&t, &l, &CkSafetyCriterion::new(c, k).unwrap()).unwrap();
+            let criterion = CkSafetyCriterion::new(c, k).unwrap();
+            let inc = incognito(&t, &l, &criterion, &sequential()).unwrap();
             assert_eq!(
                 inc.minimal_nodes,
-                sorted(bfs.minimal_nodes),
+                bfs(&t, &l, &CkSafetyCriterion::new(c, k).unwrap()),
                 "(c,k)=({c},{k}) mismatch"
             );
         }
@@ -333,9 +286,9 @@ mod tests {
         let t = hospital_table();
         let l = lattice(&t);
         for ell in [2usize, 3, 4, 6] {
-            let inc = incognito(&t, &l, &DistinctLDiversity::new(ell)).unwrap();
-            let bfs = find_minimal_safe(&t, &l, &DistinctLDiversity::new(ell)).unwrap();
-            assert_eq!(inc.minimal_nodes, sorted(bfs.minimal_nodes), "l={ell}");
+            let inc = incognito(&t, &l, &DistinctLDiversity::new(ell), &sequential()).unwrap();
+            let want = bfs(&t, &l, &DistinctLDiversity::new(ell));
+            assert_eq!(inc.minimal_nodes, want, "l={ell}");
         }
     }
 
@@ -345,7 +298,7 @@ mod tests {
         // larger candidates are ever generated.
         let t = hospital_table();
         let l = lattice(&t);
-        let inc = incognito(&t, &l, &KAnonymity::new(11)).unwrap();
+        let inc = incognito(&t, &l, &KAnonymity::new(11), &sequential()).unwrap();
         assert!(inc.minimal_nodes.is_empty());
         let size2_candidates = inc.per_size[1].1;
         assert_eq!(size2_candidates, 0, "join should have emptied level 2");
@@ -355,7 +308,7 @@ mod tests {
     fn per_size_accounting_is_consistent() {
         let t = hospital_table();
         let l = lattice(&t);
-        let inc = incognito(&t, &l, &KAnonymity::new(5)).unwrap();
+        let inc = incognito(&t, &l, &KAnonymity::new(5), &sequential()).unwrap();
         assert_eq!(inc.per_size.len(), 3);
         let total: usize = inc.per_size.iter().map(|&(_, _, e)| e).sum();
         assert_eq!(total, inc.evaluated);

@@ -10,12 +10,15 @@
 //!   **distinct/entropy/recursive ℓ-diversity** [Machanavajjhala et al.] and
 //!   **(c,k)-safety** (Definition 13, backed by the `wcbk-core` engine).
 //!   All of these are monotone w.r.t. the generalization lattice
-//!   (Theorem 14 for (c,k)-safety), which the searches exploit.
-//! * [`search`] — bottom-up breadth-first search over a
+//!   (Theorem 14 for (c,k)-safety), which the searches exploit; a
+//!   criterion that is not monotone (the `minimality` adversary) gets an
+//!   exhaustive sweep instead.
+//! * [`search()`] — the one lattice search: bottom-up over a
 //!   [`GeneralizationLattice`](wcbk_hierarchy::GeneralizationLattice) with
-//!   monotone pruning, returning **all ⪯-minimal safe nodes**; plus binary
-//!   search along chains (the "logarithmic in the height of the lattice"
-//!   observation below Definition 13).
+//!   monotone pruning, sequential or work-stealing per [`SearchConfig`],
+//!   returning **all ⪯-minimal safe nodes**; plus [`sweep`] over every node
+//!   and binary search along chains (the "logarithmic in the height of the
+//!   lattice" observation below Definition 13).
 //! * [`utility`] — utility metrics for choosing among minimal safe nodes
 //!   (discernibility penalty, average class size, generalization height,
 //!   minimum bucket entropy).
@@ -48,12 +51,11 @@ pub use criteria::{
     PrivacyCriterion, RecursiveCLDiversity,
 };
 pub use error::AnonymizeError;
-pub use incognito::{incognito, incognito_with, IncognitoOutcome};
-pub use pipeline::{anonymize, anonymize_parallel, AnonymizationOutcome};
+pub use incognito::{incognito, IncognitoOutcome};
+pub use pipeline::{anonymize, AnonymizationOutcome};
 pub use search::{
-    binary_search_chain, default_threads, find_minimal_safe, find_minimal_safe_report,
-    find_minimal_safe_rescan, find_minimal_safe_with, sweep_all, sweep_all_rescan, SearchConfig,
-    SearchOutcome, SearchReport,
+    binary_search_chain, default_threads, find_minimal_safe_rescan, search, sweep,
+    sweep_all_rescan, SearchConfig, SearchOutcome, SearchReport,
 };
 pub use session::{
     AuditReport, CompositionReport, DatasetSession, ModelAuditReport, ModelCompositionReport,

@@ -4,6 +4,7 @@ use wcbk_core::{max_disclosure, Bucketization, DisclosureResult};
 use wcbk_hierarchy::{GenNode, GeneralizationLattice};
 use wcbk_table::Table;
 
+use crate::search::{search, SearchConfig};
 use crate::utility::pick_best;
 use crate::{AnonymizeError, PrivacyCriterion, UtilityMetric};
 
@@ -29,8 +30,10 @@ impl AnonymizationOutcome {
     }
 }
 
-/// Finds all ⪯-minimal safe generalizations of `table` under `criterion`,
-/// then returns the best one according to `metric`.
+/// Finds all ⪯-minimal safe generalizations of `table` under `criterion`
+/// (the lattice search as `config` sets it up), then returns the best one
+/// according to `metric`. The search outcome does not depend on the
+/// thread count, so neither does the chosen node.
 ///
 /// Errors with [`AnonymizeError::NoSafeNode`] when not even the top of the
 /// lattice satisfies the criterion.
@@ -39,32 +42,9 @@ pub fn anonymize<C: PrivacyCriterion>(
     lattice: &GeneralizationLattice,
     criterion: &C,
     metric: UtilityMetric,
+    config: &SearchConfig,
 ) -> Result<AnonymizationOutcome, AnonymizeError> {
-    let outcome = crate::search::find_minimal_safe(table, lattice, criterion)?;
-    rank_and_report(table, lattice, metric, outcome)
-}
-
-/// [`anonymize`] with the lattice search fanned out over `threads` worker
-/// threads (0 = all available cores). Same result, shorter wall clock: the
-/// search outcome is deterministic, so ranking sees identical inputs.
-pub fn anonymize_parallel<C: PrivacyCriterion>(
-    table: &Table,
-    lattice: &GeneralizationLattice,
-    criterion: &C,
-    metric: UtilityMetric,
-    threads: usize,
-) -> Result<AnonymizationOutcome, AnonymizeError> {
-    let config = crate::search::SearchConfig::with_threads(threads);
-    let outcome = crate::search::find_minimal_safe_with(table, lattice, criterion, &config)?;
-    rank_and_report(table, lattice, metric, outcome)
-}
-
-fn rank_and_report(
-    table: &Table,
-    lattice: &GeneralizationLattice,
-    metric: UtilityMetric,
-    outcome: crate::search::SearchOutcome,
-) -> Result<AnonymizationOutcome, AnonymizeError> {
+    let outcome = search(table, lattice, criterion, config)?.outcome;
     let node = pick_best(metric, lattice, table, &outcome.minimal_nodes)?
         .ok_or(AnonymizeError::NoSafeNode)?;
     let bucketization = lattice.bucketize(table, &node)?;
@@ -99,11 +79,20 @@ mod tests {
         (t, l)
     }
 
+    /// The sequential search, ranked by `metric`.
+    fn run<C: PrivacyCriterion>(
+        t: &Table,
+        l: &GeneralizationLattice,
+        criterion: &C,
+        metric: UtilityMetric,
+    ) -> Result<AnonymizationOutcome, AnonymizeError> {
+        anonymize(t, l, criterion, metric, &SearchConfig::with_threads(1))
+    }
+
     #[test]
     fn anonymize_with_k_anonymity() {
         let (t, l) = setup();
-        let outcome =
-            anonymize(&t, &l, &KAnonymity::new(5), UtilityMetric::Discernibility).unwrap();
+        let outcome = run(&t, &l, &KAnonymity::new(5), UtilityMetric::Discernibility).unwrap();
         assert!(outcome.bucketization.min_bucket_size() >= 5);
         assert!(outcome.minimal_nodes.contains(&outcome.node));
         // The chosen node must truly be 5-anonymous and minimal.
@@ -117,7 +106,7 @@ mod tests {
     fn anonymize_with_ck_safety_and_audit() {
         let (t, l) = setup();
         let criterion = CkSafetyCriterion::new(0.7, 1).unwrap();
-        let outcome = anonymize(&t, &l, &criterion, UtilityMetric::Height).unwrap();
+        let outcome = run(&t, &l, &criterion, UtilityMetric::Height).unwrap();
         let audit = outcome.audit(1).unwrap();
         assert!(audit.value < 0.7, "audit {} >= c", audit.value);
         // The witness knowledge must have at most k implications.
@@ -127,18 +116,17 @@ mod tests {
     #[test]
     fn impossible_criterion_errors() {
         let (t, l) = setup();
-        let err =
-            anonymize(&t, &l, &KAnonymity::new(11), UtilityMetric::Discernibility).unwrap_err();
+        let err = run(&t, &l, &KAnonymity::new(11), UtilityMetric::Discernibility).unwrap_err();
         assert!(matches!(err, AnonymizeError::NoSafeNode));
     }
 
     #[test]
     fn stricter_criteria_push_higher_in_lattice() {
         let (t, l) = setup();
-        let loose = anonymize(&t, &l, &KAnonymity::new(2), UtilityMetric::Height)
+        let loose = run(&t, &l, &KAnonymity::new(2), UtilityMetric::Height)
             .unwrap()
             .node;
-        let strict = anonymize(&t, &l, &KAnonymity::new(10), UtilityMetric::Height)
+        let strict = run(&t, &l, &KAnonymity::new(10), UtilityMetric::Height)
             .unwrap()
             .node;
         assert!(loose.height() <= strict.height());

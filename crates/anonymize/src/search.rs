@@ -1,38 +1,46 @@
-//! Lattice search for minimal safe generalizations — sequential and
-//! work-stealing whole-lattice, over the one-scan roll-up pipeline.
+//! Lattice search for minimal safe generalizations, over the one-scan
+//! roll-up pipeline.
 //!
-//! All searches share the same monotone-pruning contract: a node with a
-//! known-safe predecessor is safe by monotonicity and never evaluated; a
-//! node whose predecessors are all unsafe must be. At one thread the
-//! lattice is walked breadth-first by height (the sequential oracle). At
-//! more, the whole lattice is handed to [`wcbk_core::sched`]'s work-stealing
-//! scheduler, with workers sharing one `&C` criterion (hence
+//! There is one search, [`search`], configured by a [`SearchConfig`], and
+//! one exhaustive [`sweep`]. A search under a monotone criterion prunes: a
+//! node with a known-safe predecessor is safe by monotonicity and never
+//! evaluated; a node whose predecessors are all unsafe must be. At one
+//! thread the lattice is walked breadth-first by height (the sequential
+//! oracle). At more, the whole lattice is handed to [`wcbk_core::sched`]'s
+//! work-stealing scheduler, with workers sharing one `&C` criterion (hence
 //! [`PrivacyCriterion`]`: Send + Sync`): a node becomes runnable the moment
 //! its last predecessor's verdict lands, safe verdicts prune entire up-sets
 //! immediately through the generalization partial order, and idle workers
 //! speculatively evaluate still-pending nodes (discarding the work if the
 //! node gets pruned). No level barriers.
 //!
-//! The outcome is **bit-for-bit identical** to the sequential search —
-//! same minimal antichain in the same order, same `evaluated` and
-//! `satisfied` counts, same first-error semantics (pinned by
-//! `tests/parallel_search.rs` and `tests/rollup_equivalence.rs`).
+//! The outcome is **bit-for-bit identical** at any thread count — same
+//! minimal antichain in the same order, same `evaluated` and `satisfied`
+//! counts, same first-error semantics (pinned by `tests/parallel_search.rs`
+//! and `tests/rollup_equivalence.rs`). A criterion that is not
+//! [`monotone`](PrivacyCriterion::monotone) cannot prune: the search judges
+//! every node and reports the safe nodes with no safe immediate
+//! predecessor.
 //!
 //! **Evaluation never re-scans the table.** A [`NodeEvaluator`] scans it
 //! once at search start; every node is then judged from rolled-up
-//! [`HistogramSet`](wcbk_core::HistogramSet)s via
-//! [`PrivacyCriterion::is_satisfied_hist`], and a full
-//! `Bucketization` is only materialized (by callers such as the
+//! [`HistogramSet`]s via [`PrivacyCriterion::is_satisfied_hist`], and a
+//! full `Bucketization` is only materialized (by callers such as the
 //! [`pipeline`](crate::pipeline)) for chosen minimal nodes. Tables whose
-//! packed quasi-identifier signature exceeds 128 bits fall back to the
-//! legacy `*_rescan` path, which bucketizes per node. On deep lattices the
-//! evaluator's memo can be capped via [`SearchConfig::memo_capacity`].
+//! packed quasi-identifier signature exceeds 128 bits bucketize each node
+//! instead; [`find_minimal_safe_rescan`] and [`sweep_all_rescan`] run the
+//! same skeletons that way on purpose, as the reference oracles. On deep
+//! lattices the evaluator's memo can be capped via
+//! [`SearchConfig::memo_capacity`].
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::num::NonZeroUsize;
+use std::sync::Arc;
 
-use wcbk_adversary::ModelId;
-use wcbk_core::sched::{evaluate_work_stealing, MonotoneDag};
+use wcbk_core::sched::{
+    evaluate_sequential, evaluate_work_stealing, MonotoneDag, NodeResolution, ScheduleOutcome,
+};
+use wcbk_core::HistogramSet;
 use wcbk_hierarchy::{
     GenNode, GeneralizationLattice, HierarchyError, NodeEvaluator, RollupStats, ScanOptions,
 };
@@ -40,8 +48,8 @@ use wcbk_table::Table;
 
 use crate::{AnonymizeError, PrivacyCriterion};
 
-/// Knobs for the parallel searches ([`find_minimal_safe_with`],
-/// [`crate::incognito::incognito_with`]).
+/// Knobs for the lattice searches ([`search`],
+/// [`crate::incognito::incognito`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SearchConfig {
     /// Worker threads: `0` = all available cores, `1` = sequential.
@@ -54,12 +62,6 @@ pub struct SearchConfig {
     /// available cores, `1` = in-thread). Bit-neutral: the scan's output is
     /// identical at any thread count — see [`ScanOptions`].
     pub scan_threads: usize,
-    /// The adversary model the caller judges safety under (the default is
-    /// the paper's conjunction language). The search machinery itself is
-    /// model-agnostic — the criterion carries the actual bound — but the
-    /// selection rides here so services and reports can thread it alongside
-    /// the other search knobs.
-    pub model: ModelId,
 }
 
 impl SearchConfig {
@@ -101,6 +103,18 @@ pub struct SearchOutcome {
     pub satisfied: usize,
 }
 
+/// A [`SearchOutcome`] together with the roll-up evaluator's work counters —
+/// what long-running callers (the `wcbk-serve` audit service) aggregate
+/// across searches. `rollup` is `None` when the signature-overflow fallback
+/// bucketized the table per node instead.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SearchReport {
+    /// The search result.
+    pub outcome: SearchOutcome,
+    /// The evaluator's counters at the end of the search.
+    pub rollup: Option<RollupStats>,
+}
+
 /// The number of worker threads the parallel search uses by default: the
 /// machine's available parallelism (1 when that cannot be determined).
 pub fn default_threads() -> usize {
@@ -109,29 +123,19 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Builds the roll-up evaluator, or `None` when the table's packed signature
-/// does not fit (the caller then takes the legacy re-scanning path). Shared
-/// with [`crate::incognito`] so the fallback policy lives in one place.
-pub(crate) fn try_evaluator(
+/// Builds the roll-up evaluator `config` describes (memo cap, scan
+/// threads), or `None` when the table's packed signature does not fit and
+/// nodes must be bucketized instead.
+pub(crate) fn evaluator(
     table: &Table,
     lattice: &GeneralizationLattice,
-) -> Result<Option<NodeEvaluator>, AnonymizeError> {
-    try_evaluator_capped(table, lattice, None, ScanOptions::default())
-}
-
-/// [`try_evaluator`] with a memo entry cap (see
-/// [`NodeEvaluator::with_memo_capacity`]) and explicit bottom-scan tuning.
-pub(crate) fn try_evaluator_capped(
-    table: &Table,
-    lattice: &GeneralizationLattice,
-    memo_capacity: Option<usize>,
-    scan: ScanOptions,
+    config: &SearchConfig,
 ) -> Result<Option<NodeEvaluator>, AnonymizeError> {
     try_evaluator_shared(
         table,
-        std::sync::Arc::new(lattice.clone()),
-        memo_capacity,
-        scan,
+        Arc::new(lattice.clone()),
+        config.memo_capacity,
+        config.scan_options(),
     )
 }
 
@@ -140,7 +144,7 @@ pub(crate) fn try_evaluator_capped(
 /// and callers must re-scan per node. The session constructor uses this.
 pub(crate) fn try_evaluator_shared(
     table: &Table,
-    lattice: std::sync::Arc<GeneralizationLattice>,
+    lattice: Arc<GeneralizationLattice>,
     memo_capacity: Option<usize>,
     scan: ScanOptions,
 ) -> Result<Option<NodeEvaluator>, AnonymizeError> {
@@ -151,260 +155,240 @@ pub(crate) fn try_evaluator_shared(
     }
 }
 
-/// The monotone-pruned BFS skeleton, generic over how a node is judged.
-fn minimal_safe_with<E>(
-    lattice: &GeneralizationLattice,
-    mut eval: E,
-) -> Result<SearchOutcome, AnonymizeError>
-where
-    E: FnMut(&GenNode) -> Result<bool, AnonymizeError>,
-{
-    let mut safe: HashSet<GenNode> = HashSet::new();
-    let mut minimal: Vec<GenNode> = Vec::new();
-    let mut evaluated = 0usize;
-
-    for level in lattice.nodes_by_height() {
-        for node in level {
-            let inherited = lattice
-                .predecessors(&node)
-                .into_iter()
-                .any(|p| safe.contains(&p));
-            if inherited {
-                safe.insert(node);
-                continue;
-            }
-            evaluated += 1;
-            if eval(&node)? {
-                minimal.push(node.clone());
-                safe.insert(node);
-            }
-        }
-    }
-    Ok(SearchOutcome {
-        minimal_nodes: minimal,
-        evaluated,
-        satisfied: safe.len(),
-    })
+/// Where node histograms come from: the roll-up evaluator when there is
+/// one, else one bucketization of the table per node (the signature
+/// overflow fallback and the `*_rescan` reference oracles).
+#[derive(Clone, Copy)]
+pub(crate) struct Source<'a> {
+    pub(crate) table: &'a Table,
+    pub(crate) lattice: &'a GeneralizationLattice,
+    pub(crate) evaluator: Option<&'a NodeEvaluator>,
 }
 
-/// Bottom-up breadth-first search (Incognito-style) for **all minimal safe
-/// nodes** of the lattice under a monotone criterion.
-///
-/// Nodes are visited by increasing height. A node with a known-safe
-/// predecessor is safe by monotonicity and skipped (it cannot be minimal);
-/// otherwise the criterion is evaluated — on rolled-up histograms, after a
-/// single table scan. Evaluated-safe nodes are exactly the minimal ones: all
-/// their predecessors were found unsafe.
-pub fn find_minimal_safe<C: PrivacyCriterion>(
-    table: &Table,
-    lattice: &GeneralizationLattice,
-    criterion: &C,
-) -> Result<SearchOutcome, AnonymizeError> {
-    match try_evaluator(table, lattice)? {
-        Some(eval) => minimal_safe_with(lattice, |node| {
-            criterion.is_satisfied_hist(&eval.histograms(node)?)
-        }),
-        None => find_minimal_safe_rescan(table, lattice, criterion),
-    }
-}
-
-/// [`find_minimal_safe`] over the legacy per-node `bucketize` path (one full
-/// table scan per evaluated node). Kept public as the fallback for
-/// signature-overflow tables and as the baseline the equivalence tests and
-/// `bench_report` compare against.
-pub fn find_minimal_safe_rescan<C: PrivacyCriterion>(
-    table: &Table,
-    lattice: &GeneralizationLattice,
-    criterion: &C,
-) -> Result<SearchOutcome, AnonymizeError> {
-    minimal_safe_with(lattice, |node| {
-        criterion.is_satisfied(&lattice.bucketize(table, node)?)
-    })
-}
-
-/// The work-stealing whole-lattice skeleton: hands the lattice (nodes in
-/// sequential visit order — by height, mixed-radix within a height) to
-/// [`wcbk_core::sched::evaluate_work_stealing`] and maps the resolutions
-/// back onto a [`SearchOutcome`]. Outcome-equivalent to the sequential
-/// skeleton by the scheduler's contract.
-fn minimal_safe_steal_with<E>(
-    lattice: &GeneralizationLattice,
-    threads: usize,
-    eval: E,
-) -> Result<SearchOutcome, AnonymizeError>
-where
-    E: Fn(&GenNode) -> Result<bool, AnonymizeError> + Sync,
-{
-    let nodes: Vec<GenNode> = lattice.nodes_by_height().into_iter().flatten().collect();
-    let index: HashMap<&GenNode, u32> = nodes
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (n, i as u32))
-        .collect();
-    let preds: Vec<Vec<u32>> = nodes
-        .iter()
-        .map(|n| {
-            lattice
-                .predecessors(n)
-                .iter()
-                .map(|p| index[p])
-                .collect::<Vec<u32>>()
+impl Source<'_> {
+    /// The histograms of `node`'s bucketization.
+    pub(crate) fn histograms(&self, node: &GenNode) -> Result<HistogramSet, AnonymizeError> {
+        Ok(match self.evaluator {
+            Some(eval) => eval.histograms(node)?,
+            None => HistogramSet::from_bucketization(&self.lattice.bucketize(self.table, node)?),
         })
-        .collect();
-    let dag = MonotoneDag::new(preds);
-    let outcome = evaluate_work_stealing(&dag, threads, true, |i| eval(&nodes[i]))?;
-    Ok(SearchOutcome {
-        minimal_nodes: outcome
-            .evaluated_safe()
+    }
+
+    /// The histograms of the grouping by the lattice dimensions `dims` only,
+    /// at `levels` (Incognito's subset projections).
+    pub(crate) fn subset_histograms(
+        &self,
+        dims: &[usize],
+        levels: &[usize],
+    ) -> Result<HistogramSet, AnonymizeError> {
+        Ok(match self.evaluator {
+            Some(eval) => eval.histograms_subset(dims, levels)?,
+            None => HistogramSet::from_bucketization(
+                &self.lattice.bucketize_subset(self.table, dims, levels)?,
+            ),
+        })
+    }
+
+    /// Whether `node` satisfies `criterion`.
+    fn judge<C: PrivacyCriterion>(
+        &self,
+        criterion: &C,
+        node: &GenNode,
+    ) -> Result<bool, AnonymizeError> {
+        criterion.is_satisfied_hist(&self.histograms(node)?)
+    }
+
+    /// All ⪯-minimal nodes satisfying `criterion`; see [`search`].
+    ///
+    /// The lattice becomes a DAG in the sequential visit order (by height,
+    /// mixed-radix within a height). A criterion that is not monotone gets
+    /// the DAG without its edges, so nothing is inferred and every node is
+    /// judged. Either way the minimal nodes are the safe ones with no safe
+    /// immediate predecessor — under pruning, exactly the evaluated-safe
+    /// ones.
+    pub(crate) fn search<C: PrivacyCriterion>(
+        &self,
+        criterion: &C,
+        config: &SearchConfig,
+    ) -> Result<SearchOutcome, AnonymizeError> {
+        let nodes: Vec<GenNode> = self
+            .lattice
+            .nodes_by_height()
             .into_iter()
+            .flatten()
+            .collect();
+        let index: HashMap<&GenNode, u32> = nodes
+            .iter()
+            .enumerate()
+            .map(|(i, n)| (n, i as u32))
+            .collect();
+        let preds: Vec<Vec<u32>> = nodes
+            .iter()
+            .map(|n| {
+                self.lattice
+                    .predecessors(n)
+                    .iter()
+                    .map(|p| index[p])
+                    .collect()
+            })
+            .collect();
+        let dag = MonotoneDag::new(if criterion.monotone() {
+            preds.clone()
+        } else {
+            vec![Vec::new(); nodes.len()]
+        });
+        let outcome = drain(&dag, config.effective_threads(), |i| {
+            self.judge(criterion, &nodes[i])
+        })?;
+        let safe: Vec<bool> = outcome
+            .resolutions
+            .iter()
+            .map(|r| *r != NodeResolution::EvaluatedUnsafe)
+            .collect();
+        let minimal_nodes = (0..nodes.len())
+            .filter(|&i| safe[i] && !preds[i].iter().any(|&p| safe[p as usize]))
             .map(|i| nodes[i].clone())
-            .collect(),
-        evaluated: outcome.evaluated,
-        satisfied: outcome.safe_count(),
-    })
+            .collect();
+        Ok(SearchOutcome {
+            minimal_nodes,
+            evaluated: outcome.evaluated,
+            satisfied: outcome.safe_count(),
+        })
+    }
+
+    /// `criterion` at every node, in [`GeneralizationLattice::nodes`] order.
+    pub(crate) fn sweep<C: PrivacyCriterion>(
+        &self,
+        criterion: &C,
+    ) -> Result<Vec<(GenNode, bool)>, AnonymizeError> {
+        self.lattice
+            .nodes()
+            .into_iter()
+            .map(|node| {
+                let ok = self.judge(criterion, &node)?;
+                Ok((node, ok))
+            })
+            .collect()
+    }
 }
 
-/// Parallel variant of [`find_minimal_safe`] with explicit [`SearchConfig`]
-/// — thread count, evaluator memo cap and bottom-scan threads.
+/// Drains a monotone-pruned DAG: in index order at one thread (the
+/// sequential oracle), through the work-stealing scheduler at more. The
+/// outcome is the same either way, by the scheduler's contract.
+pub(crate) fn drain<F>(
+    dag: &MonotoneDag,
+    threads: usize,
+    eval: F,
+) -> Result<ScheduleOutcome, AnonymizeError>
+where
+    F: Fn(usize) -> Result<bool, AnonymizeError> + Sync,
+{
+    if threads == 1 {
+        evaluate_sequential(dag, eval)
+    } else {
+        evaluate_work_stealing(dag, threads, true, eval)
+    }
+}
+
+/// Finds **all ⪯-minimal nodes** of the lattice satisfying `criterion`,
+/// with the roll-up evaluator's counters for this search.
+///
+/// Nodes are visited by increasing height. Under a monotone criterion a
+/// node with a known-safe predecessor is safe and skipped (it cannot be
+/// minimal); otherwise the criterion is evaluated — on rolled-up
+/// histograms, after a single table scan — and evaluated-safe nodes are
+/// exactly the minimal ones. A criterion that is not monotone is evaluated
+/// at every node.
 ///
 /// Whatever the configuration, `minimal_nodes`, `evaluated`, and
 /// `satisfied` are exactly what the sequential search produces. At more
 /// than one thread the whole lattice drains through per-worker deques with
 /// stealing, immediate up-set pruning on safe verdicts, and speculative
 /// evaluation on idle workers, all sharing `criterion` (and therefore its
-/// memoization cache) and one roll-up evaluator — required evaluations, and
-/// therefore outcomes, are scheduling-independent. `threads == 0` selects
+/// memoization cache) and one roll-up evaluator. `threads == 0` selects
 /// [`default_threads`]; `threads == 1` runs the sequential algorithm
 /// without spawning.
-pub fn find_minimal_safe_with<C: PrivacyCriterion>(
-    table: &Table,
-    lattice: &GeneralizationLattice,
-    criterion: &C,
-    config: &SearchConfig,
-) -> Result<SearchOutcome, AnonymizeError> {
-    Ok(find_minimal_safe_report(table, lattice, criterion, config)?.outcome)
-}
-
-/// A [`SearchOutcome`] together with the roll-up evaluator's work counters —
-/// what long-running callers (the `wcbk-serve` audit service) aggregate
-/// across searches. `rollup` is `None` when the signature-overflow fallback
-/// re-scanned the table per node instead.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SearchReport {
-    /// The search result, identical to [`find_minimal_safe_with`]'s.
-    pub outcome: SearchOutcome,
-    /// The evaluator's counters at the end of the search.
-    pub rollup: Option<RollupStats>,
-}
-
-/// [`find_minimal_safe_with`], also reporting the roll-up evaluator's
-/// counters (table scans, derivations, memo traffic) for this search.
-pub fn find_minimal_safe_report<C: PrivacyCriterion>(
+pub fn search<C: PrivacyCriterion>(
     table: &Table,
     lattice: &GeneralizationLattice,
     criterion: &C,
     config: &SearchConfig,
 ) -> Result<SearchReport, AnonymizeError> {
-    let evaluator =
-        try_evaluator_capped(table, lattice, config.memo_capacity, config.scan_options())?;
-    let outcome = minimal_safe_over(table, lattice, evaluator.as_ref(), criterion, config)?;
+    let evaluator = evaluator(table, lattice, config)?;
+    let source = Source {
+        table,
+        lattice,
+        evaluator: evaluator.as_ref(),
+    };
+    let outcome = source.search(criterion, config)?;
     Ok(SearchReport {
         outcome,
         rollup: evaluator.as_ref().map(NodeEvaluator::stats),
     })
 }
 
-/// The thread-count dispatcher over an **injected** evaluator (`None` = the
-/// signature-overflow re-scanning fallback). This is the primitive both the
-/// one-shot entry points and [`crate::DatasetSession`] (which owns a
-/// long-lived evaluator shared across many searches) run on; outcomes are
-/// identical either way.
-pub(crate) fn minimal_safe_over<C: PrivacyCriterion>(
+/// The sequential [`search`] with every node bucketized from the table (one
+/// full scan per evaluated node) — the reference oracle the equivalence
+/// tests and `bench_report` compare the roll-up against.
+pub fn find_minimal_safe_rescan<C: PrivacyCriterion>(
     table: &Table,
     lattice: &GeneralizationLattice,
-    evaluator: Option<&NodeEvaluator>,
     criterion: &C,
-    config: &SearchConfig,
 ) -> Result<SearchOutcome, AnonymizeError> {
-    let threads = config.effective_threads();
-    let judge = |node: &GenNode| -> Result<bool, AnonymizeError> {
-        match evaluator {
-            Some(eval) => criterion.is_satisfied_hist(&eval.histograms(node)?),
-            None => criterion.is_satisfied(&lattice.bucketize(table, node)?),
-        }
+    let source = Source {
+        table,
+        lattice,
+        evaluator: None,
     };
-    if threads == 1 {
-        minimal_safe_with(lattice, judge)
-    } else {
-        minimal_safe_steal_with(lattice, threads, judge)
-    }
-}
-
-/// The exhaustive sweep over an injected evaluator — the session-owned
-/// counterpart of [`sweep_all`].
-pub(crate) fn sweep_over<C: PrivacyCriterion>(
-    table: &Table,
-    lattice: &GeneralizationLattice,
-    evaluator: Option<&NodeEvaluator>,
-    criterion: &C,
-) -> Result<Vec<(GenNode, bool)>, AnonymizeError> {
-    let mut out = Vec::with_capacity(lattice.n_nodes());
-    for node in lattice.nodes() {
-        let ok = match evaluator {
-            Some(eval) => criterion.is_satisfied_hist(&eval.histograms(&node)?)?,
-            None => criterion.is_satisfied(&lattice.bucketize(table, &node)?)?,
-        };
-        out.push((node, ok));
-    }
-    Ok(out)
+    source.search(criterion, &SearchConfig::with_threads(1))
 }
 
 /// Exhaustive sweep evaluating the criterion on **every** node — the
 /// unpruned baseline (used by benches to quantify the pruning win and by the
 /// Figure 6 experiment which needs per-node statistics anyway). Runs on the
 /// roll-up pipeline: one table scan total.
-pub fn sweep_all<C: PrivacyCriterion>(
+pub fn sweep<C: PrivacyCriterion>(
     table: &Table,
     lattice: &GeneralizationLattice,
     criterion: &C,
 ) -> Result<Vec<(GenNode, bool)>, AnonymizeError> {
-    let Some(eval) = try_evaluator(table, lattice)? else {
-        return sweep_all_rescan(table, lattice, criterion);
+    let evaluator = evaluator(table, lattice, &SearchConfig::default())?;
+    let source = Source {
+        table,
+        lattice,
+        evaluator: evaluator.as_ref(),
     };
-    let mut out = Vec::with_capacity(lattice.n_nodes());
-    for node in lattice.nodes() {
-        let ok = criterion.is_satisfied_hist(&eval.histograms(&node)?)?;
-        out.push((node, ok));
-    }
-    Ok(out)
+    source.sweep(criterion)
 }
 
-/// [`sweep_all`] over the legacy per-node `bucketize` path — the
-/// fallback for signature-overflow tables and the `bench_report` baseline.
+/// [`sweep`] with every node bucketized from the table — the reference
+/// oracle and the `bench_report` baseline.
 pub fn sweep_all_rescan<C: PrivacyCriterion>(
     table: &Table,
     lattice: &GeneralizationLattice,
     criterion: &C,
 ) -> Result<Vec<(GenNode, bool)>, AnonymizeError> {
-    let mut out = Vec::with_capacity(lattice.n_nodes());
-    for node in lattice.nodes() {
-        let b = lattice.bucketize(table, &node)?;
-        let ok = criterion.is_satisfied(&b)?;
-        out.push((node, ok));
-    }
-    Ok(out)
+    let source = Source {
+        table,
+        lattice,
+        evaluator: None,
+    };
+    source.sweep(criterion)
 }
 
 /// Binary search along a fine→coarse chain for the first (finest) safe node
 /// — logarithmic in the chain length thanks to monotonicity (Theorem 14).
 ///
-/// Returns `None` when even the last (coarsest) node fails.
+/// Returns `None` when even the last (coarsest) node fails, and
+/// [`AnonymizeError::InvalidParameter`] for a criterion that is not
+/// [`monotone`](PrivacyCriterion::monotone).
 pub fn binary_search_chain<C: PrivacyCriterion>(
     table: &Table,
     lattice: &GeneralizationLattice,
     chain: &[GenNode],
     criterion: &C,
 ) -> Result<Option<GenNode>, AnonymizeError> {
+    require_monotone(criterion, "binary chain search")?;
     for (i, w) in chain.windows(2).enumerate() {
         if !w[0].le(&w[1]) {
             return Err(AnonymizeError::ChainNotMonotone { at: i });
@@ -413,23 +397,22 @@ pub fn binary_search_chain<C: PrivacyCriterion>(
     if chain.is_empty() {
         return Ok(None);
     }
-    let evaluator = try_evaluator(table, lattice)?;
-    let check = |node: &GenNode| -> Result<bool, AnonymizeError> {
-        match &evaluator {
-            Some(eval) => criterion.is_satisfied_hist(&eval.histograms(node)?),
-            None => criterion.is_satisfied(&lattice.bucketize(table, node)?),
-        }
+    let evaluator = evaluator(table, lattice, &SearchConfig::default())?;
+    let source = Source {
+        table,
+        lattice,
+        evaluator: evaluator.as_ref(),
     };
     // Invariant: everything below `lo` is unsafe; if `hi_safe` then chain[hi]
     // is safe.
     let mut lo = 0usize;
     let mut hi = chain.len() - 1;
-    if !check(&chain[hi])? {
+    if !source.judge(criterion, &chain[hi])? {
         return Ok(None);
     }
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        if check(&chain[mid])? {
+        if source.judge(criterion, &chain[mid])? {
             hi = mid;
         } else {
             lo = mid + 1;
@@ -438,12 +421,60 @@ pub fn binary_search_chain<C: PrivacyCriterion>(
     Ok(Some(chain[lo].clone()))
 }
 
+/// Rejects a criterion that is not monotone from a search that prunes by
+/// monotonicity (`what` names the search in the error).
+pub(crate) fn require_monotone<C: PrivacyCriterion>(
+    criterion: &C,
+    what: &str,
+) -> Result<(), AnonymizeError> {
+    if criterion.monotone() {
+        Ok(())
+    } else {
+        Err(AnonymizeError::InvalidParameter(format!(
+            "{what} needs a monotone criterion, and {} is not",
+            criterion.name()
+        )))
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
-    use crate::criteria::{CkSafetyCriterion, KAnonymity, PrivacyCriterion};
+    use crate::criteria::{
+        CkSafetyCriterion, DistinctLDiversity, EntropyLDiversity, KAnonymity, ModelSafetyCriterion,
+        PrivacyCriterion, RecursiveCLDiversity,
+    };
+    use wcbk_adversary::ModelId;
+    use wcbk_core::DisclosureEngine;
     use wcbk_hierarchy::Hierarchy;
     use wcbk_table::datasets::hospital_table;
+    use wcbk_table::{Attribute, AttributeKind, Schema, TableBuilder};
+
+    /// The sequential search's outcome.
+    fn find_minimal<C: PrivacyCriterion>(
+        table: &Table,
+        lattice: &GeneralizationLattice,
+        criterion: &C,
+    ) -> SearchOutcome {
+        search(table, lattice, criterion, &SearchConfig::with_threads(1))
+            .unwrap()
+            .outcome
+    }
+
+    /// Judges `node` by bucketizing the table.
+    fn holds<C: PrivacyCriterion>(
+        c: &C,
+        t: &Table,
+        l: &GeneralizationLattice,
+        node: &GenNode,
+    ) -> bool {
+        c.is_satisfied_hist(&HistogramSet::from_bucketization(
+            &l.bucketize(t, node).unwrap(),
+        ))
+        .unwrap()
+    }
 
     fn lattice(table: &Table) -> GeneralizationLattice {
         let zip = table.column(1).dictionary().clone();
@@ -463,9 +494,9 @@ mod tests {
         lattice: &GeneralizationLattice,
         make: impl Fn() -> C,
     ) {
-        let outcome = find_minimal_safe(table, lattice, &make()).unwrap();
-        let sweep = sweep_all(table, lattice, &make()).unwrap();
-        let safe: HashSet<GenNode> = sweep
+        let outcome = find_minimal(table, lattice, &make());
+        let swept = sweep(table, lattice, &make()).unwrap();
+        let safe: HashSet<GenNode> = swept
             .iter()
             .filter(|(_, ok)| *ok)
             .map(|(n, _)| n.clone())
@@ -511,15 +542,34 @@ mod tests {
         let t = hospital_table();
         let l = lattice(&t);
         for (c, k) in [(0.5, 0), (0.7, 1), (0.9, 1), (1.0, 2), (0.41, 0)] {
-            let rollup = find_minimal_safe(&t, &l, &CkSafetyCriterion::new(c, k).unwrap()).unwrap();
+            let rollup = find_minimal(&t, &l, &CkSafetyCriterion::new(c, k).unwrap());
             let rescan =
                 find_minimal_safe_rescan(&t, &l, &CkSafetyCriterion::new(c, k).unwrap()).unwrap();
             assert_eq!(rollup, rescan, "(c,k)=({c},{k})");
         }
         for k in [2u64, 5, 11] {
-            let rollup = find_minimal_safe(&t, &l, &KAnonymity::new(k)).unwrap();
+            let rollup = find_minimal(&t, &l, &KAnonymity::new(k));
             let rescan = find_minimal_safe_rescan(&t, &l, &KAnonymity::new(k)).unwrap();
             assert_eq!(rollup, rescan, "k={k}");
+        }
+        // The ℓ-diversity family, judged on the rescan path through
+        // `HistogramSet::from_bucketization`.
+        let diversity: Vec<Box<dyn PrivacyCriterion>> = vec![
+            Box::new(DistinctLDiversity::new(2)),
+            Box::new(DistinctLDiversity::new(3)),
+            Box::new(DistinctLDiversity::new(4)),
+            Box::new(EntropyLDiversity::new(1.5).unwrap()),
+            Box::new(EntropyLDiversity::new(2.0).unwrap()),
+            Box::new(EntropyLDiversity::new(2.5).unwrap()),
+            Box::new(EntropyLDiversity::new(3.5).unwrap()),
+            Box::new(RecursiveCLDiversity::new(0.7, 2).unwrap()),
+            Box::new(RecursiveCLDiversity::new(1.0, 2).unwrap()),
+            Box::new(RecursiveCLDiversity::new(2.0, 3).unwrap()),
+            Box::new(RecursiveCLDiversity::new(0.5, 2).unwrap()),
+        ];
+        for c in &diversity {
+            let rescan = find_minimal_safe_rescan(&t, &l, c).unwrap();
+            assert_eq!(find_minimal(&t, &l, c), rescan, "{}", c.name());
         }
     }
 
@@ -527,7 +577,7 @@ mod tests {
     fn sweep_matches_rescan_sweep() {
         let t = hospital_table();
         let l = lattice(&t);
-        let a = sweep_all(&t, &l, &CkSafetyCriterion::new(0.7, 1).unwrap()).unwrap();
+        let a = sweep(&t, &l, &CkSafetyCriterion::new(0.7, 1).unwrap()).unwrap();
         let b = sweep_all_rescan(&t, &l, &CkSafetyCriterion::new(0.7, 1).unwrap()).unwrap();
         assert_eq!(a, b);
     }
@@ -536,7 +586,7 @@ mod tests {
     fn pruning_saves_evaluations() {
         let t = hospital_table();
         let l = lattice(&t);
-        let outcome = find_minimal_safe(&t, &l, &KAnonymity::new(2)).unwrap();
+        let outcome = find_minimal(&t, &l, &KAnonymity::new(2));
         assert!(outcome.evaluated < l.n_nodes(), "no pruning happened");
         assert!(!outcome.minimal_nodes.is_empty());
     }
@@ -546,7 +596,7 @@ mod tests {
         let t = hospital_table();
         let l = lattice(&t);
         // 11-anonymity is impossible for a 10-row table.
-        let outcome = find_minimal_safe(&t, &l, &KAnonymity::new(11)).unwrap();
+        let outcome = find_minimal(&t, &l, &KAnonymity::new(11));
         assert!(outcome.minimal_nodes.is_empty());
         assert_eq!(outcome.satisfied, 0);
     }
@@ -562,13 +612,9 @@ mod tests {
             .expect("top is 5-anonymous");
         // Verify: found is safe, its chain predecessor is not.
         let idx = chain.iter().position(|n| *n == found).unwrap();
-        assert!(KAnonymity::new(5)
-            .is_satisfied(&l.bucketize(&t, &chain[idx]).unwrap())
-            .unwrap());
+        assert!(holds(&KAnonymity::new(5), &t, &l, &chain[idx]));
         if idx > 0 {
-            assert!(!KAnonymity::new(5)
-                .is_satisfied(&l.bucketize(&t, &chain[idx - 1]).unwrap())
-                .unwrap());
+            assert!(!holds(&KAnonymity::new(5), &t, &l, &chain[idx - 1]));
         }
     }
 
@@ -601,12 +647,7 @@ mod tests {
             let binary = binary_search_chain(&t, &l, &chain, &criterion).unwrap();
             let mut linear = None;
             for node in &chain {
-                let b = l.bucketize(&t, node).unwrap();
-                if CkSafetyCriterion::new(c, k)
-                    .unwrap()
-                    .is_satisfied(&b)
-                    .unwrap()
-                {
+                if holds(&CkSafetyCriterion::new(c, k).unwrap(), &t, &l, node) {
                     linear = Some(node.clone());
                     break;
                 }
@@ -620,13 +661,66 @@ mod tests {
         let t = hospital_table();
         let l = lattice(&t);
         let criterion = CkSafetyCriterion::new(0.7, 1).unwrap();
-        let config = SearchConfig::default();
-        let report = find_minimal_safe_report(&t, &l, &criterion, &config).unwrap();
-        let direct = find_minimal_safe_with(&t, &l, &criterion, &config).unwrap();
+        let report = search(&t, &l, &criterion, &SearchConfig::default()).unwrap();
+        let direct = find_minimal_safe_rescan(&t, &l, &criterion).unwrap();
         assert_eq!(report.outcome, direct);
         let rollup = report.rollup.expect("hospital packs into u64 signatures");
         assert_eq!(rollup.table_scans, 1);
         assert!(rollup.derived > 0);
+    }
+
+    /// Two groups of six rows whose sensitive counts are (3, 2, 1) and
+    /// (3, 1, 2), under one suppression hierarchy: the minimality model
+    /// bounds the bottom node at 3/5 and the top node at 6/9 at k = 1.
+    fn minimality_counterexample() -> (Table, GeneralizationLattice) {
+        let schema = Schema::new(vec![
+            Attribute::new("G", AttributeKind::QuasiIdentifier),
+            Attribute::new("S", AttributeKind::Sensitive),
+        ])
+        .unwrap();
+        let mut b = TableBuilder::new(schema);
+        for (group, counts) in [("x", [3, 2, 1]), ("y", [3, 1, 2])] {
+            for (value, count) in ["a", "b", "c"].into_iter().zip(counts) {
+                for _ in 0..count {
+                    b.push_row(&[group.to_string(), value.to_string()]).unwrap();
+                }
+            }
+        }
+        let table = b.build();
+        let dict = table.column(0).dictionary().clone();
+        let lattice =
+            GeneralizationLattice::new(vec![(0, Hierarchy::suppression("G", &dict))]).unwrap();
+        (table, lattice)
+    }
+
+    /// Regression: the pruned search inferred the top node safe from the
+    /// safe bottom node under the non-merge-monotone minimality model. The
+    /// search now sweeps for it and agrees with the sweep at every thread
+    /// count and on the rescan path; the searches that prune by subsets or
+    /// chains reject it.
+    #[test]
+    fn non_monotone_criterion_searches_by_sweep() {
+        let (t, l) = minimality_counterexample();
+        let engine = std::sync::Arc::new(DisclosureEngine::new(1));
+        let criterion =
+            ModelSafetyCriterion::new(0.62, ModelId::Minimality.resolve(engine)).unwrap();
+        assert!(!criterion.monotone());
+        let swept = sweep(&t, &l, &criterion).unwrap();
+        assert_eq!(swept, vec![(l.bottom(), true), (l.top(), false)]);
+        let want = SearchOutcome {
+            minimal_nodes: vec![l.bottom()],
+            evaluated: 2,
+            satisfied: 1,
+        };
+        for threads in [1, 2, 4] {
+            let report = search(&t, &l, &criterion, &SearchConfig::with_threads(threads)).unwrap();
+            assert_eq!(report.outcome, want, "threads {threads}");
+        }
+        assert_eq!(find_minimal_safe_rescan(&t, &l, &criterion).unwrap(), want);
+        let err = binary_search_chain(&t, &l, &l.maximal_chain(), &criterion).unwrap_err();
+        assert!(matches!(err, AnonymizeError::InvalidParameter(_)), "{err}");
+        let err = crate::incognito(&t, &l, &criterion, &SearchConfig::default()).unwrap_err();
+        assert!(matches!(err, AnonymizeError::InvalidParameter(_)), "{err}");
     }
 
     use wcbk_table::Table;

@@ -17,9 +17,14 @@
 //! * a per-release history for sequential-release composition audits
 //!   (riding [`DisclosureEngine::incremental_set`]).
 //!
-//! Every method returns the **same types as the one-shot entry points**
-//! ([`SearchReport`], [`DisclosureResult`], …) with bit-identical values —
-//! pinned by `tests/session_equivalence.rs` — so "one-shot" is just
+//! Searches and sweeps run the same skeletons as the one-shot
+//! [`search`](crate::search()) and [`sweep`](crate::sweep), over the
+//! session's evaluator instead of a fresh one; of a [`SearchConfig`] only
+//! `threads` applies per call, because the memo budget and the scan
+//! threads were fixed at registration. Every method returns the **same
+//! types as the one-shot entry points** ([`SearchReport`],
+//! [`DisclosureResult`], …) with bit-identical values — pinned by
+//! `tests/session_equivalence.rs` — so "one-shot" is just
 //! "register → run → drop" over this API.
 
 use std::collections::hash_map::Entry;
@@ -36,7 +41,7 @@ use wcbk_hierarchy::{
 };
 use wcbk_table::{SValue, Table, TupleId};
 
-use crate::search::{minimal_safe_over, sweep_over, try_evaluator_shared, SearchConfig};
+use crate::search::{try_evaluator_shared, SearchConfig, Source};
 use crate::{AnonymizeError, PrivacyCriterion, SearchReport};
 
 /// Construction knobs for a [`DatasetSession`].
@@ -296,14 +301,21 @@ impl DatasetSession {
             .bucketize(&self.table, &self.lattice.bottom())?)
     }
 
+    /// Where node histograms come from: the shared evaluator, or per-call
+    /// bucketizations under the fallback.
+    fn source(&self) -> Source<'_> {
+        Source {
+            table: &self.table,
+            lattice: &self.lattice,
+            evaluator: self.evaluator(),
+        }
+    }
+
     /// The histograms of the exact-quasi-identifier grouping: the
     /// evaluator's bottom set (built by the one scan, shared, never
     /// evicted), or a per-call bucketization under the fallback.
     fn bottom_set(&self) -> Result<HistogramSet, AnonymizeError> {
-        match self.evaluator() {
-            Some(eval) => Ok(eval.histograms(&self.lattice.bottom())?),
-            None => Ok(HistogramSet::from_bucketization(&self.bucketize_bottom()?)),
-        }
+        self.source().histograms(&self.lattice.bottom())
     }
 
     /// The stable content identity of this dataset (schema roles, hierarchy
@@ -433,7 +445,7 @@ impl DatasetSession {
                 (HistogramSet::from_bucketization(&exact), disclosure)
             }
         };
-        // The verdict `CkSafety::is_safe_with` would give, read off the
+        // The verdict `CkSafety::is_safe_set` would give, read off the
         // disclosure just computed instead of running the DP again.
         let safe = match c {
             Some(c) => {
@@ -455,22 +467,16 @@ impl DatasetSession {
 
     /// Finds all ⪯-minimal nodes satisfying `criterion`, through the
     /// session's shared evaluator — no table scan, whatever `config` says.
-    /// The outcome is bit-identical to [`crate::find_minimal_safe_with`];
-    /// the report's `rollup` is the session's **cumulative** counters
-    /// (`config.memo_capacity` is ignored: the memo budget was fixed at
-    /// registration).
+    /// The outcome is bit-identical to [`crate::search()`]'s; the report's
+    /// `rollup` is the session's **cumulative** counters. Only
+    /// `config.threads` is read: the memo budget and the scan threads were
+    /// fixed at registration.
     pub fn search<C: PrivacyCriterion>(
         &self,
         criterion: &C,
         config: &SearchConfig,
     ) -> Result<SearchReport, AnonymizeError> {
-        let outcome = minimal_safe_over(
-            &self.table,
-            &self.lattice,
-            self.evaluator(),
-            criterion,
-            config,
-        )?;
+        let outcome = self.source().search(criterion, config)?;
         Ok(SearchReport {
             outcome,
             rollup: self.rollup_stats(),
@@ -479,12 +485,12 @@ impl DatasetSession {
 
     /// Evaluates `criterion` on **every** lattice node (the unpruned
     /// baseline), through the shared evaluator — bit-identical to
-    /// [`crate::sweep_all`].
+    /// [`crate::sweep`].
     pub fn sweep<C: PrivacyCriterion>(
         &self,
         criterion: &C,
     ) -> Result<Vec<(GenNode, bool)>, AnonymizeError> {
-        sweep_over(&self.table, &self.lattice, self.evaluator(), criterion)
+        self.source().sweep(criterion)
     }
 
     /// Records a release of `node`'s bucketization into the
@@ -503,16 +509,7 @@ impl DatasetSession {
         node: &GenNode,
         model: ModelId,
     ) -> Result<ReleaseReport, AnonymizeError> {
-        let histograms: Vec<SensitiveHistogram> = match self.evaluator() {
-            Some(eval) => eval.histograms(node)?.histograms().to_vec(),
-            None => self
-                .lattice
-                .bucketize(&self.table, node)?
-                .buckets()
-                .iter()
-                .map(|b| b.histogram().clone())
-                .collect(),
-        };
+        let histograms = self.source().histograms(node)?.histograms().to_vec();
         let buckets = histograms.len();
         let mut history = self.releases.lock().expect("release history poisoned");
         history.histograms.extend(histograms);
@@ -807,7 +804,7 @@ impl DatasetSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::{find_minimal_safe_with, sweep_all};
+    use crate::search::{search, sweep};
     use crate::CkSafetyCriterion;
     use wcbk_hierarchy::Hierarchy;
     use wcbk_table::datasets::hospital_table;
@@ -859,7 +856,7 @@ mod tests {
                 Some(
                     CkSafety::new(0.9, k)
                         .unwrap()
-                        .is_safe_with(&engine, &b)
+                        .is_safe_set(&engine, &HistogramSet::from_bucketization(&b))
                         .unwrap()
                 )
             );
@@ -867,7 +864,7 @@ mod tests {
     }
 
     /// The audit verdict, derived from the reported disclosure, equals
-    /// `is_safe_with` at every threshold — including `c` exactly at the
+    /// `is_safe_set` at every threshold — including `c` exactly at the
     /// disclosure value and exactly at the `k = 0` frequency ratio, where
     /// the strict inequalities decide. Grouped by Sex (Figure 3) and not at
     /// all, so both values sit strictly inside `(0, 1)`.
@@ -896,7 +893,7 @@ mod tests {
                     let report = s.audit(Some(c), k).unwrap();
                     let want = CkSafety::new(c, k)
                         .unwrap()
-                        .is_safe_with(&engine, exact)
+                        .is_safe_set(&engine, &HistogramSet::from_bucketization(exact))
                         .unwrap();
                     assert_eq!(report.safe, Some(want), "k={k} c={c}");
                     assert_eq!(report.disclosure.value.to_bits(), value.to_bits());
@@ -931,18 +928,20 @@ mod tests {
             ] {
                 let criterion = CkSafetyCriterion::new(c, k).unwrap();
                 let via_session = s.search(&criterion, &config).unwrap();
-                let direct = find_minimal_safe_with(
+                let direct = search(
                     &table,
                     &lattice,
                     &CkSafetyCriterion::new(c, k).unwrap(),
                     &config,
                 )
                 .unwrap();
-                assert_eq!(via_session.outcome, direct, "(c,k)=({c},{k}) {config:?}");
+                assert_eq!(
+                    via_session.outcome, direct.outcome,
+                    "(c,k)=({c},{k}) {config:?}"
+                );
             }
             let via_session = s.sweep(&CkSafetyCriterion::new(c, k).unwrap()).unwrap();
-            let direct =
-                sweep_all(&table, &lattice, &CkSafetyCriterion::new(c, k).unwrap()).unwrap();
+            let direct = sweep(&table, &lattice, &CkSafetyCriterion::new(c, k).unwrap()).unwrap();
             assert_eq!(via_session, direct, "sweep (c,k)=({c},{k})");
         }
         // All of the above cost exactly one scan.

@@ -109,7 +109,7 @@ fn assert_audits_match(label: &str, s: &DatasetSession) {
             let verdict = c.map(|c| {
                 CkSafety::new(c, k)
                     .unwrap()
-                    .is_safe_with(&engine, &exact)
+                    .is_safe_set(&engine, &set)
                     .unwrap()
             });
             assert_eq!(got.safe, verdict, "{at}");

@@ -5,12 +5,18 @@
 //! at every lattice node, search outcomes across thread counts and memo
 //! budgets, and audit values with their witnesses — and
 //! model-tagged composition audits match from-scratch rebuilds however the
-//! audits interleave with releases.
+//! audits interleave with releases. Under **every** registered model the
+//! search equals the minimal set derived from the exhaustive sweep, which
+//! is what keeps pruning honest for models that are not merge-monotone.
 
 use proptest::prelude::*;
 
-use wcbk_anonymize::search::{find_minimal_safe_with, SearchConfig};
-use wcbk_anonymize::{CkSafetyCriterion, DatasetSession, ModelId, ModelSafetyCriterion};
+use std::collections::HashSet;
+
+use wcbk_anonymize::search::{search, sweep, SearchConfig, SearchOutcome};
+use wcbk_anonymize::{
+    CkSafetyCriterion, DatasetSession, ModelId, ModelSafetyCriterion, PrivacyCriterion, MODEL_IDS,
+};
 use wcbk_core::DisclosureEngine;
 use wcbk_hierarchy::{GeneralizationLattice, Hierarchy};
 use wcbk_table::{Attribute, AttributeKind, Schema, Table, TableBuilder};
@@ -72,6 +78,67 @@ fn materialize(qi_cols: usize, seed_rows: Vec<Vec<u8>>) -> (Table, Generalizatio
     (table, lattice)
 }
 
+/// The minimal set the exhaustive sweep implies: the safe nodes with no
+/// safe immediate predecessor, in the sequential visit order (by height),
+/// with every node evaluated.
+fn minimal_from_sweep<C: PrivacyCriterion>(
+    table: &Table,
+    lattice: &GeneralizationLattice,
+    criterion: &C,
+) -> (Vec<wcbk_hierarchy::GenNode>, usize) {
+    let safe: HashSet<_> = sweep(table, lattice, criterion)
+        .unwrap()
+        .into_iter()
+        .filter(|(_, ok)| *ok)
+        .map(|(node, _)| node)
+        .collect();
+    let minimal = lattice
+        .nodes_by_height()
+        .into_iter()
+        .flatten()
+        .filter(|node| {
+            safe.contains(node) && !lattice.predecessors(node).iter().any(|p| safe.contains(p))
+        })
+        .collect();
+    (minimal, safe.len())
+}
+
+proptest! {
+    // More cases than the blocks below: with `minimality` wrongly declared
+    // merge-monotone, the first mismatching draw is case 88.
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Under every registered model, at every thread count, the search
+    /// reports exactly the sweep-derived minimal set and safe count. A
+    /// merge-monotone model may prune; the others evaluate every node.
+    #[test]
+    fn every_model_search_matches_the_sweep(
+        qi_cols in 1usize..=3,
+        seed_rows in row_strategy(3),
+        k in 0usize..3,
+        c100 in 40u32..=95,
+    ) {
+        let c = c100 as f64 / 100.0;
+        let (table, lattice) = materialize(qi_cols, seed_rows);
+        for model in MODEL_IDS {
+            let engine = std::sync::Arc::new(DisclosureEngine::new(k));
+            let criterion = ModelSafetyCriterion::new(c, model.resolve(engine)).unwrap();
+            let (minimal, satisfied) = minimal_from_sweep(&table, &lattice, &criterion);
+            for threads in [1, 3] {
+                let got: SearchOutcome =
+                    search(&table, &lattice, &criterion, &SearchConfig::with_threads(threads))
+                        .unwrap()
+                        .outcome;
+                prop_assert_eq!(&got.minimal_nodes, &minimal, "{} threads {}", model, threads);
+                prop_assert_eq!(got.satisfied, satisfied, "{} threads {}", model, threads);
+                if !criterion.monotone() {
+                    prop_assert_eq!(got.evaluated, lattice.n_nodes(), "{}", model);
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -131,8 +198,8 @@ proptest! {
             },
         ];
         for config in &configs {
-            let a = find_minimal_safe_with(&table, &lattice, &direct, config).unwrap();
-            let b = find_minimal_safe_with(&table, &lattice, &via_model, config).unwrap();
+            let a = search(&table, &lattice, &direct, config).unwrap().outcome;
+            let b = search(&table, &lattice, &via_model, config).unwrap().outcome;
             prop_assert_eq!(&a, &b, "diverged under {:?}", config);
         }
     }

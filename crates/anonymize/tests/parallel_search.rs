@@ -1,7 +1,7 @@
 //! Equivalence and concurrency contracts of the parallel lattice search.
 //!
-//! The load-bearing guarantee of `find_minimal_safe_with` (and
-//! `incognito_with`) at more than one thread is that the work-stealing
+//! The load-bearing guarantee of `search` (and `incognito`) at more than
+//! one thread is that the work-stealing
 //! schedule is *invisible* in the result:
 //! the same minimal antichain, the same `evaluated` count, the same
 //! `satisfied` count as the sequential search, for any thread count —
@@ -10,16 +10,35 @@
 //! many threads at once and checks that the shared cache still answers
 //! consistently.
 
-use wcbk_anonymize::search::{find_minimal_safe, find_minimal_safe_with, SearchConfig};
+use wcbk_anonymize::search::{search, SearchConfig, SearchOutcome};
 use wcbk_anonymize::{
-    anonymize, anonymize_parallel, incognito, incognito_with, AnonymizeError, CkSafetyCriterion,
-    DistinctLDiversity, KAnonymity, PrivacyCriterion, UtilityMetric,
+    anonymize, incognito, AnonymizeError, CkSafetyCriterion, DistinctLDiversity, KAnonymity,
+    PrivacyCriterion, UtilityMetric,
 };
 use wcbk_core::HistogramSet;
 use wcbk_datagen::adult::{synthetic_adult, AdultConfig};
 use wcbk_hierarchy::adult::adult_lattice;
 use wcbk_hierarchy::GeneralizationLattice;
 use wcbk_table::Table;
+
+/// The search's outcome under `config`.
+fn searched<C: PrivacyCriterion>(
+    table: &Table,
+    lattice: &GeneralizationLattice,
+    criterion: &C,
+    config: &SearchConfig,
+) -> SearchOutcome {
+    search(table, lattice, criterion, config).unwrap().outcome
+}
+
+/// The sequential search's outcome, the oracle every schedule must equal.
+fn sequential<C: PrivacyCriterion>(
+    table: &Table,
+    lattice: &GeneralizationLattice,
+    criterion: &C,
+) -> SearchOutcome {
+    searched(table, lattice, criterion, &SearchConfig::with_threads(1))
+}
 
 fn adult(n_rows: usize) -> (Table, GeneralizationLattice) {
     let table = synthetic_adult(AdultConfig {
@@ -38,16 +57,14 @@ fn adult(n_rows: usize) -> (Table, GeneralizationLattice) {
 fn parallel_equals_sequential_on_adult_lattice() {
     let (table, lattice) = adult(1_500);
     for threads in [2usize, 3, 8] {
-        let seq =
-            find_minimal_safe(&table, &lattice, &CkSafetyCriterion::new(0.8, 2).unwrap()).unwrap();
+        let seq = sequential(&table, &lattice, &CkSafetyCriterion::new(0.8, 2).unwrap());
         let config = SearchConfig::with_threads(threads);
-        let par = find_minimal_safe_with(
+        let par = searched(
             &table,
             &lattice,
             &CkSafetyCriterion::new(0.8, 2).unwrap(),
             &config,
-        )
-        .unwrap();
+        );
         assert_eq!(
             seq, par,
             "(c,k)-safety outcome diverged at {threads} threads"
@@ -57,16 +74,15 @@ fn parallel_equals_sequential_on_adult_lattice() {
             "search found nothing to compare"
         );
 
-        let seq = find_minimal_safe(&table, &lattice, &KAnonymity::new(40)).unwrap();
-        let par = find_minimal_safe_with(&table, &lattice, &KAnonymity::new(40), &config).unwrap();
+        let seq = sequential(&table, &lattice, &KAnonymity::new(40));
+        let par = searched(&table, &lattice, &KAnonymity::new(40), &config);
         assert_eq!(
             seq, par,
             "k-anonymity outcome diverged at {threads} threads"
         );
 
-        let seq = find_minimal_safe(&table, &lattice, &DistinctLDiversity::new(5)).unwrap();
-        let par =
-            find_minimal_safe_with(&table, &lattice, &DistinctLDiversity::new(5), &config).unwrap();
+        let seq = sequential(&table, &lattice, &DistinctLDiversity::new(5));
+        let par = searched(&table, &lattice, &DistinctLDiversity::new(5), &config);
         assert_eq!(
             seq, par,
             "l-diversity outcome diverged at {threads} threads"
@@ -80,10 +96,10 @@ fn parallel_equals_sequential_on_adult_lattice() {
 fn thread_count_edge_cases_match() {
     let (table, lattice) = adult(800);
     let criterion = || CkSafetyCriterion::new(0.85, 1).unwrap();
-    let seq = find_minimal_safe(&table, &lattice, &criterion()).unwrap();
+    let seq = sequential(&table, &lattice, &criterion());
     for threads in [0usize, 1] {
         let config = SearchConfig::with_threads(threads);
-        let par = find_minimal_safe_with(&table, &lattice, &criterion(), &config).unwrap();
+        let par = searched(&table, &lattice, &criterion(), &config);
         assert_eq!(seq, par, "threads={threads}");
     }
 }
@@ -97,14 +113,15 @@ fn anonymize_parallel_picks_same_node() {
         &lattice,
         &CkSafetyCriterion::new(0.85, 1).unwrap(),
         UtilityMetric::Discernibility,
+        &SearchConfig::with_threads(1),
     )
     .unwrap();
-    let par = anonymize_parallel(
+    let par = anonymize(
         &table,
         &lattice,
         &CkSafetyCriterion::new(0.85, 1).unwrap(),
         UtilityMetric::Discernibility,
-        4,
+        &SearchConfig::with_threads(4),
     )
     .unwrap();
     assert_eq!(seq.node, par.node);
@@ -130,7 +147,7 @@ fn shared_criterion_cache_is_thread_safe() {
             let b = lattice.bucketize(&table, n).unwrap();
             CkSafetyCriterion::new(0.8, 2)
                 .unwrap()
-                .is_satisfied(&b)
+                .is_satisfied_hist(&HistogramSet::from_bucketization(&b))
                 .unwrap()
         })
         .collect();
@@ -149,7 +166,9 @@ fn shared_criterion_cache_is_thread_safe() {
                 for i in 0..nodes.len() {
                     let idx = (i + worker * 7) % nodes.len();
                     let b = lattice.bucketize(table, &nodes[idx]).unwrap();
-                    let got = criterion.is_satisfied(&b).unwrap();
+                    let got = criterion
+                        .is_satisfied_hist(&HistogramSet::from_bucketization(&b))
+                        .unwrap();
                     assert_eq!(got, reference[idx], "node {} verdict changed", nodes[idx]);
                 }
             });
@@ -180,11 +199,11 @@ fn shared_criterion_cache_is_thread_safe() {
 fn both_schedules_equal_sequential() {
     let (table, lattice) = adult(1_200);
     let criterion = || CkSafetyCriterion::new(0.8, 2).unwrap();
-    let seq = find_minimal_safe(&table, &lattice, &criterion()).unwrap();
+    let seq = sequential(&table, &lattice, &criterion());
     assert!(!seq.minimal_nodes.is_empty());
     for threads in [2usize, 3, 8] {
         let config = SearchConfig::with_threads(threads);
-        let got = find_minimal_safe_with(&table, &lattice, &criterion(), &config).unwrap();
+        let got = searched(&table, &lattice, &criterion(), &config);
         assert_eq!(seq, got, "work stealing at {threads} threads diverged");
     }
 }
@@ -195,9 +214,9 @@ fn both_schedules_equal_sequential() {
 fn more_workers_than_nodes_matches_sequential() {
     let (table, lattice) = adult(400);
     let criterion = || KAnonymity::new(10);
-    let seq = find_minimal_safe(&table, &lattice, &criterion()).unwrap();
+    let seq = sequential(&table, &lattice, &criterion());
     let config = SearchConfig::with_threads(64);
-    let got = find_minimal_safe_with(&table, &lattice, &criterion(), &config).unwrap();
+    let got = searched(&table, &lattice, &criterion(), &config);
     assert_eq!(seq, got);
 }
 
@@ -207,7 +226,7 @@ fn more_workers_than_nodes_matches_sequential() {
 fn memo_capacity_does_not_change_outcomes() {
     let (table, lattice) = adult(600);
     let criterion = || CkSafetyCriterion::new(0.8, 2).unwrap();
-    let seq = find_minimal_safe(&table, &lattice, &criterion()).unwrap();
+    let seq = sequential(&table, &lattice, &criterion());
     for cap in [1usize, 2, 8] {
         for threads in [1usize, 4] {
             let config = SearchConfig {
@@ -215,7 +234,7 @@ fn memo_capacity_does_not_change_outcomes() {
                 memo_capacity: Some(cap),
                 ..Default::default()
             };
-            let got = find_minimal_safe_with(&table, &lattice, &criterion(), &config).unwrap();
+            let got = searched(&table, &lattice, &criterion(), &config);
             assert_eq!(seq, got, "cap={cap} threads={threads}");
         }
     }
@@ -273,11 +292,11 @@ fn first_error_semantics_preserved_under_stealing() {
         let criterion = ErringCriterion { lo, hi };
         assert_first_error_kept(&format!("search band [{lo},{hi}]"), |threads| {
             let config = SearchConfig::with_threads(threads);
-            find_minimal_safe_with(&table, &lattice, &criterion, &config).map(drop)
+            search(&table, &lattice, &criterion, &config).map(drop)
         });
         assert_first_error_kept(&format!("incognito band [{lo},{hi}]"), |threads| {
             let config = SearchConfig::with_threads(threads);
-            incognito_with(&table, &lattice, &criterion, &config).map(drop)
+            incognito(&table, &lattice, &criterion, &config).map(drop)
         });
     }
 }
@@ -288,9 +307,10 @@ fn first_error_semantics_preserved_under_stealing() {
 #[test]
 fn incognito_parallel_equals_sequential() {
     let (table, lattice) = adult(1_000);
-    let seq = incognito(&table, &lattice, &CkSafetyCriterion::new(0.8, 2).unwrap()).unwrap();
+    let criterion = CkSafetyCriterion::new(0.8, 2).unwrap();
+    let seq = incognito(&table, &lattice, &criterion, &SearchConfig::with_threads(1)).unwrap();
     for threads in [2usize, 4] {
-        let par = incognito_with(
+        let par = incognito(
             &table,
             &lattice,
             &CkSafetyCriterion::new(0.8, 2).unwrap(),
@@ -307,9 +327,10 @@ fn incognito_parallel_equals_sequential() {
 #[test]
 fn incognito_schedules_equal_sequential() {
     let (table, lattice) = adult(800);
-    let seq = incognito(&table, &lattice, &CkSafetyCriterion::new(0.8, 2).unwrap()).unwrap();
+    let criterion = CkSafetyCriterion::new(0.8, 2).unwrap();
+    let seq = incognito(&table, &lattice, &criterion, &SearchConfig::with_threads(1)).unwrap();
     for threads in [1usize, 4] {
-        let got = incognito_with(
+        let got = incognito(
             &table,
             &lattice,
             &CkSafetyCriterion::new(0.8, 2).unwrap(),

@@ -10,7 +10,7 @@ use wcbk_anonymize::criteria::{
     CkSafetyCriterion, DistinctLDiversity, KAnonymity, PrivacyCriterion,
 };
 use wcbk_anonymize::incognito::incognito;
-use wcbk_anonymize::search::{find_minimal_safe, sweep_all};
+use wcbk_anonymize::search::{search, sweep, SearchConfig, SearchOutcome};
 use wcbk_hierarchy::{GenNode, GeneralizationLattice, Hierarchy};
 use wcbk_table::{Attribute, AttributeKind, Schema, Table, TableBuilder};
 
@@ -48,6 +48,19 @@ fn sorted(mut nodes: Vec<GenNode>) -> Vec<GenNode> {
     nodes
 }
 
+fn sequential() -> SearchConfig {
+    SearchConfig::with_threads(1)
+}
+
+/// The sequential lattice search's outcome.
+fn bfs<C: PrivacyCriterion>(
+    table: &Table,
+    lattice: &GeneralizationLattice,
+    c: &C,
+) -> SearchOutcome {
+    search(table, lattice, c, &sequential()).unwrap().outcome
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -55,8 +68,8 @@ proptest! {
     #[test]
     fn incognito_equals_bfs_k_anonymity(table in table_strategy(), k in 1u64..=6) {
         let lattice = lattice_for(&table);
-        let inc = incognito(&table, &lattice, &KAnonymity::new(k)).unwrap();
-        let bfs = find_minimal_safe(&table, &lattice, &KAnonymity::new(k)).unwrap();
+        let inc = incognito(&table, &lattice, &KAnonymity::new(k), &sequential()).unwrap();
+        let bfs = bfs(&table, &lattice, &KAnonymity::new(k));
         prop_assert_eq!(inc.minimal_nodes, sorted(bfs.minimal_nodes));
     }
 
@@ -65,9 +78,9 @@ proptest! {
     fn incognito_equals_bfs_ck_safety(table in table_strategy(), c10 in 3u32..=10, k in 0usize..=2) {
         let c = c10 as f64 / 10.0;
         let lattice = lattice_for(&table);
-        let inc = incognito(&table, &lattice, &CkSafetyCriterion::new(c, k).unwrap()).unwrap();
-        let bfs =
-            find_minimal_safe(&table, &lattice, &CkSafetyCriterion::new(c, k).unwrap()).unwrap();
+        let criterion = CkSafetyCriterion::new(c, k).unwrap();
+        let inc = incognito(&table, &lattice, &criterion, &sequential()).unwrap();
+        let bfs = bfs(&table, &lattice, &CkSafetyCriterion::new(c, k).unwrap());
         prop_assert_eq!(inc.minimal_nodes, sorted(bfs.minimal_nodes));
     }
 
@@ -76,10 +89,9 @@ proptest! {
     #[test]
     fn bfs_minimality_vs_sweep_l_diversity(table in table_strategy(), l in 1usize..=4) {
         let lattice = lattice_for(&table);
-        let outcome =
-            find_minimal_safe(&table, &lattice, &DistinctLDiversity::new(l)).unwrap();
-        let sweep = sweep_all(&table, &lattice, &DistinctLDiversity::new(l)).unwrap();
-        let safe: std::collections::HashSet<GenNode> = sweep
+        let outcome = bfs(&table, &lattice, &DistinctLDiversity::new(l));
+        let swept = sweep(&table, &lattice, &DistinctLDiversity::new(l)).unwrap();
+        let safe: std::collections::HashSet<GenNode> = swept
             .into_iter()
             .filter(|(_, ok)| *ok)
             .map(|(n, _)| n)
@@ -105,8 +117,7 @@ proptest! {
             prop_assert!(n == l || n == l + 1, "bucket size {n}");
             prop_assert_eq!(bucket.histogram().distinct(), n);
         }
-        prop_assert!(DistinctLDiversity::new(l)
-            .is_satisfied(&out.bucketization)
-            .unwrap());
+        let histograms = wcbk_core::HistogramSet::from_bucketization(&out.bucketization);
+        prop_assert!(DistinctLDiversity::new(l).is_satisfied_hist(&histograms).unwrap());
     }
 }

@@ -7,8 +7,7 @@
 use proptest::prelude::*;
 
 use wcbk_anonymize::search::{
-    find_minimal_safe, find_minimal_safe_rescan, find_minimal_safe_with, sweep_all,
-    sweep_all_rescan, SearchConfig,
+    find_minimal_safe_rescan, search, sweep, sweep_all_rescan, SearchConfig,
 };
 use wcbk_anonymize::{
     incognito, CkSafetyCriterion, DistinctLDiversity, KAnonymity, PrivacyCriterion,
@@ -189,7 +188,7 @@ proptest! {
         // Full sweep: every node's verdict identical on both pipelines.
         let ck = || CkSafetyCriterion::new(0.75, 1).unwrap();
         prop_assert_eq!(
-            sweep_all(&table, &lattice, &ck()).unwrap(),
+            sweep(&table, &lattice, &ck()).unwrap(),
             sweep_all_rescan(&table, &lattice, &ck()).unwrap()
         );
 
@@ -200,13 +199,15 @@ proptest! {
             Box::new(CkSafetyCriterion::new(0.75, 1).unwrap()),
         ];
         for criterion in &criteria {
-            let rollup = find_minimal_safe(&table, &lattice, criterion).unwrap();
+            let rollup = search(&table, &lattice, criterion, &SearchConfig::with_threads(1))
+                .unwrap()
+                .outcome;
             let rescan = find_minimal_safe_rescan(&table, &lattice, criterion).unwrap();
             prop_assert_eq!(&rollup, &rescan, "{} diverged", criterion.name());
             // The parallel path (work-stealing + speculation).
-            let stealing =
-                find_minimal_safe_with(&table, &lattice, criterion, &SearchConfig::with_threads(3))
-                    .unwrap();
+            let stealing = search(&table, &lattice, criterion, &SearchConfig::with_threads(3))
+                .unwrap()
+                .outcome;
             prop_assert_eq!(&rollup, &stealing, "{} stealing diverged", criterion.name());
             // Work-stealing under a tiny memo cap: eviction plus
             // ancestor-fallback derivation must stay invisible.
@@ -215,13 +216,12 @@ proptest! {
                 memo_capacity: Some(2),
                 ..Default::default()
             };
-            let capped =
-                find_minimal_safe_with(&table, &lattice, criterion, &capped_cfg).unwrap();
+            let capped = search(&table, &lattice, criterion, &capped_cfg).unwrap().outcome;
             prop_assert_eq!(&rollup, &capped, "{} capped-memo diverged", criterion.name());
         }
 
         // Incognito (roll-up subsets) still agrees with the BFS minimal set.
-        let inc = incognito(&table, &lattice, &ck()).unwrap();
+        let inc = incognito(&table, &lattice, &ck(), &SearchConfig::with_threads(1)).unwrap();
         let mut bfs = find_minimal_safe_rescan(&table, &lattice, &ck())
             .unwrap()
             .minimal_nodes;

@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 
-use wcbk_anonymize::search::{find_minimal_safe_with, sweep_all, SearchConfig};
+use wcbk_anonymize::search::{search, sweep, SearchConfig};
 use wcbk_anonymize::{
     CkSafetyCriterion, DatasetSession, KAnonymity, PrivacyCriterion, SessionOptions,
 };
@@ -101,7 +101,12 @@ proptest! {
         prop_assert_eq!(report.buckets, b.n_buckets());
         prop_assert_eq!(
             report.safe,
-            Some(CkSafety::new(0.8, k).unwrap().is_safe_with(&engine, &b).unwrap())
+            Some(
+                CkSafety::new(0.8, k)
+                    .unwrap()
+                    .is_safe_set(&engine, &wcbk_core::HistogramSet::from_bucketization(&b))
+                    .unwrap()
+            )
         );
         // Re-audit: still identical, still exactly one scan.
         let again = session.audit(Some(0.8), k).unwrap();
@@ -144,15 +149,14 @@ proptest! {
         for criterion in &criteria {
             for config in &configs {
                 let via_session = session.search(criterion, config).unwrap();
-                let direct =
-                    find_minimal_safe_with(&table, &lattice, criterion, config).unwrap();
+                let direct = search(&table, &lattice, criterion, config).unwrap().outcome;
                 prop_assert_eq!(
                     &via_session.outcome, &direct,
                     "{} under {:?} diverged", criterion.name(), config
                 );
             }
             let swept = session.sweep(criterion).unwrap();
-            let direct = sweep_all(&table, &lattice, criterion).unwrap();
+            let direct = sweep(&table, &lattice, criterion).unwrap();
             prop_assert_eq!(&swept, &direct, "{} sweep diverged", criterion.name());
         }
         // Everything above cost exactly one scan of the table.

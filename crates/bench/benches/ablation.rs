@@ -14,11 +14,11 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use wcbk_anonymize::incognito::incognito;
-use wcbk_anonymize::search::find_minimal_safe;
+use wcbk_anonymize::search::{search, SearchConfig};
 use wcbk_anonymize::KAnonymity;
 use wcbk_bench::small_adult;
 use wcbk_core::minimize1::{paper_recursion, Minimize1Table};
-use wcbk_core::{max_disclosure, DisclosureEngine, SensitiveHistogram};
+use wcbk_core::{max_disclosure, DisclosureEngine, HistogramSet, SensitiveHistogram};
 use wcbk_datagen::workload::{random_bucketization, WorkloadConfig};
 use wcbk_hierarchy::adult::adult_lattice;
 use wcbk_table::SValue;
@@ -74,8 +74,9 @@ fn bench_engine_cache(c: &mut Criterion) {
     });
     group.bench_function("warm_histogram_cache", |b| {
         let engine = DisclosureEngine::new(k);
-        engine.max_disclosure_value(&bucketization).unwrap();
-        b.iter(|| black_box(engine.max_disclosure_value(&bucketization).unwrap()))
+        let set = HistogramSet::from_bucketization(&bucketization);
+        engine.max_disclosure_value_set(&set).unwrap();
+        b.iter(|| black_box(engine.max_disclosure_value_set(&set).unwrap()))
     });
     group.bench_function("value_only_vs_witness", |b| {
         let engine = DisclosureEngine::new(k);
@@ -89,11 +90,14 @@ fn bench_incognito_vs_bfs(c: &mut Criterion) {
     group.sample_size(10);
     let table = small_adult(5_000);
     let lattice = adult_lattice(&table).expect("adult lattice");
+    let sequential = SearchConfig::with_threads(1);
     group.bench_function("incognito_subset_join", |b| {
-        b.iter(|| black_box(incognito(&table, &lattice, &KAnonymity::new(50)).unwrap()))
+        b.iter(|| {
+            black_box(incognito(&table, &lattice, &KAnonymity::new(50), &sequential).unwrap())
+        })
     });
     group.bench_function("plain_monotone_bfs", |b| {
-        b.iter(|| black_box(find_minimal_safe(&table, &lattice, &KAnonymity::new(50)).unwrap()))
+        b.iter(|| black_box(search(&table, &lattice, &KAnonymity::new(50), &sequential).unwrap()))
     });
     group.finish();
 }

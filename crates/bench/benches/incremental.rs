@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use wcbk_core::{max_disclosure, DisclosureEngine};
+use wcbk_core::{max_disclosure, DisclosureEngine, HistogramSet};
 use wcbk_datagen::workload::{random_bucketization, WorkloadConfig};
 
 fn bench_incremental(c: &mut Criterion) {
@@ -29,7 +29,8 @@ fn bench_incremental(c: &mut Criterion) {
         let new_hist = replacement.bucket(0).histogram().clone();
 
         let engine = DisclosureEngine::new(k);
-        let session = engine.incremental(&bucketization).unwrap();
+        let set = HistogramSet::from_bucketization(&bucketization);
+        let session = engine.incremental_set(&set).unwrap();
         let new_costs = engine.costs(&new_hist);
         let target = n_buckets / 2;
 
@@ -44,13 +45,8 @@ fn bench_incremental(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("cached_recompute", k), |b| {
             // Histogram-level caching only (the paper's memo-reuse claim).
             let warm = DisclosureEngine::new(k);
-            warm.max_disclosure_value(&bucketization).unwrap();
-            b.iter(|| {
-                black_box(
-                    warm.max_disclosure_value(black_box(&bucketization))
-                        .unwrap(),
-                )
-            })
+            warm.max_disclosure_value_set(&set).unwrap();
+            b.iter(|| black_box(warm.max_disclosure_value_set(black_box(&set)).unwrap()))
         });
         group.finish();
     }

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use wcbk_anonymize::search::{find_minimal_safe, find_minimal_safe_with, sweep_all, SearchConfig};
+use wcbk_anonymize::search::{search, sweep, SearchConfig};
 use wcbk_anonymize::{CkSafetyCriterion, EntropyLDiversity, KAnonymity};
 use wcbk_bench::small_adult;
 use wcbk_hierarchy::adult::adult_lattice;
@@ -15,32 +15,33 @@ fn bench_lattice_search(c: &mut Criterion) {
     group.sample_size(10);
     let table = small_adult(5_000);
     let lattice = adult_lattice(&table).expect("adult lattice");
+    let sequential = SearchConfig::with_threads(1);
 
     group.bench_function("ck_safety_pruned", |b| {
         b.iter(|| {
             let criterion = CkSafetyCriterion::new(0.8, 3).unwrap();
-            black_box(find_minimal_safe(&table, &lattice, &criterion).unwrap())
+            black_box(search(&table, &lattice, &criterion, &sequential).unwrap())
         })
     });
 
     group.bench_function("ck_safety_sweep_all", |b| {
         b.iter(|| {
             let criterion = CkSafetyCriterion::new(0.8, 3).unwrap();
-            black_box(sweep_all(&table, &lattice, &criterion).unwrap())
+            black_box(sweep(&table, &lattice, &criterion).unwrap())
         })
     });
 
     group.bench_function("k_anonymity_pruned", |b| {
         b.iter(|| {
             let criterion = KAnonymity::new(50);
-            black_box(find_minimal_safe(&table, &lattice, &criterion).unwrap())
+            black_box(search(&table, &lattice, &criterion, &sequential).unwrap())
         })
     });
 
     group.bench_function("entropy_ldiv_pruned", |b| {
         b.iter(|| {
             let criterion = EntropyLDiversity::new(4.0).unwrap();
-            black_box(find_minimal_safe(&table, &lattice, &criterion).unwrap())
+            black_box(search(&table, &lattice, &criterion, &sequential).unwrap())
         })
     });
 
@@ -48,7 +49,7 @@ fn bench_lattice_search(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("ck_safety_power", k), &k, |b, &k| {
             b.iter(|| {
                 let criterion = CkSafetyCriterion::new(0.8, k).unwrap();
-                black_box(find_minimal_safe(&table, &lattice, &criterion).unwrap())
+                black_box(search(&table, &lattice, &criterion, &sequential).unwrap())
             })
         });
     }
@@ -63,7 +64,7 @@ fn bench_lattice_search(c: &mut Criterion) {
             |b, config| {
                 b.iter(|| {
                     let criterion = CkSafetyCriterion::new(0.8, 3).unwrap();
-                    black_box(find_minimal_safe_with(&table, &lattice, &criterion, config).unwrap())
+                    black_box(search(&table, &lattice, &criterion, config).unwrap())
                 })
             },
         );

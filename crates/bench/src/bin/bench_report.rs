@@ -34,8 +34,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use wcbk_anonymize::search::{
-    find_minimal_safe, find_minimal_safe_rescan, find_minimal_safe_with, sweep_all,
-    sweep_all_rescan, SearchConfig,
+    find_minimal_safe_rescan, search, sweep, sweep_all_rescan, SearchConfig,
 };
 use wcbk_anonymize::{CkSafetyCriterion, DatasetSession, SessionOptions};
 use wcbk_bench::{small_adult, HarnessError};
@@ -361,9 +360,8 @@ fn main() -> Result<(), HarnessError> {
         sweep_all_rescan(&table, &lattice, &CkSafetyCriterion::new(c, k).unwrap()).unwrap()
     });
     eprintln!("sweeping {n_nodes} nodes via one-scan roll-up…");
-    let (rollup_sweep, rollup_verdicts) = median_time(|| {
-        sweep_all(&table, &lattice, &CkSafetyCriterion::new(c, k).unwrap()).unwrap()
-    });
+    let (rollup_sweep, rollup_verdicts) =
+        median_time(|| sweep(&table, &lattice, &CkSafetyCriterion::new(c, k).unwrap()).unwrap());
     assert_eq!(
         legacy_verdicts, rollup_verdicts,
         "roll-up sweep diverged from the legacy sweep"
@@ -376,8 +374,12 @@ fn main() -> Result<(), HarnessError> {
     });
     eprintln!("pruned search via roll-up path…");
     let criterion = CkSafetyCriterion::new(c, k).unwrap();
-    let (rollup_search, rollup_outcome) =
-        median_time(|| find_minimal_safe(&table, &lattice, &criterion).unwrap());
+    let sequential = SearchConfig::with_threads(1);
+    let (rollup_search, rollup_outcome) = median_time(|| {
+        search(&table, &lattice, &criterion, &sequential)
+            .unwrap()
+            .outcome
+    });
     assert_eq!(
         legacy_outcome, rollup_outcome,
         "roll-up search diverged from the legacy search"
@@ -391,7 +393,9 @@ fn main() -> Result<(), HarnessError> {
     let steal_criterion = CkSafetyCriterion::new(c, k).unwrap();
     let steal_cfg = SearchConfig::with_threads(par_threads);
     let (steal_search, steal_outcome) = median_time(|| {
-        find_minimal_safe_with(&table, &lattice, &steal_criterion, &steal_cfg).unwrap()
+        search(&table, &lattice, &steal_criterion, &steal_cfg)
+            .unwrap()
+            .outcome
     });
     assert_eq!(
         rollup_outcome, steal_outcome,

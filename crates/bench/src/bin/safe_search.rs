@@ -4,7 +4,7 @@
 //!
 //! Run: `cargo run --release -p wcbk-bench --bin safe_search [n_rows] [c] [k]`
 
-use wcbk_anonymize::search::{find_minimal_safe, find_minimal_safe_with, SearchConfig};
+use wcbk_anonymize::search::{search, SearchConfig};
 use wcbk_anonymize::utility::{average_class_size, discernibility};
 use wcbk_anonymize::{
     CkSafetyCriterion, EntropyLDiversity, KAnonymity, PrivacyCriterion, UtilityMetric,
@@ -79,7 +79,7 @@ fn main() -> Result<(), HarnessError> {
     }
     // Resolves 0 → all cores and degenerates to sequential at 1 thread.
     let config = SearchConfig::with_threads(threads);
-    let outcome = find_minimal_safe_with(&table, &lattice, &ck, &config)?;
+    let outcome = search(&table, &lattice, &ck, &config)?.outcome;
     let stats = ck.engine_stats();
     report(ck.name(), outcome, &mut rows, &mut csv_rows);
     eprintln!(
@@ -93,7 +93,7 @@ fn main() -> Result<(), HarnessError> {
     // The same criterion through real Incognito (apriori subset join):
     // identical minimal nodes, different evaluation budget.
     let ck_inc = CkSafetyCriterion::new(c, k)?;
-    let inc = wcbk_anonymize::incognito_with(&table, &lattice, &ck_inc, &config)?;
+    let inc = wcbk_anonymize::incognito(&table, &lattice, &ck_inc, &config)?;
     report(
         format!("{} [incognito]", ck_inc.name()),
         wcbk_anonymize::SearchOutcome {
@@ -109,12 +109,13 @@ fn main() -> Result<(), HarnessError> {
         inc.per_size
     );
 
+    let sequential = SearchConfig::with_threads(1);
     let ka = KAnonymity::new(50);
-    let outcome = find_minimal_safe(&table, &lattice, &ka)?;
+    let outcome = search(&table, &lattice, &ka, &sequential)?.outcome;
     report(ka.name(), outcome, &mut rows, &mut csv_rows);
 
     let el = EntropyLDiversity::new(4.0)?;
-    let outcome = find_minimal_safe(&table, &lattice, &el)?;
+    let outcome = search(&table, &lattice, &el, &sequential)?.outcome;
     report(el.name(), outcome, &mut rows, &mut csv_rows);
 
     print_aligned(&mut std::io::stdout(), &header, &rows)?;
@@ -123,12 +124,12 @@ fn main() -> Result<(), HarnessError> {
 
     println!("\n== utility-ranked (c,k)-safe publication ==");
     let ck = CkSafetyCriterion::new(c, k)?;
-    match wcbk_anonymize::anonymize_parallel(
+    match wcbk_anonymize::anonymize(
         &table,
         &lattice,
         &ck,
         UtilityMetric::Discernibility,
-        threads,
+        &config,
     ) {
         Ok(outcome) => {
             let audit = outcome.audit(k)?;

@@ -277,19 +277,6 @@ impl DisclosureEngine {
         BucketCosts::clone(&self.cached(hist))
     }
 
-    /// Maximum disclosure value only (no witness reconstruction).
-    pub fn max_disclosure_value(&self, b: &Bucketization) -> Result<f64, CoreError> {
-        if b.n_buckets() == 0 {
-            return Err(CoreError::EmptyBucketization);
-        }
-        let entries: Vec<Arc<BucketCosts>> = b
-            .buckets()
-            .iter()
-            .map(|bucket| self.cached(bucket.histogram()))
-            .collect();
-        Ok(to_disclosure(minimize2_value(&entries, self.k)))
-    }
-
     /// Maximum disclosure value of a histogram-only bucketization view —
     /// what the roll-up lattice search evaluates, with no `Bucketization`
     /// ever materialized.
@@ -300,9 +287,9 @@ impl DisclosureEngine {
         Ok(self.with_set_entries(h, |entries| to_disclosure(minimize2_value(entries, self.k))))
     }
 
-    /// Full maximum disclosure with witness over a histogram-only view —
-    /// bit-identical to [`DisclosureEngine::max_disclosure`] on the
-    /// bucketization `h` describes, with no tuple-level grouping held.
+    /// Full maximum disclosure with witness over a histogram-only view,
+    /// with no tuple-level grouping held ([`DisclosureEngine::max_disclosure`]
+    /// runs this on a bucketization's histograms).
     ///
     /// The witness names persons in at most `k+1` buckets (Lemma 12), so
     /// membership is fetched on demand: `members` is called once with
@@ -363,42 +350,13 @@ impl DisclosureEngine {
         f(&entries)
     }
 
-    /// Full maximum disclosure with witness, using the cache.
+    /// Full maximum disclosure with witness, using the cache: the
+    /// histogram-set path over `b`'s buckets, with the witness's persons
+    /// read off `b`'s members.
     pub fn max_disclosure(&self, b: &Bucketization) -> Result<DisclosureResult, CoreError> {
-        if b.n_buckets() == 0 {
-            return Err(CoreError::EmptyBucketization);
-        }
-        let entries: Vec<Arc<BucketCosts>> = b
-            .buckets()
-            .iter()
-            .map(|bucket| self.cached(bucket.histogram()))
-            .collect();
-        let result = minimize2(&entries, self.k);
-        let witness = build_witness(
-            |i| b.bucket(i).histogram(),
-            b.domain_size(),
-            &result.allocation,
-            |requests| leading_members(b, requests),
-        );
-        Ok(DisclosureResult {
-            value: to_disclosure(result.r_min),
-            r_min: result.r_min,
-            k: self.k,
-            witness,
+        self.max_disclosure_set(&HistogramSet::from_bucketization(b), |requests| {
+            leading_members(b, requests)
         })
-    }
-
-    /// Builds an incremental session over `b`'s buckets.
-    pub fn incremental(&self, b: &Bucketization) -> Result<IncrementalDisclosure, CoreError> {
-        if b.n_buckets() == 0 {
-            return Err(CoreError::EmptyBucketization);
-        }
-        let buckets: Vec<BucketCosts> = b
-            .buckets()
-            .iter()
-            .map(|bucket| self.costs(bucket.histogram()))
-            .collect();
-        Ok(IncrementalDisclosure::new(buckets, self.k))
     }
 
     /// Builds an incremental session straight from a histogram-only view —
@@ -612,6 +570,20 @@ mod tests {
         Bucketization::from_grouping(&hospital_table(), hospital_bucket_of).unwrap()
     }
 
+    /// The engine's value over `b`'s histograms.
+    fn value_of(engine: &DisclosureEngine, b: &Bucketization) -> f64 {
+        engine
+            .max_disclosure_value_set(&HistogramSet::from_bucketization(b))
+            .unwrap()
+    }
+
+    /// An incremental session over `b`'s histograms.
+    fn incremental_of(engine: &DisclosureEngine, b: &Bucketization) -> IncrementalDisclosure {
+        engine
+            .incremental_set(&HistogramSet::from_bucketization(b))
+            .unwrap()
+    }
+
     /// Finer split of the hospital table: four buckets.
     fn four_buckets() -> Bucketization {
         let t = hospital_table();
@@ -633,7 +605,7 @@ mod tests {
                 let via_engine = engine.max_disclosure(&b).unwrap();
                 assert!((direct.value - via_engine.value).abs() < 1e-15, "k={k}");
                 assert_eq!(direct.witness, via_engine.witness, "k={k}");
-                assert!((engine.max_disclosure_value(&b).unwrap() - direct.value).abs() < 1e-15);
+                assert!((value_of(&engine, &b) - direct.value).abs() < 1e-15);
             }
         }
     }
@@ -643,10 +615,8 @@ mod tests {
         for k in 0..=4 {
             let engine = DisclosureEngine::new(k);
             for b in [figure3(), four_buckets()] {
-                let via_buckets = engine.max_disclosure_value(&b).unwrap();
-                let via_set = engine
-                    .max_disclosure_value_set(&HistogramSet::from_bucketization(&b))
-                    .unwrap();
+                let via_buckets = max_disclosure(&b, k).unwrap().value;
+                let via_set = value_of(&engine, &b);
                 assert_eq!(via_buckets.to_bits(), via_set.to_bits(), "k={k}");
             }
         }
@@ -682,7 +652,7 @@ mod tests {
                 let engine = DisclosureEngine::new(k);
                 let set = HistogramSet::from_bucketization(&b);
                 let via_set = engine.max_disclosure_value_set(&set).unwrap();
-                let via_buckets = engine.max_disclosure_value(&b).unwrap();
+                let via_buckets = engine.max_disclosure(&b).unwrap().value;
                 let direct = max_disclosure(&b, k).unwrap().value;
                 assert_eq!(via_set.to_bits(), via_buckets.to_bits(), "k={k}");
                 assert_eq!(via_set.to_bits(), direct.to_bits(), "k={k}");
@@ -713,7 +683,7 @@ mod tests {
     }
 
     /// One lookup per distinct key still reports per-bucket traffic: a
-    /// repeated key counts as the hit the per-bucket path would have scored.
+    /// repeated key counts as the hit a per-bucket lookup would have scored.
     #[test]
     fn set_path_counts_cache_traffic_per_bucket() {
         let b = repeated_keys();
@@ -721,7 +691,9 @@ mod tests {
         let per_bucket = DisclosureEngine::new(2);
         let per_key = DisclosureEngine::new(2);
         for (round, (hits, misses)) in [(3, 3), (9, 3)].into_iter().enumerate() {
-            per_bucket.max_disclosure_value(&b).unwrap();
+            for bucket in b.buckets() {
+                per_bucket.costs(bucket.histogram());
+            }
             per_key.max_disclosure_value_set(&set).unwrap();
             assert_eq!(per_bucket.cache_stats(), (hits, misses), "round {round}");
             assert_eq!(per_key.cache_stats(), (hits, misses), "round {round}");
@@ -755,10 +727,13 @@ mod tests {
         for k in 0..=3 {
             let engine = DisclosureEngine::new(k);
             for b in [figure3(), four_buckets()] {
-                let from_buckets = engine.incremental(&b).unwrap();
-                let from_set = engine
-                    .incremental_set(&HistogramSet::from_bucketization(&b))
-                    .unwrap();
+                let costs = b
+                    .buckets()
+                    .iter()
+                    .map(|bucket| engine.costs(bucket.histogram()))
+                    .collect();
+                let from_buckets = IncrementalDisclosure::new(costs, k);
+                let from_set = incremental_of(&engine, &b);
                 assert_eq!(from_buckets.n_buckets(), from_set.n_buckets());
                 assert_eq!(from_buckets.value().to_bits(), from_set.value().to_bits());
                 assert_eq!(from_buckets.r_min().to_bits(), from_set.r_min().to_bits());
@@ -770,12 +745,12 @@ mod tests {
     fn cache_hits_across_shared_histograms() {
         let engine = DisclosureEngine::new(2);
         let b = figure3();
-        engine.max_disclosure_value(&b).unwrap();
+        value_of(&engine, &b);
         let (h0, m0) = engine.cache_stats();
         assert_eq!(h0, 0);
         assert_eq!(m0, 2);
         // Same bucketization again: all hits.
-        engine.max_disclosure_value(&b).unwrap();
+        value_of(&engine, &b);
         let (h1, m1) = engine.cache_stats();
         assert_eq!(h1, 2);
         assert_eq!(m1, 2);
@@ -786,7 +761,7 @@ mod tests {
     fn engine_is_shareable_across_threads() {
         let engine = DisclosureEngine::new(2);
         let b = figure3();
-        let expected = engine.max_disclosure_value(&b).unwrap();
+        let expected = value_of(&engine, &b);
         // Pre-warmed cache: every lookup from the workers must hit.
         std::thread::scope(|scope| {
             for _ in 0..4 {
@@ -794,7 +769,7 @@ mod tests {
                 let b = &b;
                 scope.spawn(move || {
                     for _ in 0..50 {
-                        let v = engine.max_disclosure_value(b).unwrap();
+                        let v = value_of(engine, b);
                         assert!((v - expected).abs() < 1e-15);
                     }
                 });
@@ -825,7 +800,7 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..bs.len() {
                         let idx = (i + worker) % bs.len();
-                        let v = engine.max_disclosure_value(&bs[idx]).unwrap();
+                        let v = value_of(engine, &bs[idx]);
                         assert!((v - expected[idx]).abs() < 1e-15);
                     }
                 });
@@ -844,15 +819,12 @@ mod tests {
         let k = 2;
         let reference = DisclosureEngine::new(k);
         let bs = [figure3(), four_buckets()];
-        let expected: Vec<f64> = bs
-            .iter()
-            .map(|b| reference.max_disclosure_value(b).unwrap())
-            .collect();
+        let expected: Vec<f64> = bs.iter().map(|b| value_of(&reference, b)).collect();
         for cap in [1u64, 2, 3, 8] {
             let engine = DisclosureEngine::with_cache_capacity(k, Some(cap));
             for round in 0..3 {
                 for (b, want) in bs.iter().zip(&expected) {
-                    let got = engine.max_disclosure_value(b).unwrap();
+                    let got = value_of(&engine, b);
                     assert_eq!(got.to_bits(), want.to_bits(), "cap {cap} round {round}");
                     let stats = engine.stats();
                     assert!(stats.groups <= cap, "cap {cap}: {stats:?}");
@@ -863,10 +835,10 @@ mod tests {
         // A tight budget across distinct histograms must have evicted.
         let tight = DisclosureEngine::with_cache_capacity(k, Some(3));
         for b in &bs {
-            tight.max_disclosure_value(b).unwrap();
+            value_of(&tight, b);
         }
         for b in &bs {
-            tight.max_disclosure_value(b).unwrap();
+            value_of(&tight, b);
         }
         assert!(tight.stats().evictions > 0, "{:?}", tight.stats());
     }
@@ -878,14 +850,14 @@ mod tests {
         let engine = DisclosureEngine::with_cache_capacity(2, Some(1));
         let b = four_buckets(); // histograms with >1 distinct frequency
         let direct = max_disclosure(&b, 2).unwrap().value;
-        let got = engine.max_disclosure_value(&b).unwrap();
+        let got = value_of(&engine, &b);
         assert_eq!(got.to_bits(), direct.to_bits());
         let stats = engine.stats();
         assert!(stats.groups <= 1, "{stats:?}");
         assert_eq!(stats.evictions, 0, "oversized entries never evict");
 
         let clamped = DisclosureEngine::with_cache_capacity(2, Some(0));
-        let got = clamped.max_disclosure_value(&b).unwrap();
+        let got = value_of(&clamped, &b);
         assert_eq!(got.to_bits(), direct.to_bits());
         assert!(clamped.stats().groups <= 1);
     }
@@ -907,7 +879,7 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..40 {
                         let idx = (i + worker) % bs.len();
-                        let v = engine.max_disclosure_value(&bs[idx]).unwrap();
+                        let v = value_of(engine, &bs[idx]);
                         assert_eq!(v.to_bits(), expected[idx].to_bits());
                     }
                 });
@@ -921,7 +893,7 @@ mod tests {
         for k in 0..=3 {
             let engine = DisclosureEngine::new(k);
             let b = four_buckets();
-            let inc = engine.incremental(&b).unwrap();
+            let inc = incremental_of(&engine, &b);
             let direct = max_disclosure(&b, k).unwrap();
             assert!((inc.value() - direct.value).abs() < 1e-12, "k={k}");
         }
@@ -932,7 +904,7 @@ mod tests {
         let k = 2;
         let engine = DisclosureEngine::new(k);
         let b = four_buckets();
-        let inc = engine.incremental(&b).unwrap();
+        let inc = incremental_of(&engine, &b);
         // Replace bucket 1 with bucket 3's histogram (same table, different
         // frequency vector).
         let replacement_hist = b.bucket(3).histogram().clone();
@@ -957,7 +929,7 @@ mod tests {
         let k = 2;
         let engine = DisclosureEngine::new(k);
         let b = four_buckets();
-        let inc = engine.incremental(&b).unwrap();
+        let inc = incremental_of(&engine, &b);
         for i in 0..4 {
             let predicted = inc.what_if_remove(i).unwrap();
             let groups: Vec<Vec<TupleId>> = b
@@ -978,7 +950,7 @@ mod tests {
         let k = 2;
         let engine = DisclosureEngine::new(k);
         let b = four_buckets();
-        let inc = engine.incremental(&b).unwrap();
+        let inc = incremental_of(&engine, &b);
         for i in 0..3 {
             let merged_hist =
                 merge_histograms(b.bucket(i).histogram(), b.bucket(i + 1).histogram());
@@ -995,7 +967,7 @@ mod tests {
         let k = 1;
         let engine = DisclosureEngine::new(k);
         let b = four_buckets();
-        let mut inc = engine.incremental(&b).unwrap();
+        let mut inc = incremental_of(&engine, &b);
         let hist = b.bucket(0).histogram().clone();
         let costs = engine.costs(&hist);
         let what_if = inc.what_if_replace(2, &costs).unwrap();
@@ -1008,7 +980,7 @@ mod tests {
         let k = 1;
         let engine = DisclosureEngine::new(k);
         let b = figure3();
-        let mut inc = engine.incremental(&b).unwrap();
+        let mut inc = incremental_of(&engine, &b);
         assert_eq!(inc.n_buckets(), 2);
         let costs = engine.costs(b.bucket(0).histogram());
         inc.push(costs);
@@ -1022,7 +994,7 @@ mod tests {
     fn index_errors() {
         let engine = DisclosureEngine::new(1);
         let b = figure3();
-        let inc = engine.incremental(&b).unwrap();
+        let inc = incremental_of(&engine, &b);
         assert!(matches!(
             inc.what_if_remove(7),
             Err(CoreError::BucketOutOfRange { .. })
@@ -1035,7 +1007,7 @@ mod tests {
     fn prefix_and_suffix_agree_on_global_value() {
         let engine = DisclosureEngine::new(3);
         let b = four_buckets();
-        let inc = engine.incremental(&b).unwrap();
+        let inc = incremental_of(&engine, &b);
         let via_prefix = inc.prefix.get(4, 3, true);
         let via_suffix = inc.suffix.get(0, 3, false);
         assert!((via_prefix - via_suffix).abs() < 1e-15);

@@ -240,7 +240,7 @@ mod tests {
         // caches neither — yet values stay correct.
         let direct = crate::max_disclosure(&b, 1).unwrap().value;
         assert_eq!(
-            engine.max_disclosure_value(&b).unwrap().to_bits(),
+            engine.max_disclosure(&b).unwrap().value.to_bits(),
             direct.to_bits()
         );
         assert!(engine.stats().groups <= 1, "{:?}", engine.stats());
@@ -253,7 +253,7 @@ mod tests {
         // Warm k=1: its retained weight alone exceeds the 1-group budget,
         // but the most recent engine is never evicted.
         let e1 = registry.engine(1);
-        e1.max_disclosure_value(&b).unwrap();
+        e1.max_disclosure(&b).unwrap();
         assert_eq!(registry.len(), 1);
         registry.engine(1);
         assert_eq!(registry.len(), 1, "hot engine must survive");
@@ -265,7 +265,7 @@ mod tests {
         assert_eq!(stats.per_k[0].0, 2);
         assert!(stats.evictions >= 1);
         // The in-flight Arc still works; a re-request starts cold.
-        e1.max_disclosure_value(&b).unwrap();
+        e1.max_disclosure(&b).unwrap();
         let fresh = registry.engine(1);
         assert!(!Arc::ptr_eq(&e1, &fresh));
         assert_eq!(fresh.stats().entries, 0);
@@ -275,8 +275,8 @@ mod tests {
     fn stats_sum_across_engines() {
         let registry = EngineRegistry::new();
         let b = figure3();
-        registry.engine(1).max_disclosure_value(&b).unwrap();
-        registry.engine(2).max_disclosure_value(&b).unwrap();
+        registry.engine(1).max_disclosure(&b).unwrap();
+        registry.engine(2).max_disclosure(&b).unwrap();
         let stats = registry.stats();
         assert_eq!(stats.engines, 2);
         assert_eq!(stats.per_k.len(), 2);

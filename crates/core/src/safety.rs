@@ -47,22 +47,9 @@ impl CkSafety {
         Ok(max_disclosure(b, self.k)?.value < self.c)
     }
 
-    /// Checks safety through a memoizing [`DisclosureEngine`] (reuses
-    /// MINIMIZE1 tables across bucketizations that share histograms —
-    /// the common case during lattice search).
-    pub fn is_safe_with(
-        &self,
-        engine: &DisclosureEngine,
-        b: &Bucketization,
-    ) -> Result<bool, CoreError> {
-        if b.max_frequency_ratio() >= self.c {
-            return Ok(false);
-        }
-        Ok(engine.max_disclosure_value(b)? < self.c)
-    }
-
-    /// Checks safety of a histogram-only view through a memoizing engine —
-    /// the roll-up lattice search path, where no `Bucketization` exists.
+    /// Checks safety of a histogram-only view through a memoizing
+    /// [`DisclosureEngine`], which reuses MINIMIZE1 values across sets that
+    /// share histograms (the common case during lattice search).
     pub fn is_safe_set(
         &self,
         engine: &DisclosureEngine,
@@ -140,7 +127,9 @@ mod tests {
             let safety = CkSafety::new(0.65, k).unwrap();
             assert_eq!(
                 safety.is_safe(&b).unwrap(),
-                safety.is_safe_with(&engine, &b).unwrap(),
+                safety
+                    .is_safe_set(&engine, &HistogramSet::from_bucketization(&b))
+                    .unwrap(),
                 "k={k}"
             );
         }

@@ -7,6 +7,7 @@ use proptest::prelude::*;
 use wcbk_core::minimize1::{
     brute_force_profiles, minimize1_values, paper_recursion, Minimize1Table,
 };
+use wcbk_core::minimize2::{minimize2, BucketCosts};
 use wcbk_core::partial_order::{merge_buckets, refines};
 use wcbk_core::{
     max_disclosure, negation_max_disclosure, Bucket, Bucketization, DisclosureEngine, HistogramSet,
@@ -280,7 +281,9 @@ proptest! {
         let per_key = DisclosureEngine::new(k);
         let set = HistogramSet::from_bucketization(&b);
         for _ in 0..2 {
-            let want = per_bucket.max_disclosure_value(&b).unwrap();
+            let costs: Vec<BucketCosts> =
+                b.buckets().iter().map(|x| per_bucket.costs(x.histogram())).collect();
+            let want = 1.0 / (1.0 + minimize2(&costs, k).r_min);
             let got = per_key.max_disclosure_value_set(&set).unwrap();
             prop_assert_eq!(got.to_bits(), want.to_bits());
             prop_assert_eq!(got.to_bits(), max_disclosure(&b, k).unwrap().value.to_bits());

@@ -694,18 +694,19 @@ impl AuditService {
             return Err(bad("search needs a non-empty \"qi\" list"));
         }
         let config = search_config(request)?;
-        self.count_model(config.model, ModelOp::Search);
+        let model = parse_model(request)?;
+        self.count_model(model, ModelOp::Search);
         // The conjunction default keeps the classic criterion (and its
         // response bytes); any other model searches through the plugin
-        // criterion — same monotone pruning, the model's bound.
-        let criterion: Box<dyn PrivacyCriterion> = if config.model == ModelId::Conjunction {
+        // criterion — the model's bound, pruned only if it is monotone.
+        let criterion: Box<dyn PrivacyCriterion> = if model == ModelId::Conjunction {
             Box::new(
                 CkSafetyCriterion::with_engine(c, session.engine(k))
                     .map_err(|e| bad(e.to_string()))?,
             )
         } else {
             Box::new(
-                ModelSafetyCriterion::new(c, config.model.resolve(session.engine(k)))
+                ModelSafetyCriterion::new(c, model.resolve(session.engine(k)))
                     .map_err(|e| bad(e.to_string()))?,
             )
         };
@@ -747,8 +748,8 @@ impl AuditService {
                 rollup.as_ref().map(rollup_json).unwrap_or(Json::Null),
             ),
         ]);
-        if config.model != ModelId::Conjunction {
-            push_field(&mut out, "model", config.model.name().into());
+        if model != ModelId::Conjunction {
+            push_field(&mut out, "model", model.name().into());
         }
         if let (Some(started), Some(build_before)) = (started, build_before) {
             let build = self
@@ -791,7 +792,8 @@ impl AuditService {
 
     /// Handles `POST /search`: register → run → drop over a transient
     /// session; minimal (c,k)-safe generalizations over the request's
-    /// hierarchies, honoring `threads` / `memo_cap`, exactly
+    /// hierarchies, honoring `threads` (and `memo_cap` / `scan_threads`
+    /// through the session), exactly
     /// like `wcbk search` — through the **shared** engine for that `k`, so
     /// repeated searches reuse each other's MINIMIZE1 tables.
     pub fn search(&self, request: &Json) -> Result<Json, ServeError> {
@@ -1503,29 +1505,16 @@ fn parse_model(request: &Json) -> Result<ModelId, ServeError> {
     }
 }
 
-/// Parses `threads` / `memo_cap` (alias `memo-cap`) /
-/// `scan_threads` into a [`SearchConfig`] with the same defaults and
-/// spellings as the CLI. `threads` and `scan_threads` are capped at the
-/// machine's core count — they are client-supplied numbers on a network
-/// surface, and the scheduler's own clamp (lattice size) is *also*
-/// client-controlled via `hierarchy`.
+/// Parses a search's `threads` into a [`SearchConfig`] (default 1, like
+/// the CLI), capped at the machine's core count: it is a client-supplied
+/// number on a network surface, and the scheduler's own clamp (lattice
+/// size) is *also* client-controlled via `hierarchy`. The memo cap and the
+/// scan threads belong to the session, which took them at registration.
 fn search_config(request: &Json) -> Result<SearchConfig, ServeError> {
     let threads = optional_usize(request, "threads")?
         .unwrap_or(1)
         .min(default_threads());
-    let scan_threads = optional_usize(request, "scan_threads")?
-        .unwrap_or(1)
-        .min(default_threads());
-    let memo_capacity = match optional_usize(request, "memo_cap")? {
-        Some(n) => Some(n),
-        None => optional_usize(request, "memo-cap")?,
-    };
-    Ok(SearchConfig {
-        threads,
-        memo_capacity,
-        scan_threads,
-        model: parse_model(request)?,
-    })
+    Ok(SearchConfig::with_threads(threads))
 }
 
 /// Builds the generalization lattice for `qi` from the request's
@@ -2069,8 +2058,9 @@ mod tests {
             memo_capacity: Some(16),
             ..Default::default()
         };
-        let direct =
-            wcbk_anonymize::find_minimal_safe_with(&table, &lattice, &criterion, &config).unwrap();
+        let direct = wcbk_anonymize::search(&table, &lattice, &criterion, &config)
+            .unwrap()
+            .outcome;
         let minimal = out.get("minimal").unwrap().as_array().unwrap();
         assert_eq!(minimal.len(), direct.minimal_nodes.len());
         for (got, want) in minimal.iter().zip(&direct.minimal_nodes) {

@@ -6,7 +6,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
-use wcbk_anonymize::{find_minimal_safe_with, CkSafetyCriterion, SearchConfig};
+use wcbk_anonymize::{search, CkSafetyCriterion, SearchConfig};
 use wcbk_core::{is_ck_safe, Bucketization, DisclosureEngine};
 use wcbk_hierarchy::{GeneralizationLattice, Hierarchy};
 use wcbk_serve::http::client::Client;
@@ -140,7 +140,9 @@ fn expected_search(i: usize) -> (Vec<Vec<usize>>, usize, usize) {
     .unwrap();
     let criterion = CkSafetyCriterion::new(0.9, 0).unwrap();
     let config = SearchConfig::with_threads(2);
-    let outcome = find_minimal_safe_with(&table, &lattice, &criterion, &config).unwrap();
+    let outcome = search(&table, &lattice, &criterion, &config)
+        .unwrap()
+        .outcome;
     assert!(
         !outcome.minimal_nodes.is_empty(),
         "workload should admit a safe generalization at k = 0"
@@ -323,7 +325,7 @@ fn search_honors_schedule_threads_and_memo_cap() {
         (1, Hierarchy::suppression("Sex", &sex)),
     ])
     .unwrap();
-    let outcome = find_minimal_safe_with(
+    let outcome = search(
         &table,
         &lattice,
         &CkSafetyCriterion::new(0.9, 1).unwrap(),
@@ -333,7 +335,8 @@ fn search_honors_schedule_threads_and_memo_cap() {
             ..Default::default()
         },
     )
-    .unwrap();
+    .unwrap()
+    .outcome;
     assert_eq!(
         out.get("evaluated").and_then(Json::as_u64),
         Some(outcome.evaluated as u64)

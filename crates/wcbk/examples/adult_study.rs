@@ -56,7 +56,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n== Minimal (c,k)-safe publication via lattice search ==");
     let (c, k) = (0.75, 3);
     let criterion = CkSafetyCriterion::new(c, k)?;
-    match anonymize(&table, &lattice, &criterion, UtilityMetric::Discernibility) {
+    match anonymize(
+        &table,
+        &lattice,
+        &criterion,
+        UtilityMetric::Discernibility,
+        &SearchConfig::with_threads(1),
+    ) {
         Ok(outcome) => {
             let audit = outcome.audit(k)?;
             println!("  criterion:       ({c},{k})-safety");

@@ -47,7 +47,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Full-domain generalization chosen by lattice search.
     let lattice = adult_lattice(&table)?;
     let criterion = CkSafetyCriterion::new(0.8, k)?;
-    let lattice_pub = anonymize(&table, &lattice, &criterion, UtilityMetric::Discernibility)?;
+    let lattice_pub = anonymize(
+        &table,
+        &lattice,
+        &criterion,
+        UtilityMetric::Discernibility,
+        &SearchConfig::with_threads(1),
+    )?;
     audit_row("lattice (0.8,3)-safe", &lattice_pub.bucketization, k)?;
 
     // 2. Anatomy with l = 4 (if eligible).

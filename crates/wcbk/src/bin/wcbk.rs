@@ -542,7 +542,7 @@ fn search_cmd(opts: &Options) -> Result<Verdict, Box<dyn std::error::Error>> {
 
     // Register → run → drop over the dataset-handle API: the session owns
     // the one-scan evaluator and the engine registry, and its search is
-    // bit-identical to `find_minimal_safe_with` (pinned by the
+    // bit-identical to the one-shot `search` (pinned by the
     // session-equivalence tests).
     let session = DatasetSession::with_options(
         table,
@@ -554,8 +554,8 @@ fn search_cmd(opts: &Options) -> Result<Verdict, Box<dyn std::error::Error>> {
         },
     )?;
     // The conjunction default keeps the classic criterion; any other
-    // `--model` searches through the plugin criterion (same monotone
-    // pruning, the model's bound).
+    // `--model` searches through the plugin criterion (the model's bound,
+    // pruned only if the model is merge-monotone).
     let engine = session.engine(opts.k);
     let criterion: Box<dyn PrivacyCriterion> = if opts.model == ModelId::Conjunction {
         Box::new(CkSafetyCriterion::with_engine(c, engine.clone())?)
@@ -567,12 +567,7 @@ fn search_cmd(opts: &Options) -> Result<Verdict, Box<dyn std::error::Error>> {
     };
     // The session search resolves 0 → all cores and degenerates to the
     // sequential search at 1 thread, so dispatch is unconditional.
-    let config = SearchConfig {
-        threads: opts.threads.unwrap_or(1),
-        memo_capacity: opts.memo_cap,
-        scan_threads: opts.scan_threads.unwrap_or(0),
-        model: opts.model,
-    };
+    let config = SearchConfig::with_threads(opts.threads.unwrap_or(1));
     let effective = config.effective_threads();
     let started = std::time::Instant::now();
     let outcome = session.search(&criterion, &config)?.outcome;

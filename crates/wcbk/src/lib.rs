@@ -59,13 +59,12 @@ pub use wcbk_worlds as worlds;
 /// The most commonly used items, re-exported flat.
 pub mod prelude {
     pub use wcbk_anonymize::{
-        anatomize, anonymize, anonymize_parallel, default_threads, find_minimal_safe,
-        find_minimal_safe_report, find_minimal_safe_with, incognito, incognito_with, swap_sanitize,
-        sweep_all, AdversaryModel, AuditReport, CkSafetyCriterion, CompositionReport,
-        CompositionStyle, DatasetSession, DistinctLDiversity, EntropyLDiversity, KAnonymity,
-        ModelAuditReport, ModelCompositionReport, ModelId, ModelSafetyCriterion, ModelWitness,
-        PrivacyCriterion, RecursiveCLDiversity, ReleaseReport, SearchConfig, SearchOutcome,
-        SearchReport, SessionOptions, UtilityMetric, MODEL_IDS, MODEL_NAMES,
+        anatomize, anonymize, default_threads, incognito, search, swap_sanitize, sweep,
+        AdversaryModel, AuditReport, CkSafetyCriterion, CompositionReport, CompositionStyle,
+        DatasetSession, DistinctLDiversity, EntropyLDiversity, KAnonymity, ModelAuditReport,
+        ModelCompositionReport, ModelId, ModelSafetyCriterion, ModelWitness, PrivacyCriterion,
+        RecursiveCLDiversity, ReleaseReport, SearchConfig, SearchOutcome, SearchReport,
+        SessionOptions, UtilityMetric, MODEL_IDS, MODEL_NAMES,
     };
     pub use wcbk_core::{
         cost_negation_max_disclosure, is_ck_safe, max_disclosure, negation_max_disclosure, Bucket,

@@ -2,7 +2,6 @@
 //! hierarchies → lattice search → (c,k)-safety audit, plus the Figure 5/6
 //! shape properties the paper reports.
 
-use wcbk::anonymize::search::find_minimal_safe;
 use wcbk::anonymize::{anonymize, CkSafetyCriterion, KAnonymity, UtilityMetric};
 use wcbk::core::negation_max_disclosure;
 use wcbk::datagen::adult::{synthetic_adult, AdultConfig};
@@ -44,24 +43,20 @@ fn lattice_search_finds_minimal_safe_nodes() {
     let table = adult(3_000);
     let lattice = adult_lattice(&table).unwrap();
     let criterion = CkSafetyCriterion::new(0.9, 2).unwrap();
-    let outcome = find_minimal_safe(&table, &lattice, &criterion).unwrap();
+    let outcome = search(&table, &lattice, &criterion, &SearchConfig::with_threads(1))
+        .unwrap()
+        .outcome;
     // The top node fully suppresses everything: a single bucket over 14
     // occupations is about as safe as it gets; expect at least one safe node.
     assert!(!outcome.minimal_nodes.is_empty());
     // Minimality: no immediate predecessor of a minimal node is safe.
     for node in &outcome.minimal_nodes {
         let b = lattice.bucketize(&table, node).unwrap();
-        assert!(CkSafetyCriterion::new(0.9, 2)
-            .unwrap()
-            .is_satisfied(&b)
-            .unwrap());
+        assert!(is_ck_safe(&b, 0.9, 2).unwrap());
         for p in lattice.predecessors(node) {
             let pb = lattice.bucketize(&table, &p).unwrap();
             assert!(
-                !CkSafetyCriterion::new(0.9, 2)
-                    .unwrap()
-                    .is_satisfied(&pb)
-                    .unwrap(),
+                !is_ck_safe(&pb, 0.9, 2).unwrap(),
                 "{node} has safe predecessor {p}"
             );
         }
@@ -76,7 +71,14 @@ fn anonymize_pipeline_audits_below_threshold() {
     let lattice = adult_lattice(&table).unwrap();
     let (c, k) = (0.85, 2);
     let criterion = CkSafetyCriterion::new(c, k).unwrap();
-    let outcome = anonymize(&table, &lattice, &criterion, UtilityMetric::Discernibility).unwrap();
+    let outcome = anonymize(
+        &table,
+        &lattice,
+        &criterion,
+        UtilityMetric::Discernibility,
+        &SearchConfig::with_threads(1),
+    )
+    .unwrap();
     let audit = outcome.audit(k).unwrap();
     assert!(audit.value < c);
     assert!(outcome.bucketization.n_tuples() == table.n_rows() as u64);
@@ -95,6 +97,7 @@ fn k_anonymity_is_not_ck_safety() {
         &lattice,
         &KAnonymity::new(5),
         UtilityMetric::Discernibility,
+        &SearchConfig::with_threads(1),
     )
     .unwrap();
     // 5-anonymous, but an attacker with 12 implications gets close to 1.
@@ -146,7 +149,9 @@ fn engine_cache_pays_off_across_lattice() {
     let table = adult(2_000);
     let lattice = adult_lattice(&table).unwrap();
     let criterion = CkSafetyCriterion::new(0.9, 3).unwrap();
-    let _ = find_minimal_safe(&table, &lattice, &criterion).unwrap();
+    let _ = search(&table, &lattice, &criterion, &SearchConfig::with_threads(1))
+        .unwrap()
+        .outcome;
     let (hits, misses) = criterion.cache_stats();
     assert!(hits + misses > 0);
     assert!(hits > 0, "no histogram sharing across lattice nodes?");

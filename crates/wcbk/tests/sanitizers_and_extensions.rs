@@ -3,7 +3,6 @@
 //! inference, cost-based disclosure) through the public `wcbk` API.
 
 use wcbk::anonymize::anatomy::is_eligible;
-use wcbk::anonymize::search::find_minimal_safe;
 use wcbk::core::negation_max_disclosure;
 use wcbk::datagen::adult::{synthetic_adult, AdultConfig};
 use wcbk::hierarchy::adult::adult_lattice;
@@ -40,8 +39,9 @@ fn incognito_agrees_with_bfs_on_adult_lattice() {
     let lattice = adult_lattice(&table).unwrap();
     let a = CkSafetyCriterion::new(0.85, 2).unwrap();
     let b = CkSafetyCriterion::new(0.85, 2).unwrap();
-    let inc = incognito(&table, &lattice, &a).unwrap();
-    let bfs = find_minimal_safe(&table, &lattice, &b).unwrap();
+    let sequential = SearchConfig::with_threads(1);
+    let inc = incognito(&table, &lattice, &a, &sequential).unwrap();
+    let bfs = search(&table, &lattice, &b, &sequential).unwrap().outcome;
     let mut bfs_nodes = bfs.minimal_nodes;
     bfs_nodes.sort();
     assert_eq!(inc.minimal_nodes, bfs_nodes);
