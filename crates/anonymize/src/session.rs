@@ -13,7 +13,8 @@
 //!   histograms and fetch only the persons a witness names),
 //! * a [`dataset_fingerprint`] — the stable content identity services key
 //!   handles by,
-//! * a per-`k` [`EngineRegistry`] (own or shared with other sessions), and
+//! * an [`EngineRegistry`] (own or shared with other sessions): one
+//!   MINIMIZE1 cache, viewed at any `k`, and
 //! * a per-release history for sequential-release composition audits
 //!   (riding [`DisclosureEngine::incremental_set`]).
 //!
@@ -51,10 +52,10 @@ pub struct SessionOptions {
     /// fixed at registration — per-search configs cannot change it, because
     /// rebuilding the evaluator would re-scan the table.
     pub memo_capacity: Option<usize>,
-    /// The per-`k` engine registry to draw [`DisclosureEngine`]s from.
-    /// `None` gives the session a private unbounded registry; services pass
-    /// one shared registry so MINIMIZE1 tables memoized through any session
-    /// serve every other.
+    /// The engine registry to draw [`DisclosureEngine`]s from. `None` gives
+    /// the session a private unbounded registry; services pass one shared
+    /// registry so MINIMIZE1 values memoized through any session serve
+    /// every other.
     pub engines: Option<Arc<EngineRegistry>>,
     /// Worker threads for the evaluator's one bottom scan (`0` = all
     /// available cores). Bit-neutral — results never depend on it.
@@ -415,9 +416,9 @@ impl DatasetSession {
         })
     }
 
-    /// The shared engine for attacker power `k` (from the session's
-    /// registry — pass one registry to many sessions to share MINIMIZE1
-    /// tables across them).
+    /// The engine for attacker power `k`: a view over the session
+    /// registry's cache — pass one registry to many sessions to share
+    /// MINIMIZE1 values across them.
     pub fn engine(&self, k: usize) -> Arc<DisclosureEngine> {
         self.engines.engine(k)
     }
@@ -964,7 +965,7 @@ mod tests {
         )
         .unwrap();
         s1.audit(None, 1).unwrap();
-        let after_first = registry.stats().totals();
+        let after_first = registry.stats();
         assert!(after_first.misses > 0);
         // A second session over the same data hits the shared cache.
         let s2 = DatasetSession::with_options(
@@ -978,7 +979,7 @@ mod tests {
         )
         .unwrap();
         s2.audit(None, 1).unwrap();
-        let after_second = registry.stats().totals();
+        let after_second = registry.stats();
         assert_eq!(after_second.misses, after_first.misses);
         assert!(after_second.hits > after_first.hits);
         assert_eq!(s1.fingerprint(), s2.fingerprint());

@@ -3,7 +3,7 @@
 use wcbk_logic::{Atom, Knowledge, SimpleImplication};
 use wcbk_table::{SValue, TupleId};
 
-use crate::minimize1::Minimize1Table;
+use crate::minimize1::{minimize1_profile, minimize1_values};
 use crate::minimize2::{minimize2, BucketAllocation, BucketCosts};
 use crate::{Bucketization, CoreError, SensitiveHistogram};
 
@@ -76,8 +76,7 @@ pub fn max_disclosure(
         .iter()
         .map(|b| {
             let h = b.histogram();
-            let table = Minimize1Table::build(h, k + 1);
-            BucketCosts::new(table.values().to_vec(), h.frequency(0), h.n())
+            BucketCosts::new(minimize1_values(h, k + 1), h.frequency(0), h.n())
         })
         .collect();
     let result = minimize2(&costs, k);
@@ -104,9 +103,9 @@ pub fn max_disclosure(
 /// that bucket's first `n` members, in request order — so a caller holding
 /// no tuple-level grouping can fetch just those persons in one pass.
 ///
-/// Each allocated bucket's profile comes from a MINIMIZE1 table sized by
-/// that bucket's own atom count `c`: `profile(c)` reads only cells with
-/// `cap, r ≤ c`, which no larger table would compute differently.
+/// Each allocated bucket's profile is [`minimize1_profile`] at that
+/// bucket's own atom count `c`, held in space sized by the bucket's
+/// distinct values however large `c` is.
 pub(crate) fn build_witness<'t>(
     histogram_of: impl Fn(usize) -> &'t SensitiveHistogram,
     domain_size: u32,
@@ -117,8 +116,7 @@ pub(crate) fn build_witness<'t>(
         .iter()
         .map(|alloc| {
             let atom_count = alloc.atoms + usize::from(alloc.has_consequent);
-            Minimize1Table::build(histogram_of(alloc.bucket), atom_count)
-                .profile(atom_count)
+            minimize1_profile(histogram_of(alloc.bucket), atom_count)
                 .expect("allocation chose a feasible bucket load")
         })
         .collect();

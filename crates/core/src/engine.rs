@@ -5,21 +5,25 @@
 //! only the new buckets' MINIMIZE1 values need computing, plus one
 //! MINIMIZE2 pass (`O(|B*|·k²)` here). Two pieces implement that:
 //!
-//! * [`DisclosureEngine`] — caches each bucket's MINIMIZE1 values `m1`
-//!   (its [`BucketCosts`], `k+2` numbers) keyed by the bucket's descending
-//!   frequency vector, shared across *all* bucketizations it analyzes
-//!   (during lattice search, sibling anonymizations share most buckets).
-//!   MINIMIZE2 reads nothing else; a witness builds a MINIMIZE1 table,
-//!   sized by the atoms it places there, only for each of the at most
-//!   `k+1` buckets it names. The cache is sharded behind [`RwLock`]s and
-//!   the engine is `Send + Sync`, so one engine can serve many search
-//!   threads at once — the foundation of the parallel lattice search in
-//!   `wcbk-anonymize`.
+//! * [`DisclosureEngine`] — a view at one attacker power `k` over a
+//!   MINIMIZE1 cache that every `k` shares. The cache maps a bucket's
+//!   descending frequency vector to its [`BucketCosts`], shared across
+//!   *all* bucketizations analyzed (during lattice search, sibling
+//!   anonymizations share most buckets). `m1(c)` does not depend on `k`:
+//!   `minimize1_values(h, k1)` is a bit-identical prefix of
+//!   `minimize1_values(h, k2)` for `k1 < k2`, so an entry built for a larger
+//!   `k` answers every smaller one, and a view at a larger `k` rebuilds a
+//!   shorter entry in place. MINIMIZE2 reads nothing else; a witness builds
+//!   a bucket-sized profile only for each of the at most `k+1` buckets it
+//!   names. The cache is sharded behind [`RwLock`]s and the engine is
+//!   `Send + Sync`, so one engine can serve many search threads at once —
+//!   the foundation of the parallel lattice search in `wcbk-anonymize`.
 //! * [`IncrementalDisclosure`] — prefix/suffix MINIMIZE2 tables over a fixed
 //!   bucket order, answering *what-if* queries (replace / remove / merge one
 //!   bucket) in `O(k²)` without touching the other buckets, as suggested by
 //!   the paper's bucket-reordering remark.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -47,7 +51,8 @@ const N_SHARDS: usize = 16;
 pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
-    /// Lookups that had to compute MINIMIZE1 values.
+    /// Lookups that had to compute MINIMIZE1 values: a key not cached, or
+    /// cached with too few values for the view's `k`.
     pub misses: u64,
     /// Distinct histograms currently cached.
     pub entries: usize,
@@ -60,9 +65,9 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Cumulative microseconds spent computing MINIMIZE1 values on cache
     /// misses (the work memoization exists to avoid), rounded up from
-    /// the nanoseconds the engine accumulates.
+    /// the nanoseconds the cache accumulates.
     pub build_micros: u64,
-    /// High-water mark of the retained group weight since the engine was
+    /// High-water mark of the retained group weight since the cache was
     /// created — the memory-broker accounting signal.
     pub peak_groups: u64,
 }
@@ -79,21 +84,19 @@ impl CacheStats {
     }
 }
 
-/// Histogram-memoizing disclosure calculator for a fixed `k`.
+/// The MINIMIZE1 cache behind every [`DisclosureEngine`] view: one entry per
+/// histogram key, holding `m1` for the largest `k` asked so far.
 ///
-/// Thread-safe: all methods take `&self`, the histogram cache lives behind
-/// sharded [`RwLock`]s, and hit/miss counters are atomic, so a single engine
-/// can be shared by reference (or `Arc`) across worker threads evaluating
-/// different bucketizations concurrently.
-pub struct DisclosureEngine {
-    k: usize,
+/// Thread-safe: entries live behind sharded [`RwLock`]s and the counters are
+/// atomic.
+pub(crate) struct Minimize1Cache {
     shards: [RwLock<HashMap<Vec<u64>, CacheEntry>>; N_SHARDS],
     hits: AtomicU64,
     misses: AtomicU64,
-    /// Group budget for the cache (`None` = unbounded, the CLI default):
-    /// the total retained weight (Σ per-entry histogram group counts) may
-    /// not exceed it; past the budget the least-recently-touched entry is
-    /// evicted, mirroring the roll-up memo's group-weighted LRU.
+    /// Group budget (`None` = unbounded, the CLI default): the total
+    /// retained weight (Σ per-entry histogram group counts) may not exceed
+    /// it; past the budget the least-recently-touched entries are evicted
+    /// (see [`Minimize1Cache::enforce_budget`]).
     capacity: Option<u64>,
     /// Σ entry weights currently retained (all shards).
     groups: AtomicU64,
@@ -109,28 +112,20 @@ pub struct DisclosureEngine {
 }
 
 /// The LRU weight of one cached histogram: its distinct-frequency group
-/// count (`key` length). The entry itself keeps its key plus `k+2` f64s.
+/// count (`key` length). The entry itself keeps its key plus its `m1`.
 fn entry_weight(key: &[u64]) -> u64 {
     (key.len() as u64).max(1)
 }
 
-impl DisclosureEngine {
-    /// Creates an engine for attacker power `k` with an **unbounded** cache
-    /// (every MINIMIZE1 vector ever computed is retained — the right
-    /// default for one-shot CLI runs).
-    pub fn new(k: usize) -> Self {
-        Self::with_cache_capacity(k, None)
-    }
-
-    /// [`DisclosureEngine::new`] with a **group budget** on the MINIMIZE1
-    /// cache: `capacity = Some(n)` retains entries totalling at most
-    /// `n.max(1)` groups (an entry weighs its histogram's distinct-frequency
-    /// count), evicting the least recently touched until a newcomer fits; an
-    /// entry that alone exceeds the whole budget is served unmemoized.
-    /// Results are identical at any capacity — only rebuild cost varies.
-    pub fn with_cache_capacity(k: usize, capacity: Option<u64>) -> Self {
+impl Minimize1Cache {
+    /// An empty cache under a group budget: `capacity = Some(n)` retains
+    /// entries totalling at most `n.max(1)` groups (an entry weighs its
+    /// histogram's distinct-frequency count), evicting the least recently
+    /// touched once a newcomer overflows it; an entry that alone exceeds
+    /// the whole budget is served unmemoized. Results are identical at any capacity —
+    /// only rebuild cost varies.
+    pub(crate) fn new(capacity: Option<u64>) -> Self {
         Self {
-            k,
             shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -143,34 +138,15 @@ impl DisclosureEngine {
         }
     }
 
-    /// The attacker power bound this engine serves.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Number of distinct histograms cached.
-    pub fn cache_len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().expect("cache shard poisoned").len())
-            .sum()
-    }
-
-    /// `(hits, misses)` counters for cache effectiveness reporting.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Full counter snapshot including the entry count and retained weight.
-    pub fn stats(&self) -> CacheStats {
-        let (hits, misses) = self.cache_stats();
+    pub(crate) fn stats(&self) -> CacheStats {
         CacheStats {
-            hits,
-            misses,
-            entries: self.cache_len(),
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            entries: self
+                .shards
+                .iter()
+                .map(|s| s.read().expect("cache shard poisoned").len())
+                .sum(),
             groups: self.groups.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             build_micros: self.build_nanos.load(Ordering::Relaxed).div_ceil(1000),
@@ -192,19 +168,24 @@ impl DisclosureEngine {
         (h % N_SHARDS as u64) as usize
     }
 
-    fn cached(&self, hist: &SensitiveHistogram) -> Arc<BucketCosts> {
-        let shard_index = Self::shard_of(hist.key());
-        let shard = &self.shards[shard_index];
+    /// The costs of `hist` with `m1` covering at least `0..=k+1`. An entry
+    /// with fewer values is rebuilt at `k` and replaced; a longer one is
+    /// never replaced by a shorter one.
+    fn lookup(&self, hist: &SensitiveHistogram, k: usize) -> Arc<BucketCosts> {
+        let covers = |costs: &BucketCosts| costs.m1.len() >= k + 2;
+        let shard = &self.shards[Self::shard_of(hist.key())];
         if let Some(entry) = shard.read().expect("cache shard poisoned").get(hist.key()) {
-            entry.touch.store(self.tick(), Ordering::Relaxed);
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(&entry.costs);
+            if covers(&entry.costs) {
+                entry.touch.store(self.tick(), Ordering::Relaxed);
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Arc::clone(&entry.costs);
+            }
         }
         // Build outside any lock: concurrent builders for the same key are
         // rare (they waste a little work but never race on results — the
-        // first insert wins below).
+        // longer entry wins below).
         let build_started = std::time::Instant::now();
-        let m1 = minimize1_values(hist, self.k + 1);
+        let m1 = minimize1_values(hist, k + 1);
         let costs = Arc::new(BucketCosts::new(m1, hist.frequency(0), hist.n()));
         self.build_nanos
             .fetch_add(build_started.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -215,22 +196,28 @@ impl DisclosureEngine {
             // whole cache for nothing (the roll-up memo's contract).
             return costs;
         }
+        match shard
+            .write()
+            .expect("cache shard poisoned")
+            .entry(hist.key().to_vec())
         {
-            let mut w = shard.write().expect("cache shard poisoned");
-            match w.entry(hist.key().to_vec()) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    // Lost a race with a concurrent builder: keep the first.
-                    e.get().touch.store(self.tick(), Ordering::Relaxed);
+            Entry::Occupied(mut e) => {
+                e.get().touch.store(self.tick(), Ordering::Relaxed);
+                if covers(&e.get().costs) {
+                    // Lost a race with a builder at least as long: keep it.
                     return Arc::clone(&e.get().costs);
                 }
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert(CacheEntry {
-                        costs: Arc::clone(&costs),
-                        touch: AtomicU64::new(self.tick()),
-                    });
-                    let now = self.groups.fetch_add(weight, Ordering::Relaxed) + weight;
-                    self.peak_groups.fetch_max(now, Ordering::Relaxed);
-                }
+                // Same key, same weight: the budget is unchanged.
+                e.get_mut().costs = Arc::clone(&costs);
+                return costs;
+            }
+            Entry::Vacant(v) => {
+                v.insert(CacheEntry {
+                    costs: Arc::clone(&costs),
+                    touch: AtomicU64::new(self.tick()),
+                });
+                let now = self.groups.fetch_add(weight, Ordering::Relaxed) + weight;
+                self.peak_groups.fetch_max(now, Ordering::Relaxed);
             }
         }
         self.enforce_budget();
@@ -238,43 +225,112 @@ impl DisclosureEngine {
     }
 
     /// Evicts least-recently-touched entries until the retained weight fits
-    /// the budget. Locks one shard at a time (candidate scan under read
-    /// locks, removal under that shard's write lock), so it never holds two
-    /// shard locks at once.
+    /// the budget, and a further 1/32 of the budget, so that the inserts
+    /// that follow do not each pay a scan of the whole cache. One scan reads
+    /// every entry's touch tick under read locks; entries at or below the
+    /// cut-off tick are then dropped one shard at a time, so it never holds
+    /// two shard locks at once. An entry touched after the scan survives.
     fn enforce_budget(&self) {
         let Some(budget) = self.capacity else {
             return;
         };
-        while self.groups.load(Ordering::Relaxed) > budget {
-            // Global LRU victim: the minimum touch tick across all shards.
-            let mut victim: Option<(usize, Vec<u64>, u64)> = None;
-            for (i, shard) in self.shards.iter().enumerate() {
-                let guard = shard.read().expect("cache shard poisoned");
-                for (key, entry) in guard.iter() {
-                    let touch = entry.touch.load(Ordering::Relaxed);
-                    if victim.as_ref().is_none_or(|(_, _, t)| touch < *t) {
-                        victim = Some((i, key.clone(), touch));
-                    }
-                }
-            }
-            let Some((shard_index, key, _)) = victim else {
-                return; // nothing left to evict
-            };
-            let mut guard = self.shards[shard_index]
+        let excess = self.groups.load(Ordering::Relaxed).saturating_sub(budget);
+        if excess == 0 {
+            return;
+        }
+        let mut ticks: Vec<(u64, u64)> = Vec::new();
+        for shard in &self.shards {
+            let guard = shard.read().expect("cache shard poisoned");
+            ticks.extend(
+                guard
+                    .iter()
+                    .map(|(key, e)| (e.touch.load(Ordering::Relaxed), entry_weight(key))),
+            );
+        }
+        ticks.sort_unstable();
+        let (target, mut freed) = (excess + budget / 32, 0);
+        let Some(&(cutoff, _)) = ticks
+            .iter()
+            .find(|&&(_, weight)| {
+                freed += weight;
+                freed >= target
+            })
+            .or(ticks.last())
+        else {
+            return; // nothing left to evict
+        };
+        for shard in &self.shards {
+            shard
                 .write()
-                .expect("cache shard poisoned");
-            if guard.remove(&key).is_some() {
-                self.groups.fetch_sub(entry_weight(&key), Ordering::Relaxed);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-            // A concurrent evictor may have removed it first; either way the
-            // loop re-checks the weight and converges.
+                .expect("cache shard poisoned")
+                .retain(|key, e| {
+                    let keep = e.touch.load(Ordering::Relaxed) > cutoff;
+                    if !keep {
+                        self.groups.fetch_sub(entry_weight(key), Ordering::Relaxed);
+                        self.evictions.fetch_add(1, Ordering::Relaxed);
+                    }
+                    keep
+                });
         }
     }
+}
 
-    /// The per-bucket DP costs for a histogram (cached).
+/// Histogram-memoizing disclosure calculator: a view at attacker power `k`
+/// over a MINIMIZE1 cache (see the module docs).
+///
+/// Thread-safe: all methods take `&self` and the cache is
+/// [`Minimize1Cache`]'s sharded locks and atomic counters, so a single
+/// engine can be shared by reference (or `Arc`) across worker threads
+/// evaluating different bucketizations concurrently. Views at different `k`
+/// over one cache (from an [`EngineRegistry`](crate::EngineRegistry)) share
+/// its entries and its counters.
+pub struct DisclosureEngine {
+    k: usize,
+    cache: Arc<Minimize1Cache>,
+}
+
+impl DisclosureEngine {
+    /// Creates an engine for attacker power `k` with an **unbounded** cache
+    /// of its own (every MINIMIZE1 vector ever computed is retained — the
+    /// right default for one-shot CLI runs).
+    pub fn new(k: usize) -> Self {
+        Self::over(Arc::new(Minimize1Cache::new(None)), k)
+    }
+
+    /// The view at `k` over a shared cache.
+    pub(crate) fn over(cache: Arc<Minimize1Cache>, k: usize) -> Self {
+        Self { k, cache }
+    }
+
+    /// The attacker power bound this engine serves.
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
+    /// `(hits, misses)` counters for cache effectiveness reporting.
+    pub fn cache_stats(&self) -> (u64, u64) {
+        let stats = self.stats();
+        (stats.hits, stats.misses)
+    }
+
+    /// Full counter snapshot of the cache, including the entry count and
+    /// retained weight.
+    pub fn stats(&self) -> CacheStats {
+        self.cache.stats()
+    }
+
+    fn cached(&self, hist: &SensitiveHistogram) -> Arc<BucketCosts> {
+        self.cache.lookup(hist, self.k)
+    }
+
+    /// The per-bucket DP costs for a histogram (cached), with `m1` over
+    /// `0..=k+1` whatever `k` built the cache entry.
     pub fn costs(&self, hist: &SensitiveHistogram) -> BucketCosts {
-        BucketCosts::clone(&self.cached(hist))
+        let cached = self.cached(hist);
+        BucketCosts {
+            m1: cached.m1[..self.k + 2].to_vec(),
+            rho: cached.rho,
+        }
     }
 
     /// Maximum disclosure value of a histogram-only bucketization view —
@@ -335,7 +391,7 @@ impl DisclosureEngine {
             .collect();
         let repeats = (histograms.len() - distinct.len()) as u64;
         if repeats > 0 {
-            self.hits.fetch_add(repeats, Ordering::Relaxed);
+            self.cache.hits.fetch_add(repeats, Ordering::Relaxed);
         }
         let mut fresh = distinct.iter();
         let mut entries: Vec<&BucketCosts> = Vec::with_capacity(histograms.len());
@@ -584,6 +640,11 @@ mod tests {
             .unwrap()
     }
 
+    /// An engine at `k` over a cache of its own under a `cap`-group budget.
+    fn capped(k: usize, cap: u64) -> DisclosureEngine {
+        DisclosureEngine::over(Arc::new(Minimize1Cache::new(Some(cap))), k)
+    }
+
     /// Finer split of the hospital table: four buckets.
     fn four_buckets() -> Bucketization {
         let t = hospital_table();
@@ -697,7 +758,7 @@ mod tests {
             per_key.max_disclosure_value_set(&set).unwrap();
             assert_eq!(per_bucket.cache_stats(), (hits, misses), "round {round}");
             assert_eq!(per_key.cache_stats(), (hits, misses), "round {round}");
-            assert_eq!(per_key.cache_len(), 3);
+            assert_eq!(per_key.stats().entries, 3);
         }
     }
 
@@ -754,7 +815,7 @@ mod tests {
         let (h1, m1) = engine.cache_stats();
         assert_eq!(h1, 2);
         assert_eq!(m1, 2);
-        assert_eq!(engine.cache_len(), 2);
+        assert_eq!(engine.stats().entries, 2);
     }
 
     #[test]
@@ -778,7 +839,7 @@ mod tests {
         let (hits, misses) = engine.cache_stats();
         assert_eq!(misses, 2, "workers rebuilt cached tables");
         assert_eq!(hits, 4 * 50 * 2, "4 workers × 50 sweeps × 2 buckets");
-        assert_eq!(engine.cache_len(), 2);
+        assert_eq!(engine.stats().entries, 2);
     }
 
     #[test]
@@ -821,7 +882,7 @@ mod tests {
         let bs = [figure3(), four_buckets()];
         let expected: Vec<f64> = bs.iter().map(|b| value_of(&reference, b)).collect();
         for cap in [1u64, 2, 3, 8] {
-            let engine = DisclosureEngine::with_cache_capacity(k, Some(cap));
+            let engine = capped(k, cap);
             for round in 0..3 {
                 for (b, want) in bs.iter().zip(&expected) {
                     let got = value_of(&engine, b);
@@ -833,7 +894,7 @@ mod tests {
             }
         }
         // A tight budget across distinct histograms must have evicted.
-        let tight = DisclosureEngine::with_cache_capacity(k, Some(3));
+        let tight = capped(k, 3);
         for b in &bs {
             value_of(&tight, b);
         }
@@ -847,7 +908,7 @@ mod tests {
     /// of flushing everything else; `Some(0)` clamps to a 1-group budget.
     #[test]
     fn oversized_entries_bypass_the_cache() {
-        let engine = DisclosureEngine::with_cache_capacity(2, Some(1));
+        let engine = capped(2, 1);
         let b = four_buckets(); // histograms with >1 distinct frequency
         let direct = max_disclosure(&b, 2).unwrap().value;
         let got = value_of(&engine, &b);
@@ -856,7 +917,7 @@ mod tests {
         assert!(stats.groups <= 1, "{stats:?}");
         assert_eq!(stats.evictions, 0, "oversized entries never evict");
 
-        let clamped = DisclosureEngine::with_cache_capacity(2, Some(0));
+        let clamped = capped(2, 0);
         let got = value_of(&clamped, &b);
         assert_eq!(got.to_bits(), direct.to_bits());
         assert!(clamped.stats().groups <= 1);
@@ -865,7 +926,7 @@ mod tests {
     /// Concurrent access under a tight budget stays correct and bounded.
     #[test]
     fn capped_cache_is_thread_safe() {
-        let engine = DisclosureEngine::with_cache_capacity(2, Some(2));
+        let engine = capped(2, 2);
         let bs = [figure3(), four_buckets()];
         let expected: Vec<f64> = bs
             .iter()

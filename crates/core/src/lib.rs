@@ -24,8 +24,8 @@
 //!    helpers (Theorem 14).
 //! 7. [`engine`] adds histogram-keyed memoization across bucketizations and
 //!    `O(k²)` what-if re-evaluation when single buckets change
-//!    (the incremental remark closing Section 3.3.3); [`registry`] bounds a
-//!    long-lived fleet of per-`k` engines under group-weighted LRU budgets.
+//!    (the incremental remark closing Section 3.3.3); [`registry`] holds
+//!    one such cache for every `k` under a group-weighted LRU budget.
 //! 8. [`sched`] is the scheduler-visible verdict/pruning surface: a
 //!    work-stealing evaluator for monotone-pruned DAGs, which the lattice
 //!    searches in `wcbk-anonymize` drive whole-lattice at more than one
@@ -58,7 +58,7 @@ pub use error::CoreError;
 pub use histogram::SensitiveHistogram;
 pub use histogram_set::HistogramSet;
 pub use negation::{negation_max_disclosure, NegationResult};
-pub use registry::{EngineRegistry, RegistryStats};
+pub use registry::EngineRegistry;
 pub use safety::{is_ck_safe, CkSafety};
 pub use sched::{
     evaluate_sequential, evaluate_work_stealing, MonotoneDag, NodeResolution, ScheduleOutcome,

@@ -93,6 +93,12 @@ pub struct Minimize1Table {
 impl Minimize1Table {
     /// Builds the DP table for `hist`, supporting up to `kmax` atoms.
     pub fn build(hist: &SensitiveHistogram, kmax: usize) -> Self {
+        Self::build_from(hist, 0, kmax)
+    }
+
+    /// The table over persons `first..`: its row `i` holds
+    /// `h(first + i, ·, ·)`, exact on every cell with `i + r ≤ kmax`.
+    fn build_from(hist: &SensitiveHistogram, first: usize, kmax: usize) -> Self {
         let row_len = (kmax + 1) * (kmax + 1); // (cap, r) ∈ 0..=kmax × 0..=kmax
         let border = border_row(kmax);
         // Persons i ∈ 0..=kmax+1; row kmax+1 keeps its borders (no person).
@@ -103,7 +109,13 @@ impl Minimize1Table {
         // Fill persons from the back: h(i, ·, ·) depends on h(i+1, ·, ·).
         for i in (0..=kmax).rev() {
             let (head, tail) = h.split_at_mut((i + 1) * row_len);
-            step(hist, i, &tail[..row_len], &mut head[i * row_len..], kmax);
+            step(
+                hist,
+                first + i,
+                &tail[..row_len],
+                &mut head[i * row_len..],
+                kmax,
+            );
         }
         let m1 = (0..=kmax).map(|c| h[c * (kmax + 2)]).collect();
         Self {
@@ -147,7 +159,16 @@ impl Minimize1Table {
             return None;
         }
         let mut out = Vec::new();
-        let (mut i, mut cap, mut r) = (0usize, c, c);
+        self.walk(c, c, &mut out);
+        debug_assert!((out.len() as u64) <= self.n);
+        Some(out)
+    }
+
+    /// Appends the profile the minimum `h(0, cap, r)` takes, person by
+    /// person. Ties prefer smaller `k_i`, as [`Minimize1Table::profile`]
+    /// documents.
+    fn walk(&self, mut cap: usize, mut r: usize, out: &mut Vec<usize>) {
+        let mut i = 0;
         while r > 0 {
             let here = self.h[self.idx(i, cap, r)];
             // Mirror the fill order: the reduce branch wins ties.
@@ -160,9 +181,60 @@ impl Minimize1Table {
             r -= cap;
             i += 1;
         }
-        debug_assert!((out.len() as u64) <= self.n);
-        Some(out)
     }
+}
+
+/// `Minimize1Table::build(hist, c).profile(c)` in space sized by the bucket
+/// rather than by `c`: the witness asks for it at up to `k+1` atoms, and a
+/// `c`-sized table holds `(c+2)(c+1)²` f64s.
+///
+/// Below `c = d_b` the table is built as is. From `c = d_b` on, `m1(c) = 0`
+/// and the walk first follows zeros: `h(i, cap, r) = 0` exactly when the
+/// `r` atoms fit persons `i..n_b` at `cap` each and some person `j ≥ i`
+/// can be ruled out entirely, which takes `z(j) = min{v : top_sum(v) ≥ n_b
+/// − j}` atoms on each of persons `i..=j`. The walk takes the least such
+/// `cap` ([`least_zero_cap`]), as the table's tie-break does. If person `i`
+/// has factor 0, it held `cap ≥ z(i) ≥ z(i+1)` atoms (`z` is non-increasing),
+/// so a positive `h(i+1, cap, r)` forces `r < z(i+1) ≤ d_b`; a table over
+/// persons `i+1..` sized by `r` finishes the walk.
+///
+/// The zero test is exact; the table would agree unless a product of
+/// positive factors underflowed to `0.0`, which needs hundreds of factors.
+pub fn minimize1_profile(hist: &SensitiveHistogram, c: usize) -> Option<Vec<usize>> {
+    if c < hist.distinct() {
+        return Minimize1Table::build(hist, c).profile(c);
+    }
+    let mut out = Vec::new();
+    let (mut i, mut cap, mut r) = (0usize, c, c);
+    while r > 0 {
+        match least_zero_cap(hist, i, r).filter(|&least| least <= cap) {
+            Some(least) => {
+                out.push(least);
+                r -= least;
+                i += 1;
+                cap = least;
+            }
+            None => {
+                Minimize1Table::build_from(hist, i, r).walk(cap.min(r), r, &mut out);
+                break;
+            }
+        }
+    }
+    Some(out)
+}
+
+/// The least `cap` with `h(i, cap, r) = 0` (see [`minimize1_profile`]), or
+/// `None` when no cap makes it 0. At least `⌈r / (n_b − i)⌉` for the atoms
+/// to fit, and at least the least `v` for which the first person `j ≥ i`
+/// with `z(j) ≤ v` sits within reach: `(j − i + 1) · v ≤ r`.
+fn least_zero_cap(hist: &SensitiveHistogram, i: usize, r: usize) -> Option<usize> {
+    let (n, i, r64) = (hist.n(), i as u64, r as u64);
+    let persons = n.checked_sub(i).filter(|&p| p > 0)?;
+    let ruled_out = (1..=hist.distinct()).find(|&v| {
+        let j = (n - hist.top_sum(v)).max(i);
+        (j - i + 1).saturating_mul(v as u64) <= r64
+    })?;
+    Some(ruled_out.max(r64.div_ceil(persons) as usize))
 }
 
 /// `m1(c)` for `c = 0..=kmax` — bit-identical to
@@ -420,9 +492,37 @@ mod tests {
                 for c in 0..=kmax {
                     let sized = Minimize1Table::build(h, c);
                     assert_eq!(sized.profile(c), full.profile(c), "{h:?} c={c} kmax={kmax}");
+                    assert_eq!(minimize1_profile(h, c), full.profile(c), "{h:?} c={c}");
                 }
             }
         }
+    }
+
+    #[test]
+    fn values_are_prefix_stable_in_kmax() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for h in &small_histograms() {
+            for k2 in 1..=12 {
+                let longer = bits(&minimize1_values(h, k2));
+                for k1 in 0..k2 {
+                    let shorter = bits(&minimize1_values(h, k1));
+                    assert_eq!(shorter, longer[..=k1], "{h:?} k1={k1} k2={k2}");
+                }
+            }
+        }
+    }
+
+    /// A `c`-sized table at c = 5001 would hold about 1 TB; the profile
+    /// spreads the atoms over both persons of the bucket.
+    #[test]
+    fn huge_atom_counts_profile_in_bucket_space() {
+        assert_eq!(
+            minimize1_profile(&hist(&[0, 1]), 5001),
+            Some(vec![2501, 2500])
+        );
+        let profile = minimize1_profile(&male(), 5001).unwrap();
+        assert_eq!(profile.iter().sum::<usize>(), 5001);
+        assert!(profile.windows(2).all(|w| w[0] >= w[1]));
     }
 
     #[test]

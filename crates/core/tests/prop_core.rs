@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use wcbk_core::minimize1::{
-    brute_force_profiles, minimize1_values, paper_recursion, Minimize1Table,
+    brute_force_profiles, minimize1_profile, minimize1_values, paper_recursion, Minimize1Table,
 };
 use wcbk_core::minimize2::{minimize2, BucketCosts};
 use wcbk_core::partial_order::{merge_buckets, refines};
@@ -103,7 +103,39 @@ proptest! {
         prop_assert_eq!(bits(&values), bits(full.values()));
         for c in 0..=k + 1 {
             prop_assert_eq!(Minimize1Table::build(&hist, c).profile(c), full.profile(c), "c={}", c);
+            prop_assert_eq!(minimize1_profile(&hist, c), full.profile(c), "c={}", c);
         }
+    }
+
+    /// MINIMIZE1 values are prefix-stable in `kmax`, bit for bit — what
+    /// lets one cache entry, built for the largest `k` asked, serve every
+    /// smaller `k`.
+    #[test]
+    fn minimize1_values_are_prefix_stable(
+        counts in prop::collection::vec(1u64..=1000, 1..=24),
+        k2 in 1usize..=64,
+        k1_seed in 0usize..64,
+    ) {
+        let hist = SensitiveHistogram::from_counts(
+            counts.iter().enumerate().map(|(v, &c)| (SValue(v as u32), c)),
+        );
+        let k1 = k1_seed % k2;
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let longer = bits(&minimize1_values(&hist, k2));
+        prop_assert_eq!(bits(&minimize1_values(&hist, k1)), longer[..=k1].to_vec(), "k1={} k2={}", k1, k2);
+    }
+
+    /// The bucket-sized witness profile equals the `c`-sized table's, past
+    /// `d_b` as well as below it.
+    #[test]
+    fn bucket_sized_profile_matches_full_table(
+        counts in prop::collection::vec(1u64..=6, 1..=8),
+        c in 0usize..=64,
+    ) {
+        let hist = SensitiveHistogram::from_counts(
+            counts.iter().enumerate().map(|(v, &n)| (SValue(v as u32), n)),
+        );
+        prop_assert_eq!(minimize1_profile(&hist, c), Minimize1Table::build(&hist, c).profile(c), "c={}", c);
     }
 
     /// Lemma 12 closed form == true minimum probability: check the DP's m1

@@ -48,9 +48,9 @@
 //! `docs/OPERATIONS.md` for the full metrics glossary and the
 //! slow-request runbook.
 //!
-//! The session store and the per-`k` engine registry sit under
-//! group-weighted LRU budgets ([`ServiceLimits`]; `wcbk serve
-//! --engine-cache-cap/--engine-budget/--session-budget`), so a long-lived
+//! The session store and the one MINIMIZE1 cache every `k` shares sit
+//! under group-weighted LRU budgets ([`ServiceLimits`]; `wcbk serve
+//! --engine-cache-cap/--session-budget`), so a long-lived
 //! server is memory-bounded: an evicted handle answers a clean 404 and can
 //! simply be re-registered.
 //!

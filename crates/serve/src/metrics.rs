@@ -57,9 +57,6 @@ pub struct ServeMetrics {
     sessions_count: Arc<Gauge>,
     sessions_groups: Arc<Gauge>,
     sessions_peak: Arc<Gauge>,
-    engines_count: Arc<Gauge>,
-    engines_groups: Arc<Gauge>,
-    engines_peak: Arc<Gauge>,
     minimize1_groups: Arc<Gauge>,
     minimize1_peak: Arc<Gauge>,
     /// One counter per (model, op) pair, indexed
@@ -168,21 +165,6 @@ impl ServeMetrics {
                 "High-water mark of an LRU pool's retained group weight.",
                 &[("pool", "sessions")],
             ),
-            engines_count: r.gauge_with(
-                "wcbk_pool_entries",
-                "Entries resident in an LRU pool.",
-                &[("pool", "engines")],
-            ),
-            engines_groups: r.gauge_with(
-                "wcbk_pool_groups",
-                "Retained group weight of an LRU pool.",
-                &[("pool", "engines")],
-            ),
-            engines_peak: r.gauge_with(
-                "wcbk_pool_peak_groups",
-                "High-water mark of an LRU pool's retained group weight.",
-                &[("pool", "engines")],
-            ),
             minimize1_groups: r.gauge_with(
                 "wcbk_pool_groups",
                 "Retained group weight of an LRU pool.",
@@ -257,9 +239,6 @@ impl ServeMetrics {
         self.sessions_count.set(t.session_count);
         self.sessions_groups.set(t.session_groups);
         self.sessions_peak.record_max(t.session_peak_groups);
-        self.engines_count.set(t.engine_count);
-        self.engines_groups.set(t.engine_groups);
-        self.engines_peak.record_max(t.engine_peak_groups);
         self.minimize1_groups.set(t.minimize1_groups);
         self.minimize1_peak.record_max(t.minimize1_peak_groups);
         for (m, ops) in t.model_requests.iter().enumerate() {

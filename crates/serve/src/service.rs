@@ -10,8 +10,9 @@
 //!   composition` then run against that session **without ever re-parsing
 //!   or re-scanning**. Registering identical content returns the existing
 //!   handle.
-//! * The session store and the per-`k` [`EngineRegistry`] both sit under
-//!   group-weighted LRU budgets, so a long-lived server is memory-bounded;
+//! * The session store and the [`EngineRegistry`]'s one MINIMIZE1 cache
+//!   (shared by every `k`) both sit under group-weighted LRU budgets, so a
+//!   long-lived server is memory-bounded;
 //!   an evicted handle answers a clean 404 (re-register to continue).
 //! * The one-shot endpoints (`POST /audit`, `POST /search`) are
 //!   reimplemented as *register → run → drop* over transient sessions —
@@ -91,12 +92,9 @@ fn parse_handle(id: &str) -> Option<u64> {
 /// (the one-shot behavior).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ServiceLimits {
-    /// MINIMIZE1 cache budget (groups) for every engine the registry
-    /// creates — `wcbk serve --engine-cache-cap`.
+    /// Budget (groups) of the one MINIMIZE1 cache every `k` shares —
+    /// `wcbk serve --engine-cache-cap`.
     pub engine_cache_cap: Option<u64>,
-    /// Registry budget (total retained groups across per-`k` engines);
-    /// past it, least-recently-requested engines are dropped.
-    pub engine_budget: Option<u64>,
     /// Session-store budget (Σ per-session bottom-group weight); past it,
     /// least-recently-used handles are evicted (→ 404 until re-registered).
     pub session_budget: Option<u64>,
@@ -269,7 +267,7 @@ impl SessionStore {
 
 /// Shared per-process audit state — see the module docs.
 pub struct AuditService {
-    /// One shared engine per attacker power `k`, budget-bounded.
+    /// The budget-bounded MINIMIZE1 cache, viewed at any attacker power.
     engines: Arc<EngineRegistry>,
     sessions: SessionStore,
     /// Durable catalog. `None` (no `--data-dir`) keeps the classic
@@ -315,10 +313,7 @@ impl AuditService {
     /// Creates a service under explicit memory budgets.
     pub fn with_limits(limits: ServiceLimits) -> Self {
         Self {
-            engines: Arc::new(EngineRegistry::with_limits(
-                limits.engine_cache_cap,
-                limits.engine_budget,
-            )),
+            engines: Arc::new(EngineRegistry::with_limits(limits.engine_cache_cap, None)),
             sessions: SessionStore::new(limits.session_budget),
             store: None,
             rollup: RollupTotals::default(),
@@ -351,7 +346,7 @@ impl AuditService {
         self.store.as_ref()
     }
 
-    /// The shared engine for attacker power `k`, created on first request.
+    /// The engine for attacker power `k`: a view over the shared cache.
     pub fn engine(&self, k: usize) -> Arc<wcbk_core::DisclosureEngine> {
         self.engines.engine(k)
     }
@@ -632,7 +627,7 @@ impl AuditService {
         let profile = profile_requested(request)?;
         // As in `search_on`: peek, so a one-shot audit's scan stays inside
         // the timed section.
-        let build_before = profile.then(|| self.engines.stats().totals().build_micros);
+        let build_before = profile.then(|| self.engines.stats().build_micros);
         let rollup_before = profile.then(|| session.rollup_stats_peek()).flatten();
         let started = profile.then(std::time::Instant::now);
         // A non-default adversary answers through the plugin surface; the
@@ -651,7 +646,6 @@ impl AuditService {
             let build = self
                 .engines
                 .stats()
-                .totals()
                 .build_micros
                 .saturating_sub(build_before);
             let rollup = session.rollup_stats_peek();
@@ -714,7 +708,7 @@ impl AuditService {
         // The "before" snapshots must not force the evaluator build: for a
         // one-shot search the single table scan happens lazily inside
         // `search`, and it belongs inside the timed compute section.
-        let build_before = profile.then(|| self.engines.stats().totals().build_micros);
+        let build_before = profile.then(|| self.engines.stats().build_micros);
         let rollup_before = profile.then(|| session.rollup_stats_peek()).flatten();
         let started = profile.then(std::time::Instant::now);
         let SearchReport { outcome, rollup } = session
@@ -755,7 +749,6 @@ impl AuditService {
             let build = self
                 .engines
                 .stats()
-                .totals()
                 .build_micros
                 .saturating_sub(build_before);
             let delta = |f| rollup_delta(rollup_before.as_ref(), rollup.as_ref(), f);
@@ -1076,30 +1069,11 @@ impl AuditService {
         self.bad_requests.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The `/stats` body: engine cache totals (per `k` and summed), the
-    /// accumulated roll-up counters, per-session snapshots, and
-    /// service-level request counts. The caller (the server) appends its
-    /// own section.
+    /// The `/stats` body: the MINIMIZE1 cache's counters, the accumulated
+    /// roll-up counters, per-session snapshots, and service-level request
+    /// counts. The caller (the server) appends its own section.
     pub fn stats(&self) -> Vec<(&'static str, Json)> {
-        let registry = self.engines.stats();
-        let per_k: Vec<Json> = registry
-            .per_k
-            .iter()
-            .map(|(k, s)| {
-                Json::object(vec![
-                    ("k", (*k).into()),
-                    ("hits", s.hits.into()),
-                    ("misses", s.misses.into()),
-                    ("entries", s.entries.into()),
-                    ("groups", s.groups.into()),
-                    ("peak_groups", s.peak_groups.into()),
-                    ("evictions", s.evictions.into()),
-                    ("build_micros", s.build_micros.into()),
-                    ("hit_rate", s.hit_rate().into()),
-                ])
-            })
-            .collect();
-        let totals = registry.totals();
+        let cache = self.engines.stats();
         let sessions = self.sessions.snapshot();
         let per_session: Vec<Json> = sessions
             .iter()
@@ -1124,17 +1098,14 @@ impl AuditService {
             (
                 "engine_cache",
                 Json::object(vec![
-                    ("engines", registry.engines.into()),
-                    ("hits", totals.hits.into()),
-                    ("misses", totals.misses.into()),
-                    ("entries", totals.entries.into()),
-                    ("groups", totals.groups.into()),
-                    ("peak_groups", registry.peak_groups.into()),
-                    ("cache_evictions", totals.evictions.into()),
-                    ("engine_evictions", registry.evictions.into()),
-                    ("build_micros", totals.build_micros.into()),
-                    ("hit_rate", totals.hit_rate().into()),
-                    ("per_k", Json::Array(per_k)),
+                    ("hits", cache.hits.into()),
+                    ("misses", cache.misses.into()),
+                    ("entries", cache.entries.into()),
+                    ("groups", cache.groups.into()),
+                    ("peak_groups", cache.peak_groups.into()),
+                    ("cache_evictions", cache.evictions.into()),
+                    ("build_micros", cache.build_micros.into()),
+                    ("hit_rate", cache.hit_rate().into()),
                 ]),
             ),
             (
@@ -1273,8 +1244,7 @@ impl AuditService {
     /// (peeked, never forcing a build at scrape time); evicted sessions'
     /// contributions survive because the mirror counters only move up.
     pub fn metric_totals(&self) -> MetricTotals {
-        let registry = self.engines.stats();
-        let totals = registry.totals();
+        let cache = self.engines.stats();
         let sessions = self.sessions.snapshot();
         let mut scan_micros = self.rollup.scan_micros.load(Ordering::Relaxed);
         let mut derive_micros = self.rollup.derive_micros.load(Ordering::Relaxed);
@@ -1294,12 +1264,9 @@ impl AuditService {
             derive_micros,
             derived,
             table_scans,
-            minimize1_build_micros: totals.build_micros,
-            minimize1_groups: totals.groups,
-            minimize1_peak_groups: totals.peak_groups,
-            engine_count: registry.engines as u64,
-            engine_groups: registry.groups,
-            engine_peak_groups: registry.peak_groups,
+            minimize1_build_micros: cache.build_micros,
+            minimize1_groups: cache.groups,
+            minimize1_peak_groups: cache.peak_groups,
             session_count: sessions.len() as u64,
             session_groups,
             session_peak_groups: self.sessions.peak_groups.load(Ordering::Relaxed),
@@ -1323,18 +1290,12 @@ pub struct MetricTotals {
     pub derived: u64,
     /// Σ full bottom scans performed.
     pub table_scans: u64,
-    /// Σ MINIMIZE1 build wall time across registered engines.
+    /// Cumulative MINIMIZE1 build wall time.
     pub minimize1_build_micros: u64,
-    /// Groups retained by MINIMIZE1 caches right now.
+    /// Groups retained by the MINIMIZE1 cache right now.
     pub minimize1_groups: u64,
-    /// Σ per-engine cache high-water marks.
+    /// The MINIMIZE1 cache's retained-groups high-water mark.
     pub minimize1_peak_groups: u64,
-    /// Engines registered right now.
-    pub engine_count: u64,
-    /// Σ retained groups across engines (the registry budget's unit).
-    pub engine_groups: u64,
-    /// Registry-level retained-groups high-water mark.
-    pub engine_peak_groups: u64,
     /// Sessions resident right now.
     pub session_count: u64,
     /// Σ resident session weight (groups).
@@ -2118,7 +2079,6 @@ mod tests {
             cache.get("hits").unwrap().as_u64().unwrap() > 0,
             "second audit must hit the shared engine cache: {stats}"
         );
-        assert_eq!(cache.get("engines").unwrap().as_u64(), Some(1));
     }
 
     #[test]

@@ -432,6 +432,72 @@ fn large_k_search_answers_and_server_stays_up() {
     join.join().unwrap().unwrap();
 }
 
+/// A huge `k` on every audit route of a 2-row table: the witness profile
+/// is sized by the bucket's distinct values, not by the `k+1` atoms it
+/// may place there (a `c`-sized MINIMIZE1 table at k = 5000 would take
+/// about 1 TB and abort the process).
+#[test]
+fn large_k_audits_answer_and_server_stays_up() {
+    let (addr, handle, _service, join) = start(ServerConfig::default());
+    let mut client = connect(addr);
+    let table = [
+        ("csv", "Age,Sex,Disease\n21,M,Flu\n23,F,Cold\n".into()),
+        ("sensitive", "Disease".into()),
+        ("qi", Json::Array(vec!["Age".into(), "Sex".into()])),
+    ];
+    let params = [("k", 5000u64.into()), ("c", 0.9.into())];
+    let audit = Json::object(table.iter().chain(&params).cloned().collect());
+    let assert_certain = |line: &Json| {
+        assert_eq!(line.get("k").and_then(Json::as_u64), Some(5000), "{line}");
+        assert_eq!(
+            line.get("max_disclosure").and_then(Json::as_f64),
+            Some(1.0),
+            "{line}"
+        );
+    };
+
+    let r = client.post("/audit", &audit.to_string()).unwrap();
+    assert_eq!(r.status, 200, "{}", r.body);
+    assert_certain(&r.json().unwrap());
+
+    let r = client
+        .post("/tables", &Json::object(table.to_vec()).to_string())
+        .unwrap();
+    assert_eq!(r.status, 200, "{}", r.body);
+    let id = r
+        .json()
+        .unwrap()
+        .get("id")
+        .unwrap()
+        .as_str()
+        .unwrap()
+        .to_owned();
+    let r = client
+        .post(
+            &format!("/tables/{id}/audit"),
+            &Json::object(params.to_vec()).to_string(),
+        )
+        .unwrap();
+    assert_eq!(r.status, 200, "{}", r.body);
+    assert_certain(&r.json().unwrap());
+
+    let job = Json::object(
+        std::iter::once(("op", "audit".into()))
+            .chain(table.iter().chain(&params).cloned())
+            .collect(),
+    );
+    let batch = Json::object(vec![("tables", Json::Array(vec![job]))]);
+    let r = client.post("/batch", &batch.to_string()).unwrap();
+    assert_eq!(r.status, 200, "{}", r.body);
+    let lines = r.ndjson().unwrap();
+    assert_eq!(lines.len(), 2, "1 result + summary");
+    assert_certain(&lines[0]);
+
+    assert_eq!(client.get("/healthz").unwrap().status, 200);
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+}
+
 /// Shutdown during a streaming batch: the batch runs to completion (every
 /// line plus the summary arrives), then the server exits and the port
 /// closes.

@@ -9,7 +9,7 @@
 //! wcbk generate-adult [--rows N] [--seed N] [--out FILE]
 //! wcbk serve [--addr HOST:PORT] [--workers N] [--max-connections N]
 //!            [--idle-timeout-ms N]
-//!            [--engine-cache-cap N] [--engine-budget N] [--session-budget N]
+//!            [--engine-cache-cap N] [--session-budget N]
 //!            [--data-dir DIR] [--log-json] [--slow-request-ms N]
 //! wcbk table add <csv> --addr HOST:PORT --sensitive COL [--qi ...] [--hierarchy ...] [--memo-cap N]
 //! wcbk table audit|search <id> --addr HOST:PORT [--k N] [--c F] [--model M] [--threads N]
@@ -51,7 +51,7 @@
 //! shutdown is requested; `--max-connections N` caps open connections
 //! (past it a new one gets `503`; default `workers + 64`),
 //! `--idle-timeout-ms N` reaps idle keep-alive connections (default 60 s),
-//! `--engine-cache-cap`/`--engine-budget`/
+//! `--engine-cache-cap` (the one MINIMIZE1 cache every `k` shares) and
 //! `--session-budget` bound its memory under long-lived diverse traffic,
 //! and `--data-dir DIR` attaches the durable catalog: registrations and
 //! releases are WAL-persisted before they are acknowledged, and a
@@ -107,7 +107,7 @@ const USAGE: &str = "usage:
   wcbk generate-adult [--rows N] [--seed N] [--out FILE]
   wcbk serve [--addr HOST:PORT] [--workers N] [--max-connections N]
              [--idle-timeout-ms N]
-             [--engine-cache-cap N] [--engine-budget N] [--session-budget N]
+             [--engine-cache-cap N] [--session-budget N]
              [--data-dir DIR] [--log-json] [--slow-request-ms N]
   wcbk table add <csv> --addr HOST:PORT --sensitive COL [--qi COL[,COL...]]
              [--hierarchy COL:W1,W2,...]... [--memo-cap N] [--no-header]
@@ -159,10 +159,8 @@ struct Options {
     /// `serve`: idle keep-alive reap deadline in milliseconds (`0` = never
     /// reap idle connections).
     idle_timeout_ms: Option<u64>,
-    /// `serve`: per-engine MINIMIZE1 cache budget (groups).
+    /// `serve`: budget of the one MINIMIZE1 cache every `k` shares (groups).
     engine_cache_cap: Option<u64>,
-    /// `serve`: total engine-registry budget (groups across engines).
-    engine_budget: Option<u64>,
     /// `serve`: session-store budget (Σ bottom groups across handles).
     session_budget: Option<u64>,
     /// `serve`: durable catalog directory (crash-safe handles).
@@ -298,13 +296,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     need_value("--engine-cache-cap", &mut it)?
                         .parse()
                         .map_err(|e| format!("--engine-cache-cap: {e}"))?,
-                )
-            }
-            "--engine-budget" => {
-                opts.engine_budget = Some(
-                    need_value("--engine-budget", &mut it)?
-                        .parse()
-                        .map_err(|e| format!("--engine-budget: {e}"))?,
                 )
             }
             "--session-budget" => {
@@ -648,7 +639,6 @@ fn serve_cmd(opts: &Options) -> Result<Verdict, Box<dyn std::error::Error>> {
         },
         limits: ServiceLimits {
             engine_cache_cap: opts.engine_cache_cap,
-            engine_budget: opts.engine_budget,
             session_budget: opts.session_budget,
         },
         data_dir: opts.data_dir.clone().map(std::path::PathBuf::from),
@@ -1114,16 +1104,18 @@ mod tests {
             "serve",
             "--engine-cache-cap",
             "4096",
-            "--engine-budget",
-            "65536",
             "--session-budget",
             "100000",
         ]))
         .unwrap();
         assert_eq!(o.engine_cache_cap, Some(4096));
-        assert_eq!(o.engine_budget, Some(65536));
         assert_eq!(o.session_budget, Some(100_000));
-        assert!(parse_args(&s(&["serve", "--engine-budget", "lots"])).is_err());
+        assert!(parse_args(&s(&["serve", "--engine-cache-cap", "lots"])).is_err());
+        // `--engine-cache-cap` bounds the one cache every k shares.
+        assert_eq!(
+            parse_args(&s(&["serve", "--engine-budget", "65536"])),
+            Err("unknown flag --engine-budget".to_owned())
+        );
 
         let o = parse_args(&s(&[
             "table",
