@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use wcbk_core::minimize1::Minimize1Table;
+use wcbk_core::minimize1::minimize1_profile;
 use wcbk_core::minimize2::{minimize2, BucketCosts};
 use wcbk_core::{CoreError, DisclosureEngine, HistogramSet};
 
@@ -80,11 +80,10 @@ pub(crate) fn allocation_witness(
         if alloc.atoms == 0 {
             continue;
         }
-        let table = Minimize1Table::build(&set.histograms()[alloc.bucket], alloc.atoms);
         // The DP only allocates atoms where MINIMIZE1 is feasible, so the
-        // profile reconstruction cannot fail.
-        let profile = table
-            .profile(alloc.atoms)
+        // profile reconstruction cannot fail; the profile is sized by the
+        // bucket's distinct values, not by the atom count.
+        let profile = minimize1_profile(&set.histograms()[alloc.bucket], alloc.atoms)
             .expect("optimal allocation is feasible");
         let spread: Vec<String> = profile.iter().map(|c| c.to_string()).collect();
         knowing.push(format!(

@@ -60,8 +60,8 @@ pub use sequential::SequentialModel;
 pub enum CompositionStyle {
     /// Releases compose as the union of their bucket histograms: the
     /// adversary attacks the weakest bucket across all releases. This is
-    /// the paper's composition audit, and it is incremental — appending a
-    /// release only costs the new buckets' MINIMIZE1 tables.
+    /// the paper's composition audit: one MINIMIZE2 pass over the union,
+    /// with MINIMIZE1 run only for bucket histograms the cache lacks.
     UnionOfBuckets,
     /// Releases compose as the **common refinement** of their groupings:
     /// the adversary links each tuple across releases, so the effective

@@ -58,8 +58,7 @@ pub use search::{
     sweep_all_rescan, SearchConfig, SearchOutcome, SearchReport,
 };
 pub use session::{
-    AuditReport, CompositionReport, DatasetSession, ModelAuditReport, ModelCompositionReport,
-    ReleaseReport, SessionOptions,
+    AuditReport, CompositionReport, DatasetSession, ModelAuditReport, ReleaseReport, SessionOptions,
 };
 pub use swap::{swap_sanitize, SwapOutcome};
 pub use utility::UtilityMetric;

@@ -15,8 +15,10 @@
 //!   handles by,
 //! * an [`EngineRegistry`] (own or shared with other sessions): one
 //!   MINIMIZE1 cache, viewed at any `k`, and
-//! * a per-release history for sequential-release composition audits
-//!   (riding [`DisclosureEngine::incremental_set`]).
+//! * a per-release history for sequential-release composition audits: a
+//!   union-of-buckets audit is one MINIMIZE2 pass over every released
+//!   bucket, `O(|B|·k²)`, with MINIMIZE1 run only for histogram keys the
+//!   shared cache is missing.
 //!
 //! Searches and sweeps run the same skeletons as the one-shot
 //! [`search`](crate::search()) and [`sweep`](crate::sweep), over the
@@ -28,14 +30,13 @@
 //! `tests/session_equivalence.rs` — so "one-shot" is just
 //! "register → run → drop" over this API.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use wcbk_adversary::{CompositionStyle, ModelId, ModelWitness};
 use wcbk_core::{
     Bucketization, CkSafety, DisclosureEngine, DisclosureResult, EngineRegistry, HistogramSet,
-    IncrementalDisclosure, SensitiveHistogram,
+    SensitiveHistogram,
 };
 use wcbk_hierarchy::{
     dataset_fingerprint, GenNode, GeneralizationLattice, NodeEvaluator, RollupStats, ScanOptions,
@@ -100,19 +101,21 @@ pub struct ReleaseReport {
     pub model: ModelId,
 }
 
-/// A composition audit over **all** recorded releases: the attacker sees
-/// every released bucket at once, so maximum disclosure is computed over
-/// their union (through [`DisclosureEngine::incremental_set`], so per-bucket
-/// MINIMIZE1 work stays cached in the shared engine).
+/// A composition audit over **all** recorded releases under an adversary
+/// model. `buckets` counts the **effective** buckets the adversary attacks:
+/// the released buckets for union-of-buckets models, the common-refinement
+/// cells for [`ModelId::Sequential`].
 #[derive(Debug, Clone)]
 pub struct CompositionReport {
+    /// The model the bound was computed under.
+    pub model: ModelId,
     /// Releases composed.
     pub releases: usize,
-    /// Buckets in the union.
+    /// Effective buckets audited (see type docs).
     pub buckets: usize,
     /// Attacker power bound.
     pub k: usize,
-    /// Maximum disclosure over the union of released buckets.
+    /// The model's worst-case disclosure bound over the composition.
     pub value: f64,
     /// The threshold checked, when given.
     pub c: Option<f64>,
@@ -146,47 +149,12 @@ pub struct ModelAuditReport {
     pub safe: Option<bool>,
 }
 
-/// A composition audit under a pluggable model — the model-generic
-/// counterpart of [`CompositionReport`]. `buckets` counts the **effective**
-/// buckets the adversary attacks: the released buckets for
-/// union-of-buckets models, the common-refinement cells for
-/// [`ModelId::Sequential`].
-#[derive(Debug, Clone)]
-pub struct ModelCompositionReport {
-    /// The model the bound was computed under.
-    pub model: ModelId,
-    /// Releases composed.
-    pub releases: usize,
-    /// Effective buckets audited (see type docs).
-    pub buckets: usize,
-    /// Attacker power bound.
-    pub k: usize,
-    /// The model's worst-case disclosure bound over the composition.
-    pub value: f64,
-    /// The threshold checked, when given.
-    pub c: Option<f64>,
-    /// Whether `value < c`, when `c` was given.
-    pub safe: Option<bool>,
-}
-
 /// The sequential-release history: released bucket histograms in release
 /// order, plus per-release bookkeeping (node, buckets contributed, and the
 /// adversary model the release was audited under).
 struct ReleaseHistory {
     histograms: Vec<SensitiveHistogram>,
     per_release: Vec<(GenNode, usize, ModelId)>,
-}
-
-/// Persistent union-of-buckets composition state for one attacker power
-/// `k`: the prefix/suffix MINIMIZE2 tables over every released bucket
-/// folded in so far. A later audit only pushes the buckets released since
-/// `folded` — the O(new buckets) contract — and pushing is bit-identical
-/// to a fresh [`DisclosureEngine::incremental_set`] build because `push`
-/// rebuilds the tables from the full cost list.
-struct UnionComp {
-    /// Buckets of the history already folded into `inc`.
-    folded: usize,
-    inc: IncrementalDisclosure,
 }
 
 /// Persistent common-refinement composition state (model-independent): for
@@ -200,14 +168,6 @@ struct RefinementComp {
     /// order (deterministic, so rebuilt sessions re-derive identical ids).
     cells: Vec<u32>,
     n_cells: u32,
-}
-
-/// The per-session composition caches, keyed off the release history they
-/// mirror; cleared together with it.
-#[derive(Default)]
-struct CompositionCache {
-    union: HashMap<usize, UnionComp>,
-    refinement: Option<RefinementComp>,
 }
 
 /// A registered dataset: table + lattice + shared evaluation state — see
@@ -232,8 +192,9 @@ pub struct DatasetSession {
     fingerprint: OnceLock<u64>,
     engines: Arc<EngineRegistry>,
     releases: Mutex<ReleaseHistory>,
-    /// Incremental composition state (always locked **after** `releases`).
-    comp: Mutex<CompositionCache>,
+    /// The common refinement of the history, folded release by release
+    /// (always locked **after** `releases`; cleared together with it).
+    refinement: Mutex<Option<RefinementComp>>,
 }
 
 impl DatasetSession {
@@ -270,7 +231,7 @@ impl DatasetSession {
                 histograms: Vec::new(),
                 per_release: Vec::new(),
             }),
-            comp: Mutex::new(CompositionCache::default()),
+            refinement: Mutex::new(None),
         })
     }
 
@@ -558,25 +519,18 @@ impl DatasetSession {
     }
 
     /// Forgets the release history (the next composition starts empty)
-    /// along with the incremental composition state derived from it.
+    /// along with the common refinement derived from it.
     pub fn clear_releases(&self) {
         let mut history = self.releases.lock().expect("release history poisoned");
-        let mut comp = self.comp.lock().expect("composition cache poisoned");
+        let mut refinement = self.refinement.lock().expect("refinement poisoned");
         history.histograms.clear();
         history.per_release.clear();
-        *comp = CompositionCache::default();
+        *refinement = None;
     }
 
-    /// Audits the **composition** of every recorded release: the attacker
-    /// holds all released buckets at once, so maximum disclosure is
-    /// computed over their union through a persistent per-`k`
-    /// [`IncrementalDisclosure`] kept in the session. The first audit at a
-    /// given `k` builds the full state; every later audit folds in only the
-    /// buckets released since — O(new buckets) bucket-cost work, with the
-    /// per-bucket MINIMIZE1 tables additionally cached in the shared
-    /// engine. Because [`IncrementalDisclosure::push`] rebuilds from the
-    /// full cost list, the folded value is bit-identical to a fresh
-    /// [`DisclosureEngine::incremental_set`] over the whole union.
+    /// Audits the **composition** of every recorded release under the
+    /// paper's conjunction adversary: [`DatasetSession::audit_composition_model`]
+    /// at [`ModelId::Conjunction`].
     ///
     /// Errors when no release has been recorded.
     pub fn audit_composition(
@@ -584,62 +538,7 @@ impl DatasetSession {
         c: Option<f64>,
         k: usize,
     ) -> Result<CompositionReport, AnonymizeError> {
-        let (releases, buckets, value) = self.union_composition_value(k)?;
-        let safe = match c {
-            Some(c) => {
-                CkSafety::new(c, k)?;
-                Some(value < c)
-            }
-            None => None,
-        };
-        Ok(CompositionReport {
-            releases,
-            buckets,
-            k,
-            value,
-            c,
-            safe,
-        })
-    }
-
-    /// The union-of-buckets composition value at attacker power `k`,
-    /// through the persistent per-`k` incremental state. Returns
-    /// `(releases, buckets, value)`.
-    fn union_composition_value(&self, k: usize) -> Result<(usize, usize, f64), AnonymizeError> {
-        let history = self.releases.lock().expect("release history poisoned");
-        if history.histograms.is_empty() {
-            return Err(AnonymizeError::InvalidParameter(
-                "composition audit needs at least one recorded release".into(),
-            ));
-        }
-        let releases = history.per_release.len();
-        let buckets = history.histograms.len();
-        let engine = self.engines.engine(k);
-        let mut comp = self.comp.lock().expect("composition cache poisoned");
-        let value = match comp.union.entry(k) {
-            Entry::Occupied(mut slot) => {
-                let state = slot.get_mut();
-                for h in &history.histograms[state.folded..] {
-                    state.inc.push(engine.costs(h));
-                }
-                state.folded = buckets;
-                state.inc.value()
-            }
-            Entry::Vacant(slot) => {
-                let set = HistogramSet::new(
-                    history.histograms.clone(),
-                    self.table.sensitive_cardinality() as u32,
-                )?;
-                let inc = engine.incremental_set(&set)?;
-                slot.insert(UnionComp {
-                    folded: buckets,
-                    inc,
-                })
-                .inc
-                .value()
-            }
-        };
-        Ok((releases, buckets, value))
+        self.audit_composition_model(ModelId::Conjunction, c, k)
     }
 
     /// Audits the exact-quasi-identifier grouping under the adversary
@@ -657,13 +556,9 @@ impl DatasetSession {
         let set = self.bottom_set()?;
         let value = resolved.max_disclosure(&set)?;
         let witness = resolved.witness(&set)?;
-        let safe = match c {
-            Some(c) => {
-                CkSafety::new(c, k)?;
-                Some(value < c)
-            }
-            None => None,
-        };
+        let safe = c
+            .map(|c| CkSafety::new(c, k).map(|_| value < c))
+            .transpose()?;
         Ok(ModelAuditReport {
             model,
             buckets: set.n_buckets(),
@@ -681,11 +576,10 @@ impl DatasetSession {
     /// `model`, honoring the model's [`CompositionStyle`]:
     ///
     /// - [`CompositionStyle::UnionOfBuckets`] prices the union of all
-    ///   released bucket histograms. Under [`ModelId::Conjunction`] this
-    ///   rides the same persistent incremental state as
-    ///   [`DatasetSession::audit_composition`], so the value is
-    ///   bit-identical to that path; the stateless models price the union
-    ///   set directly.
+    ///   released bucket histograms with the model's own bound — for
+    ///   [`ModelId::Conjunction`], one MINIMIZE2 pass, `O(|B|·k²)` over the
+    ///   union's `|B|` buckets, with MINIMIZE1 run only for histogram keys
+    ///   missing from the shared cache.
     /// - [`CompositionStyle::CommonRefinement`] intersects the released
     ///   groupings tuple-by-tuple (the linkage attacker knows each
     ///   individual appears in every release), prices the refined cells,
@@ -698,51 +592,40 @@ impl DatasetSession {
         model: ModelId,
         c: Option<f64>,
         k: usize,
-    ) -> Result<ModelCompositionReport, AnonymizeError> {
+    ) -> Result<CompositionReport, AnonymizeError> {
         let resolved = model.resolve(self.engines.engine(k));
-        let (releases, buckets, value) = match resolved.composition() {
-            CompositionStyle::UnionOfBuckets => {
-                if matches!(model, ModelId::Conjunction) {
-                    self.union_composition_value(k)?
-                } else {
-                    let history = self.releases.lock().expect("release history poisoned");
-                    if history.histograms.is_empty() {
-                        return Err(AnonymizeError::InvalidParameter(
-                            "composition audit needs at least one recorded release".into(),
-                        ));
-                    }
-                    let set = HistogramSet::new(
-                        history.histograms.clone(),
-                        self.table.sensitive_cardinality() as u32,
-                    )?;
-                    (
-                        history.per_release.len(),
-                        set.n_buckets(),
-                        resolved.max_disclosure(&set)?,
-                    )
-                }
-            }
-            CompositionStyle::CommonRefinement => {
-                let (releases, set) = self.refined_composition_set()?;
-                (releases, set.n_buckets(), resolved.max_disclosure(&set)?)
-            }
+        let (releases, set) = match resolved.composition() {
+            CompositionStyle::UnionOfBuckets => self.union_composition_set()?,
+            CompositionStyle::CommonRefinement => self.refined_composition_set()?,
         };
-        let safe = match c {
-            Some(c) => {
-                CkSafety::new(c, k)?;
-                Some(value < c)
-            }
-            None => None,
-        };
-        Ok(ModelCompositionReport {
+        let value = resolved.max_disclosure(&set)?;
+        let safe = c
+            .map(|c| CkSafety::new(c, k).map(|_| value < c))
+            .transpose()?;
+        Ok(CompositionReport {
             model,
             releases,
-            buckets,
+            buckets: set.n_buckets(),
             k,
             value,
             c,
             safe,
         })
+    }
+
+    /// Every released bucket histogram, in release order, as one set.
+    fn union_composition_set(&self) -> Result<(usize, HistogramSet), AnonymizeError> {
+        let history = self.releases.lock().expect("release history poisoned");
+        if history.per_release.is_empty() {
+            return Err(AnonymizeError::InvalidParameter(
+                "composition audit needs at least one recorded release".into(),
+            ));
+        }
+        let set = HistogramSet::new(
+            history.histograms.clone(),
+            self.table.sensitive_cardinality() as u32,
+        )?;
+        Ok((history.per_release.len(), set))
     }
 
     /// The common refinement of all recorded releases as a histogram set,
@@ -760,8 +643,8 @@ impl DatasetSession {
         }
         let releases = history.per_release.len();
         let rows = self.table.n_rows();
-        let mut comp = self.comp.lock().expect("composition cache poisoned");
-        let state = comp.refinement.get_or_insert_with(|| RefinementComp {
+        let mut refinement = self.refinement.lock().expect("refinement poisoned");
+        let state = refinement.get_or_insert_with(|| RefinementComp {
             applied: 0,
             cells: vec![0; rows],
             n_cells: 1,
@@ -986,7 +869,7 @@ mod tests {
     }
 
     #[test]
-    fn composition_audit_rides_incremental_set() {
+    fn composition_audit_prices_the_union() {
         let s = session();
         assert_eq!(s.releases(), 0);
         assert!(s.audit_composition(None, 1).is_err(), "empty history");
@@ -1001,6 +884,7 @@ mod tests {
         assert_eq!(second.total_buckets, 3);
 
         let report = s.audit_composition(Some(0.9), 1).unwrap();
+        assert_eq!(report.model, ModelId::Conjunction);
         assert_eq!(report.releases, 2);
         assert_eq!(report.buckets, 3);
 
@@ -1013,7 +897,7 @@ mod tests {
         }
         let set = HistogramSet::new(histograms, b_domain(&table)).unwrap();
         let engine = DisclosureEngine::new(1);
-        let direct = engine.incremental_set(&set).unwrap().value();
+        let direct = engine.max_disclosure_value_set(&set).unwrap();
         assert_eq!(report.value.to_bits(), direct.to_bits());
         assert_eq!(report.safe, Some(direct < 0.9));
 
@@ -1042,11 +926,11 @@ mod tests {
         }
     }
 
-    /// The persistent per-`k` incremental state makes successive
-    /// composition audits O(new buckets): a repeat audit does **zero**
-    /// engine cost lookups, and an audit after one more release does at
-    /// most that release's bucket count — observed through the shared
-    /// engine's cache counters. Values stay bit-identical to full rebuilds.
+    /// A composition audit re-prices the whole union but builds MINIMIZE1
+    /// values only for keys the shared cache lacks: a repeat audit builds
+    /// none, and an audit after one more release builds at most that
+    /// release's bucket count — observed through the cache's miss counter.
+    /// Values stay bit-identical to a fresh engine over the whole union.
     #[test]
     fn composition_cache_folds_only_new_buckets() {
         let s = session();
@@ -1058,26 +942,22 @@ mod tests {
         let first = s.audit_composition(None, 1).unwrap();
         let after_build = engine.stats();
 
-        // No new release: the cached tables answer directly.
+        // No new release: every key is cached.
         let repeat = s.audit_composition(None, 1).unwrap();
-        let after_repeat = engine.stats();
         assert_eq!(repeat.value.to_bits(), first.value.to_bits());
-        assert_eq!(after_repeat.misses, after_build.misses);
-        assert_eq!(after_repeat.hits, after_build.hits);
+        assert_eq!(engine.stats().misses, after_build.misses);
 
-        // One more release: only its buckets get folded in.
+        // One more release: at most its buckets are built.
         let third = s.release(&GenNode(vec![1, 1, 1])).unwrap();
         let report = s.audit_composition(None, 1).unwrap();
-        let after_fold = engine.stats();
-        let lookups =
-            (after_fold.misses - after_repeat.misses) + (after_fold.hits - after_repeat.hits);
+        let built = engine.stats().misses - after_build.misses;
         assert!(
-            lookups <= third.buckets as u64,
-            "folded {} buckets with {lookups} cost lookups",
+            built <= third.buckets as u64,
+            "released {} buckets, built {built}",
             third.buckets
         );
 
-        // Bit-identical to a from-scratch rebuild over the whole union.
+        // Bit-identical to a fresh engine over the whole union.
         let table = hospital_table();
         let mut histograms: Vec<SensitiveHistogram> = Vec::new();
         for n in [
@@ -1089,13 +969,15 @@ mod tests {
             histograms.extend(b.buckets().iter().map(|x| x.histogram().clone()));
         }
         let set = HistogramSet::new(histograms, b_domain(&table)).unwrap();
-        let direct = DisclosureEngine::new(1).incremental_set(&set).unwrap();
-        assert_eq!(report.value.to_bits(), direct.value().to_bits());
+        let direct = DisclosureEngine::new(1)
+            .max_disclosure_value_set(&set)
+            .unwrap();
+        assert_eq!(report.value.to_bits(), direct.to_bits());
         assert_eq!(report.buckets, set.n_buckets());
     }
 
-    /// `audit_composition_model` under the conjunction model rides the
-    /// same incremental state as the plain path — identical reports.
+    /// `audit_composition` is `audit_composition_model` under the
+    /// conjunction model — identical reports.
     #[test]
     fn model_composition_conjunction_is_bit_identical_to_plain() {
         let s = session();
@@ -1201,9 +1083,8 @@ mod tests {
         }
     }
 
-    /// `clear_releases` drops the incremental composition state along with
-    /// the history — a later composition starts from scratch, not from
-    /// stale tables or cells.
+    /// `clear_releases` drops the common refinement along with the history
+    /// — a later composition starts from scratch, not from stale cells.
     #[test]
     fn clear_releases_resets_composition_state() {
         let s = session();

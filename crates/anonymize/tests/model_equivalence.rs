@@ -223,11 +223,10 @@ proptest! {
         prop_assert!(!model.witness.knowing.is_empty());
     }
 
-    /// Composition audits through the persistent incremental state equal
-    /// from-scratch rebuilds no matter how audits interleave with
-    /// releases: after **each** release the folded value matches a fresh
-    /// `incremental_set` over the concatenated histograms, for both the
-    /// plain and the model-tagged path.
+    /// Composition audits equal a fresh value pass over the union no
+    /// matter how audits interleave with releases: after **each** release
+    /// the value matches `max_disclosure_value_set` over the concatenated
+    /// histograms, for both the plain and the model-tagged path.
     #[test]
     fn interleaved_composition_audits_match_full_rebuilds(
         qi_cols in 1usize..=3,
@@ -245,15 +244,15 @@ proptest! {
             let b = lattice.bucketize(&table, node).unwrap();
             histograms.extend(b.buckets().iter().map(|x| x.histogram().clone()));
 
-            // Audit immediately after every release — the occupied-entry
-            // fold path — and compare against a full rebuild.
+            // Audit immediately after every release and compare against a
+            // fresh engine over the whole union.
             let report = session.audit_composition(Some(0.8), k).unwrap();
             let set = wcbk_core::HistogramSet::new(
                 histograms.clone(),
                 table.sensitive_cardinality() as u32,
             )
             .unwrap();
-            let direct = DisclosureEngine::new(k).incremental_set(&set).unwrap().value();
+            let direct = DisclosureEngine::new(k).max_disclosure_value_set(&set).unwrap();
             prop_assert_eq!(report.value.to_bits(), direct.to_bits());
             prop_assert_eq!(report.buckets, set.n_buckets());
 

@@ -1,27 +1,24 @@
-//! Memoized and incremental disclosure computation.
+//! Memoized disclosure computation.
 //!
 //! The closing remark of Section 3.3.3: if bucketization `B*` differs from an
 //! already-analyzed `B` by removing some buckets and adding `x` new ones,
 //! only the new buckets' MINIMIZE1 values need computing, plus one
-//! MINIMIZE2 pass (`O(|B*|·k²)` here). Two pieces implement that:
-//!
-//! * [`DisclosureEngine`] — a view at one attacker power `k` over a
-//!   MINIMIZE1 cache that every `k` shares. The cache maps a bucket's
-//!   descending frequency vector to its [`BucketCosts`], shared across
-//!   *all* bucketizations analyzed (during lattice search, sibling
-//!   anonymizations share most buckets). `m1(c)` does not depend on `k`:
-//!   `minimize1_values(h, k1)` is a bit-identical prefix of
-//!   `minimize1_values(h, k2)` for `k1 < k2`, so an entry built for a larger
-//!   `k` answers every smaller one, and a view at a larger `k` rebuilds a
-//!   shorter entry in place. MINIMIZE2 reads nothing else; a witness builds
-//!   a bucket-sized profile only for each of the at most `k+1` buckets it
-//!   names. The cache is sharded behind [`RwLock`]s and the engine is
-//!   `Send + Sync`, so one engine can serve many search threads at once —
-//!   the foundation of the parallel lattice search in `wcbk-anonymize`.
-//! * [`IncrementalDisclosure`] — prefix/suffix MINIMIZE2 tables over a fixed
-//!   bucket order, answering *what-if* queries (replace / remove / merge one
-//!   bucket) in `O(k²)` without touching the other buckets, as suggested by
-//!   the paper's bucket-reordering remark.
+//! MINIMIZE2 pass (`O(|B*|·k²)` here). [`DisclosureEngine`] implements that:
+//! a view at one attacker power `k` over a MINIMIZE1 cache that every `k`
+//! shares. The cache maps a bucket's descending frequency vector to its
+//! [`BucketCosts`], shared across *all* bucketizations analyzed (during
+//! lattice search, sibling anonymizations share most buckets; a release
+//! history's union shares every bucket of the releases before it). `m1(c)`
+//! does not depend on `k`: `minimize1_values(h, k1)` is a bit-identical
+//! prefix of `minimize1_values(h, k2)` for `k1 < k2`, so an entry built for
+//! a larger `k` answers every smaller one, and a view at a larger `k`
+//! rebuilds a shorter entry in place. MINIMIZE2 reads nothing else; a
+//! witness builds a bucket-sized profile only for each of the at most `k+1`
+//! buckets it names. A what-if edit (replace, remove or merge buckets) is
+//! one [`DisclosureEngine::max_disclosure_value_set`] on the edited set.
+//! The cache is sharded behind [`RwLock`]s and the engine is `Send + Sync`,
+//! so one engine can serve many search threads at once — the foundation of
+//! the parallel lattice search in `wcbk-anonymize`.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -30,7 +27,7 @@ use std::sync::{Arc, RwLock};
 
 use crate::disclosure::{build_witness, leading_members};
 use crate::minimize1::minimize1_values;
-use crate::minimize2::{minimize2, minimize2_value, BucketCosts, SuffixTable};
+use crate::minimize2::{minimize2, minimize2_value, BucketCosts};
 use crate::{Bucketization, CoreError, DisclosureResult, HistogramSet, SensitiveHistogram};
 use wcbk_table::TupleId;
 
@@ -414,199 +411,6 @@ impl DisclosureEngine {
             leading_members(b, requests)
         })
     }
-
-    /// Builds an incremental session straight from a histogram-only view —
-    /// the composition streaming publishers use: per-bucket histograms are
-    /// maintained as a [`HistogramSet`], audited and what-if-probed through
-    /// [`IncrementalDisclosure`], with no [`Bucketization`] (i.e. no tuple
-    /// membership) ever materialized.
-    pub fn incremental_set(&self, h: &HistogramSet) -> Result<IncrementalDisclosure, CoreError> {
-        if h.n_buckets() == 0 {
-            return Err(CoreError::EmptyBucketization);
-        }
-        let buckets: Vec<BucketCosts> = h.histograms().iter().map(|x| self.costs(x)).collect();
-        Ok(IncrementalDisclosure::new(buckets, self.k))
-    }
-}
-
-/// Prefix analogue of [`SuffixTable`]: `P(i, h, placed)` = minimum cost over
-/// buckets `0..i` having used `h` atoms, with `placed` = whether the
-/// consequent `A` was hosted by one of them.
-#[derive(Debug, Clone)]
-struct PrefixTable {
-    k: usize,
-    p: Vec<f64>,
-}
-
-impl PrefixTable {
-    #[inline]
-    fn idx(&self, i: usize, h: usize, placed: bool) -> usize {
-        (i * (self.k + 1) + h) * 2 + usize::from(placed)
-    }
-
-    fn build(buckets: &[BucketCosts], k: usize) -> Self {
-        let n = buckets.len();
-        let mut t = Self {
-            k,
-            p: vec![f64::INFINITY; (n + 1) * (k + 1) * 2],
-        };
-        let start = t.idx(0, 0, false);
-        t.p[start] = 1.0;
-        for (i, b) in buckets.iter().enumerate() {
-            for h in 0..=k {
-                for placed in [false, true] {
-                    let mut best = f64::INFINITY;
-                    for c in 0..=h {
-                        // Bucket i takes c plain atoms.
-                        let v = t.get(i, h - c, placed) * b.m1[c];
-                        if v < best {
-                            best = v;
-                        }
-                        // Bucket i hosts A (transition false → true).
-                        if placed {
-                            let v = t.get(i, h - c, false) * b.m1[c + 1] * b.rho;
-                            if v < best {
-                                best = v;
-                            }
-                        }
-                    }
-                    let at = t.idx(i + 1, h, placed);
-                    t.p[at] = best;
-                }
-            }
-        }
-        t
-    }
-
-    #[inline]
-    fn get(&self, i: usize, h: usize, placed: bool) -> f64 {
-        self.p[self.idx(i, h, placed)]
-    }
-}
-
-/// Incremental what-if evaluation of maximum disclosure under single-bucket
-/// edits, in `O(k²)` per query.
-pub struct IncrementalDisclosure {
-    k: usize,
-    buckets: Vec<BucketCosts>,
-    prefix: PrefixTable,
-    suffix: SuffixTable,
-}
-
-impl IncrementalDisclosure {
-    fn new(buckets: Vec<BucketCosts>, k: usize) -> Self {
-        let prefix = PrefixTable::build(&buckets, k);
-        let suffix = SuffixTable::build(&buckets, k);
-        Self {
-            k,
-            buckets,
-            prefix,
-            suffix,
-        }
-    }
-
-    /// Number of buckets in the session.
-    pub fn n_buckets(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// Current `r_min` (Formula (1) minimum).
-    pub fn r_min(&self) -> f64 {
-        self.suffix.get(0, self.k, false)
-    }
-
-    /// Current maximum disclosure.
-    pub fn value(&self) -> f64 {
-        1.0 / (1.0 + self.r_min())
-    }
-
-    /// Maximum disclosure if bucket `i` were replaced by `new_costs`.
-    pub fn what_if_replace(&self, i: usize, new_costs: &BucketCosts) -> Result<f64, CoreError> {
-        self.check_index(i)?;
-        Ok(to_disclosure(self.compose(i, Some(new_costs), i + 1)))
-    }
-
-    /// Maximum disclosure if bucket `i` were removed entirely.
-    ///
-    /// Errors if it is the only bucket.
-    pub fn what_if_remove(&self, i: usize) -> Result<f64, CoreError> {
-        self.check_index(i)?;
-        if self.buckets.len() == 1 {
-            return Err(CoreError::EmptyBucketization);
-        }
-        Ok(to_disclosure(self.compose(i, None, i + 1)))
-    }
-
-    /// Maximum disclosure if buckets `i` and `i+1` were merged into a bucket
-    /// with costs `merged`.
-    pub fn what_if_merge_adjacent(&self, i: usize, merged: &BucketCosts) -> Result<f64, CoreError> {
-        self.check_index(i)?;
-        self.check_index(i + 1)?;
-        Ok(to_disclosure(self.compose(i, Some(merged), i + 2)))
-    }
-
-    /// Commits a replacement of bucket `i`, rebuilding the tables
-    /// (`O(|B|·k²)`; the per-histogram MINIMIZE1 work stays cached in the
-    /// engine that produced `new_costs`).
-    pub fn replace(&mut self, i: usize, new_costs: BucketCosts) -> Result<(), CoreError> {
-        self.check_index(i)?;
-        self.buckets[i] = new_costs;
-        self.rebuild();
-        Ok(())
-    }
-
-    /// Commits an append of a new bucket.
-    pub fn push(&mut self, costs: BucketCosts) {
-        self.buckets.push(costs);
-        self.rebuild();
-    }
-
-    fn rebuild(&mut self) {
-        self.prefix = PrefixTable::build(&self.buckets, self.k);
-        self.suffix = SuffixTable::build(&self.buckets, self.k);
-    }
-
-    fn check_index(&self, i: usize) -> Result<(), CoreError> {
-        if i >= self.buckets.len() {
-            return Err(CoreError::BucketOutOfRange {
-                index: i,
-                len: self.buckets.len(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Composes `prefix(0..i) ⊗ mid ⊗ suffix(j..)`, minimizing over atom
-    /// splits and consequent placement. `O(k²)`.
-    fn compose(&self, i: usize, mid: Option<&BucketCosts>, j: usize) -> f64 {
-        let k = self.k;
-        let mut best = f64::INFINITY;
-        for hp in 0..=k {
-            match mid {
-                None => {
-                    let hs = k - hp;
-                    let a_before = self.prefix.get(i, hp, true) * self.suffix.get(j, hs, true);
-                    let a_after = self.prefix.get(i, hp, false) * self.suffix.get(j, hs, false);
-                    best = best.min(a_before).min(a_after);
-                }
-                Some(m) => {
-                    for c in 0..=(k - hp) {
-                        let hs = k - hp - c;
-                        let a_before =
-                            self.prefix.get(i, hp, true) * m.m1[c] * self.suffix.get(j, hs, true);
-                        let a_mid = self.prefix.get(i, hp, false)
-                            * m.m1[c + 1]
-                            * m.rho
-                            * self.suffix.get(j, hs, true);
-                        let a_after =
-                            self.prefix.get(i, hp, false) * m.m1[c] * self.suffix.get(j, hs, false);
-                        best = best.min(a_before).min(a_mid).min(a_after);
-                    }
-                }
-            }
-        }
-        best
-    }
 }
 
 #[inline]
@@ -630,13 +434,6 @@ mod tests {
     fn value_of(engine: &DisclosureEngine, b: &Bucketization) -> f64 {
         engine
             .max_disclosure_value_set(&HistogramSet::from_bucketization(b))
-            .unwrap()
-    }
-
-    /// An incremental session over `b`'s histograms.
-    fn incremental_of(engine: &DisclosureEngine, b: &Bucketization) -> IncrementalDisclosure {
-        engine
-            .incremental_set(&HistogramSet::from_bucketization(b))
             .unwrap()
     }
 
@@ -781,25 +578,6 @@ mod tests {
         let set = HistogramSet::from_bucketization(&two);
         assert_eq!(engine.max_disclosure_value_set(&set).unwrap(), 1.0);
         assert_eq!(engine.costs(two.bucket(0).histogram()).m1.len(), 1002);
-    }
-
-    #[test]
-    fn incremental_set_matches_incremental() {
-        for k in 0..=3 {
-            let engine = DisclosureEngine::new(k);
-            for b in [figure3(), four_buckets()] {
-                let costs = b
-                    .buckets()
-                    .iter()
-                    .map(|bucket| engine.costs(bucket.histogram()))
-                    .collect();
-                let from_buckets = IncrementalDisclosure::new(costs, k);
-                let from_set = incremental_of(&engine, &b);
-                assert_eq!(from_buckets.n_buckets(), from_set.n_buckets());
-                assert_eq!(from_buckets.value().to_bits(), from_set.value().to_bits());
-                assert_eq!(from_buckets.r_min().to_bits(), from_set.r_min().to_bits());
-            }
-        }
     }
 
     #[test]
@@ -949,50 +727,34 @@ mod tests {
         assert!(engine.stats().groups <= 2, "{:?}", engine.stats());
     }
 
+    /// A what-if edit is one value pass over the edited set: replacing,
+    /// removing or merging buckets matches the full computation on the
+    /// edited bucketization bit for bit.
     #[test]
-    fn incremental_value_matches_direct() {
-        for k in 0..=3 {
-            let engine = DisclosureEngine::new(k);
-            let b = four_buckets();
-            let inc = incremental_of(&engine, &b);
-            let direct = max_disclosure(&b, k).unwrap();
-            assert!((inc.value() - direct.value).abs() < 1e-12, "k={k}");
-        }
-    }
-
-    #[test]
-    fn what_if_replace_matches_recompute() {
+    fn edited_sets_match_recompute() {
         let k = 2;
         let engine = DisclosureEngine::new(k);
         let b = four_buckets();
-        let inc = incremental_of(&engine, &b);
-        // Replace bucket 1 with bucket 3's histogram (same table, different
-        // frequency vector).
-        let replacement_hist = b.bucket(3).histogram().clone();
-        let costs = engine.costs(&replacement_hist);
-        let predicted = inc.what_if_replace(1, &costs).unwrap();
+        let direct = |edited: &Bucketization| max_disclosure(edited, k).unwrap().value.to_bits();
 
-        // Recompute from scratch: bucketization with bucket 1's histogram
-        // replaced (members don't affect the value, only the histogram).
+        // Replace bucket 1's histogram with bucket 3's (members don't
+        // affect the value, only the histogram).
+        let replacement = b.bucket(3).histogram().clone();
+        let mut histograms: Vec<SensitiveHistogram> =
+            b.buckets().iter().map(|x| x.histogram().clone()).collect();
+        histograms[1] = replacement.clone();
+        let set = HistogramSet::new(histograms, b.domain_size()).unwrap();
         let mut buckets: Vec<crate::Bucket> = b.buckets().to_vec();
         buckets[1] = crate::Bucket::from_histogram(
-            vec![TupleId(3), TupleId(4), TupleId(90), TupleId(91)][..replacement_hist.n() as usize]
+            vec![TupleId(3), TupleId(4), TupleId(90), TupleId(91)][..replacement.n() as usize]
                 .to_vec(),
-            replacement_hist,
+            replacement,
         );
-        let modified = Bucketization::from_buckets(buckets, b.domain_size()).unwrap();
-        let direct = max_disclosure(&modified, k).unwrap().value;
-        assert!((predicted - direct).abs() < 1e-12);
-    }
+        let replaced = Bucketization::from_buckets(buckets, b.domain_size()).unwrap();
+        let value = engine.max_disclosure_value_set(&set).unwrap();
+        assert_eq!(value.to_bits(), direct(&replaced));
 
-    #[test]
-    fn what_if_remove_matches_recompute() {
-        let k = 2;
-        let engine = DisclosureEngine::new(k);
-        let b = four_buckets();
-        let inc = incremental_of(&engine, &b);
         for i in 0..4 {
-            let predicted = inc.what_if_remove(i).unwrap();
             let groups: Vec<Vec<TupleId>> = b
                 .buckets()
                 .iter()
@@ -1000,77 +762,24 @@ mod tests {
                 .filter(|&(bi, _)| bi != i)
                 .map(|(_, bucket)| bucket.members().to_vec())
                 .collect();
-            let modified = Bucketization::from_partition(&hospital_table(), &groups).unwrap();
-            let direct = max_disclosure(&modified, k).unwrap().value;
-            assert!((predicted - direct).abs() < 1e-12, "remove {i}");
+            let removed = Bucketization::from_partition(&hospital_table(), &groups).unwrap();
+            assert_eq!(
+                value_of(&engine, &removed).to_bits(),
+                direct(&removed),
+                "remove {i}"
+            );
         }
-    }
-
-    #[test]
-    fn what_if_merge_matches_recompute() {
-        let k = 2;
-        let engine = DisclosureEngine::new(k);
-        let b = four_buckets();
-        let inc = incremental_of(&engine, &b);
         for i in 0..3 {
-            let merged_hist =
-                merge_histograms(b.bucket(i).histogram(), b.bucket(i + 1).histogram());
-            let costs = engine.costs(&merged_hist);
-            let predicted = inc.what_if_merge_adjacent(i, &costs).unwrap();
             let merged = merge_buckets(&b, i, i + 1).unwrap();
-            let direct = max_disclosure(&merged, k).unwrap().value;
-            assert!((predicted - direct).abs() < 1e-12, "merge {i}");
+            assert_eq!(
+                merged.bucket(i).histogram(),
+                &merge_histograms(b.bucket(i).histogram(), b.bucket(i + 1).histogram())
+            );
+            assert_eq!(
+                value_of(&engine, &merged).to_bits(),
+                direct(&merged),
+                "merge {i}"
+            );
         }
-    }
-
-    #[test]
-    fn committed_replace_updates_value() {
-        let k = 1;
-        let engine = DisclosureEngine::new(k);
-        let b = four_buckets();
-        let mut inc = incremental_of(&engine, &b);
-        let hist = b.bucket(0).histogram().clone();
-        let costs = engine.costs(&hist);
-        let what_if = inc.what_if_replace(2, &costs).unwrap();
-        inc.replace(2, costs).unwrap();
-        assert!((inc.value() - what_if).abs() < 1e-15);
-    }
-
-    #[test]
-    fn push_extends_session() {
-        let k = 1;
-        let engine = DisclosureEngine::new(k);
-        let b = figure3();
-        let mut inc = incremental_of(&engine, &b);
-        assert_eq!(inc.n_buckets(), 2);
-        let costs = engine.costs(b.bucket(0).histogram());
-        inc.push(costs);
-        assert_eq!(inc.n_buckets(), 3);
-        // More buckets can only help the attacker pick a better target.
-        let before = max_disclosure(&b, k).unwrap().value;
-        assert!(inc.value() >= before - 1e-12);
-    }
-
-    #[test]
-    fn index_errors() {
-        let engine = DisclosureEngine::new(1);
-        let b = figure3();
-        let inc = incremental_of(&engine, &b);
-        assert!(matches!(
-            inc.what_if_remove(7),
-            Err(CoreError::BucketOutOfRange { .. })
-        ));
-        let costs = engine.costs(b.bucket(0).histogram());
-        assert!(inc.what_if_merge_adjacent(1, &costs).is_err());
-    }
-
-    #[test]
-    fn prefix_and_suffix_agree_on_global_value() {
-        let engine = DisclosureEngine::new(3);
-        let b = four_buckets();
-        let inc = incremental_of(&engine, &b);
-        let via_prefix = inc.prefix.get(4, 3, true);
-        let via_suffix = inc.suffix.get(0, 3, false);
-        assert!((via_prefix - via_suffix).abs() < 1e-15);
     }
 }

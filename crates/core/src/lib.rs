@@ -22,10 +22,11 @@
 //!    negated-atom sublanguage (the dotted line of Figure 5).
 //! 6. [`safety`] defines (c,k)-safety (Definition 13) and monotonicity
 //!    helpers (Theorem 14).
-//! 7. [`engine`] adds histogram-keyed memoization across bucketizations and
-//!    `O(k²)` what-if re-evaluation when single buckets change
-//!    (the incremental remark closing Section 3.3.3); [`registry`] holds
-//!    one such cache for every `k` under a group-weighted LRU budget.
+//! 7. [`engine`] adds histogram-keyed memoization across bucketizations,
+//!    so a changed bucketization costs MINIMIZE1 only for its new buckets
+//!    plus one MINIMIZE2 pass (the remark closing Section 3.3.3);
+//!    [`registry`] holds one such cache for every `k` under a
+//!    group-weighted LRU budget.
 //! 8. [`sched`] is the scheduler-visible verdict/pruning surface: a
 //!    work-stealing evaluator for monotone-pruned DAGs, which the lattice
 //!    searches in `wcbk-anonymize` drive whole-lattice at more than one
@@ -53,7 +54,7 @@ pub mod sched;
 pub use bucket::{Bucket, Bucketization};
 pub use cost::{cost_negation_max_disclosure, CostNegationResult, CostVector};
 pub use disclosure::{max_disclosure, DisclosureResult, DisclosureWitness};
-pub use engine::{CacheStats, DisclosureEngine, IncrementalDisclosure};
+pub use engine::{CacheStats, DisclosureEngine};
 pub use error::CoreError;
 pub use histogram::SensitiveHistogram;
 pub use histogram_set::HistogramSet;

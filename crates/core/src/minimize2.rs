@@ -144,10 +144,8 @@ fn step(b: &BucketCosts, next: &[f64], row: &mut [f64], k: usize) {
 /// a bucket `< i`.
 ///
 /// This is Algorithm 2's memo table (flag sense inverted to "already
-/// placed"); it is exposed because the incremental engine composes it with a
-/// prefix table for `O(k²)` what-if queries.
-#[derive(Debug, Clone)]
-pub struct SuffixTable {
+/// placed"), kept whole so [`minimize2`] can walk it back to an allocation.
+struct SuffixTable {
     n_buckets: usize,
     k: usize,
     /// `s[(i, h, a)]`, dimensions `(n_buckets+1) × (k+1) × 2`.
@@ -156,7 +154,7 @@ pub struct SuffixTable {
 
 impl SuffixTable {
     /// Builds the table bottom-up from the last bucket.
-    pub fn build<B: Borrow<BucketCosts>>(buckets: &[B], k: usize) -> Self {
+    fn build<B: Borrow<BucketCosts>>(buckets: &[B], k: usize) -> Self {
         let n_buckets = buckets.len();
         let width = row_width(k);
         let mut s = vec![f64::INFINITY; (n_buckets + 1) * width];
@@ -175,13 +173,8 @@ impl SuffixTable {
 
     /// Looks up `S(i, h, placed)`.
     #[inline]
-    pub fn get(&self, i: usize, h: usize, placed: bool) -> f64 {
+    fn get(&self, i: usize, h: usize, placed: bool) -> f64 {
         self.s[i * row_width(self.k) + h * 2 + usize::from(placed)]
-    }
-
-    /// Number of buckets the table was built for.
-    pub fn n_buckets(&self) -> usize {
-        self.n_buckets
     }
 
     /// Walks the table to recover a minimizing allocation.
@@ -489,7 +482,7 @@ mod tests {
     fn suffix_table_exposes_consistent_entries() {
         let buckets = figure3(2);
         let s = SuffixTable::build(&buckets, 2);
-        assert_eq!(s.n_buckets(), 2);
+        assert_eq!(s.n_buckets, 2);
         // Full problem at (0, k, false).
         assert!((s.get(0, 2, false) - minimize2(&buckets, 2).r_min).abs() < 1e-15);
         // Base cases.

@@ -84,7 +84,7 @@ fn shuffle<T, R: Rng>(items: &mut [T], rng: &mut R) {
 /// The histogram-only view of [`random_bucketization`]'s workload —
 /// bit-identical histograms for identical configs, handed over without
 /// bucket membership. This is the natural input for histogram-only
-/// consumers — the criteria surfaces, `DisclosureEngine::incremental_set` —
+/// consumers — the criteria surfaces, `DisclosureEngine::max_disclosure_value_set` —
 /// which never look at membership.
 pub fn random_histogram_set(config: WorkloadConfig) -> HistogramSet {
     HistogramSet::from_bucketization(&random_bucketization(config))

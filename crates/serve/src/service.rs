@@ -27,7 +27,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 use wcbk_anonymize::{
     default_threads, AuditReport, CkSafetyCriterion, DatasetSession, ModelAuditReport, ModelId,
@@ -100,39 +100,37 @@ pub struct ServiceLimits {
     pub session_budget: Option<u64>,
 }
 
-/// Accumulated roll-up counters across every search the service ran.
-#[derive(Default)]
-struct RollupTotals {
-    searches: AtomicU64,
-    table_scans: AtomicU64,
-    derived: AtomicU64,
-    ancestor_derived: AtomicU64,
-    memo_hits: AtomicU64,
-    evictions: AtomicU64,
-    /// Largest retained memo weight (groups) any single search reached.
-    peak_memo_groups: AtomicU64,
-    /// Cumulative bottom-scan wall time across absorbed sessions.
-    scan_micros: AtomicU64,
-    /// Cumulative node-derivation wall time across absorbed sessions.
-    derive_micros: AtomicU64,
+/// Roll-up counters summed over evaluators: the one-shot searches the
+/// service absorbed and, as `/stats` and `/metrics` report them, every live
+/// session.
+#[derive(Default, Clone)]
+struct RollupSum {
+    /// One-shot searches absorbed (live sessions keep no search count).
+    searches: u64,
+    table_scans: u64,
+    derived: u64,
+    ancestor_derived: u64,
+    memo_hits: u64,
+    evictions: u64,
+    /// Largest memo weight (groups) any one evaluator reached or retains.
+    peak_memo_groups: u64,
+    /// Cumulative bottom-scan wall time.
+    scan_micros: u64,
+    /// Cumulative node-derivation wall time.
+    derive_micros: u64,
 }
 
-impl RollupTotals {
-    fn absorb(&self, stats: &RollupStats) {
-        self.searches.fetch_add(1, Ordering::Relaxed);
-        self.table_scans
-            .fetch_add(stats.table_scans, Ordering::Relaxed);
-        self.derived.fetch_add(stats.derived, Ordering::Relaxed);
-        self.ancestor_derived
-            .fetch_add(stats.ancestor_derived, Ordering::Relaxed);
-        self.memo_hits.fetch_add(stats.memo_hits, Ordering::Relaxed);
-        self.evictions.fetch_add(stats.evictions, Ordering::Relaxed);
-        self.peak_memo_groups
-            .fetch_max(stats.memo_groups, Ordering::Relaxed);
-        self.scan_micros
-            .fetch_add(stats.scan_micros, Ordering::Relaxed);
-        self.derive_micros
-            .fetch_add(stats.derive_micros, Ordering::Relaxed);
+impl RollupSum {
+    /// Adds one evaluator's counters.
+    fn add(&mut self, stats: &RollupStats) {
+        self.table_scans += stats.table_scans;
+        self.derived += stats.derived;
+        self.ancestor_derived += stats.ancestor_derived;
+        self.memo_hits += stats.memo_hits;
+        self.evictions += stats.evictions;
+        self.peak_memo_groups = self.peak_memo_groups.max(stats.memo_groups);
+        self.scan_micros += stats.scan_micros;
+        self.derive_micros += stats.derive_micros;
     }
 }
 
@@ -273,7 +271,8 @@ pub struct AuditService {
     /// Durable catalog. `None` (no `--data-dir`) keeps the classic
     /// in-memory-only behavior, bit-for-bit.
     store: Option<Arc<DatasetStore>>,
-    rollup: RollupTotals,
+    /// Roll-up counters absorbed from one-shot searches.
+    rollup: Mutex<RollupSum>,
     audits: AtomicU64,
     searches: AtomicU64,
     batches: AtomicU64,
@@ -316,7 +315,7 @@ impl AuditService {
             engines: Arc::new(EngineRegistry::with_limits(limits.engine_cache_cap, None)),
             sessions: SessionStore::new(limits.session_budget),
             store: None,
-            rollup: RollupTotals::default(),
+            rollup: Mutex::default(),
             audits: AtomicU64::new(0),
             searches: AtomicU64::new(0),
             batches: AtomicU64::new(0),
@@ -716,7 +715,9 @@ impl AuditService {
             .map_err(|e| bad(format!("search: {e}")))?;
         if absorb {
             if let Some(stats) = &rollup {
-                self.rollup.absorb(stats);
+                let mut absorbed = self.rollup.lock().expect("rollup totals poisoned");
+                absorbed.searches += 1;
+                absorbed.add(stats);
             }
         }
         self.searches.fetch_add(1, Ordering::Relaxed);
@@ -883,47 +884,33 @@ impl AuditService {
 
     /// Handles `POST /tables/{id}/composition`: worst-case disclosure over
     /// every recorded release, composed under the request's `"model"` —
-    /// union of released buckets by default, the common refinement for the
-    /// linkage-aware sequential adversary. Both ride the session's
-    /// persistent incremental state, so each audit costs only the releases
-    /// recorded since the last one.
+    /// union of released buckets by default (one MINIMIZE2 pass over the
+    /// union), the common refinement for the linkage-aware sequential
+    /// adversary (kept in the session, so each audit folds in only the
+    /// releases recorded since the last one).
     pub fn session_composition(&self, id: &str, request: &Json) -> Result<Json, ServeError> {
         let stored = self.stored(id)?;
         let k = optional_usize(request, "k")?.unwrap_or(3);
         let c = optional_f64(request, "c")?;
         let model = parse_model(request)?;
         self.count_model(model, ModelOp::Composition);
-        if model != ModelId::Conjunction {
-            let report = stored
-                .session
-                .audit_composition_model(model, c, k)
-                .map_err(|e| bad(e.to_string()))?;
-            return Ok(Json::object(vec![
-                ("op", "composition".into()),
-                ("id", id.into()),
-                ("model", model.name().into()),
-                ("releases", report.releases.into()),
-                ("buckets", report.buckets.into()),
-                ("k", report.k.into()),
-                ("max_disclosure", report.value.into()),
-                ("c", report.c.map(Json::from).unwrap_or(Json::Null)),
-                ("safe", report.safe.map(Json::from).unwrap_or(Json::Null)),
-            ]));
-        }
         let report = stored
             .session
-            .audit_composition(c, k)
+            .audit_composition_model(model, c, k)
             .map_err(|e| bad(e.to_string()))?;
-        Ok(Json::object(vec![
-            ("op", "composition".into()),
-            ("id", id.into()),
+        let mut fields = vec![("op", "composition".into()), ("id", id.into())];
+        if model != ModelId::Conjunction {
+            fields.push(("model", model.name().into()));
+        }
+        fields.extend([
             ("releases", report.releases.into()),
             ("buckets", report.buckets.into()),
             ("k", report.k.into()),
             ("max_disclosure", report.value.into()),
             ("c", report.c.map(Json::from).unwrap_or(Json::Null)),
             ("safe", report.safe.map(Json::from).unwrap_or(Json::Null)),
-        ]))
+        ]);
+        Ok(Json::object(fields))
     }
 
     /// Handles `GET /tables/{id}/history`: the session's release history in
@@ -1094,6 +1081,7 @@ impl AuditService {
             })
             .collect();
         let session_groups: u64 = sessions.iter().map(|s| s.weight).sum();
+        let rollup = self.rollup_sum(&sessions);
         let mut out = vec![
             (
                 "engine_cache",
@@ -1135,42 +1123,15 @@ impl AuditService {
             (
                 "rollup",
                 Json::object(vec![
-                    (
-                        "searches",
-                        self.rollup.searches.load(Ordering::Relaxed).into(),
-                    ),
-                    (
-                        "table_scans",
-                        self.rollup.table_scans.load(Ordering::Relaxed).into(),
-                    ),
-                    (
-                        "derived",
-                        self.rollup.derived.load(Ordering::Relaxed).into(),
-                    ),
-                    (
-                        "ancestor_derived",
-                        self.rollup.ancestor_derived.load(Ordering::Relaxed).into(),
-                    ),
-                    (
-                        "memo_hits",
-                        self.rollup.memo_hits.load(Ordering::Relaxed).into(),
-                    ),
-                    (
-                        "evictions",
-                        self.rollup.evictions.load(Ordering::Relaxed).into(),
-                    ),
-                    (
-                        "peak_memo_groups",
-                        self.rollup.peak_memo_groups.load(Ordering::Relaxed).into(),
-                    ),
-                    (
-                        "scan_micros",
-                        self.rollup.scan_micros.load(Ordering::Relaxed).into(),
-                    ),
-                    (
-                        "derive_micros",
-                        self.rollup.derive_micros.load(Ordering::Relaxed).into(),
-                    ),
+                    ("searches", rollup.searches.into()),
+                    ("table_scans", rollup.table_scans.into()),
+                    ("derived", rollup.derived.into()),
+                    ("ancestor_derived", rollup.ancestor_derived.into()),
+                    ("memo_hits", rollup.memo_hits.into()),
+                    ("evictions", rollup.evictions.into()),
+                    ("peak_memo_groups", rollup.peak_memo_groups.into()),
+                    ("scan_micros", rollup.scan_micros.into()),
+                    ("derive_micros", rollup.derive_micros.into()),
                 ]),
             ),
             (
@@ -1238,32 +1199,34 @@ impl AuditService {
         out
     }
 
+    /// The roll-up counters `/stats` and `/metrics` both report: the
+    /// absorbed one-shot totals plus every **live** session's evaluator
+    /// stats (peeked, never forcing a build at scrape time).
+    fn rollup_sum(&self, sessions: &[Arc<StoredSession>]) -> RollupSum {
+        let mut sum = self.rollup.lock().expect("rollup totals poisoned").clone();
+        for stats in sessions
+            .iter()
+            .filter_map(|s| s.session.rollup_stats_peek())
+        {
+            sum.add(&stats);
+        }
+        sum
+    }
+
     /// Raw cumulative totals for the `/metrics` mirror — see
-    /// `crate::metrics::ServeMetrics::sync`. Roll-up totals sum the absorbed
-    /// one-shot counters with every **live** session's evaluator stats
-    /// (peeked, never forcing a build at scrape time); evicted sessions'
-    /// contributions survive because the mirror counters only move up.
+    /// `crate::metrics::ServeMetrics::sync`. Evicted sessions' roll-up
+    /// contributions survive there because the mirror counters only move
+    /// up.
     pub fn metric_totals(&self) -> MetricTotals {
         let cache = self.engines.stats();
         let sessions = self.sessions.snapshot();
-        let mut scan_micros = self.rollup.scan_micros.load(Ordering::Relaxed);
-        let mut derive_micros = self.rollup.derive_micros.load(Ordering::Relaxed);
-        let mut derived = self.rollup.derived.load(Ordering::Relaxed);
-        let mut table_scans = self.rollup.table_scans.load(Ordering::Relaxed);
+        let rollup = self.rollup_sum(&sessions);
         let session_groups: u64 = sessions.iter().map(|s| s.weight).sum();
-        for s in &sessions {
-            if let Some(stats) = s.session.rollup_stats_peek() {
-                scan_micros += stats.scan_micros;
-                derive_micros += stats.derive_micros;
-                derived += stats.derived;
-                table_scans += stats.table_scans;
-            }
-        }
         MetricTotals {
-            scan_micros,
-            derive_micros,
-            derived,
-            table_scans,
+            scan_micros: rollup.scan_micros,
+            derive_micros: rollup.derive_micros,
+            derived: rollup.derived,
+            table_scans: rollup.table_scans,
             minimize1_build_micros: cache.build_micros,
             minimize1_groups: cache.groups,
             minimize1_peak_groups: cache.peak_groups,

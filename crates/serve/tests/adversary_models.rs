@@ -210,7 +210,7 @@ fn model_release_history_and_composition_flow() {
         vr >= vu,
         "refinement ({vr}) must be at least as disclosive as union ({vu})"
     );
-    // Repeat audits reuse the incremental state and stay identical.
+    // Repeat audits reuse the cached refinement and stay identical.
     let again = service
         .session_composition(&id, &params(Some("sequential")))
         .unwrap();

@@ -6,7 +6,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
-use wcbk_anonymize::{search, CkSafetyCriterion, SearchConfig};
+use wcbk_anonymize::{search, CkSafetyCriterion, SearchConfig, MODEL_IDS};
 use wcbk_core::{is_ck_safe, Bucketization, DisclosureEngine};
 use wcbk_hierarchy::{GeneralizationLattice, Hierarchy};
 use wcbk_serve::http::client::Client;
@@ -432,10 +432,10 @@ fn large_k_search_answers_and_server_stays_up() {
     join.join().unwrap().unwrap();
 }
 
-/// A huge `k` on every audit route of a 2-row table: the witness profile
-/// is sized by the bucket's distinct values, not by the `k+1` atoms it
-/// may place there (a `c`-sized MINIMIZE1 table at k = 5000 would take
-/// about 1 TB and abort the process).
+/// A huge `k` on every audit route of a 2-row table, under every adversary
+/// model: the witness profile is sized by the bucket's distinct values,
+/// not by the `k+1` atoms it may place there (a `c`-sized MINIMIZE1 table
+/// at k = 5000 would take about 1 TB and abort the process).
 #[test]
 fn large_k_audits_answer_and_server_stays_up() {
     let (addr, handle, _service, join) = start(ServerConfig::default());
@@ -446,7 +446,6 @@ fn large_k_audits_answer_and_server_stays_up() {
         ("qi", Json::Array(vec!["Age".into(), "Sex".into()])),
     ];
     let params = [("k", 5000u64.into()), ("c", 0.9.into())];
-    let audit = Json::object(table.iter().chain(&params).cloned().collect());
     let assert_certain = |line: &Json| {
         assert_eq!(line.get("k").and_then(Json::as_u64), Some(5000), "{line}");
         assert_eq!(
@@ -455,10 +454,6 @@ fn large_k_audits_answer_and_server_stays_up() {
             "{line}"
         );
     };
-
-    let r = client.post("/audit", &audit.to_string()).unwrap();
-    assert_eq!(r.status, 200, "{}", r.body);
-    assert_certain(&r.json().unwrap());
 
     let r = client
         .post("/tables", &Json::object(table.to_vec()).to_string())
@@ -472,14 +467,26 @@ fn large_k_audits_answer_and_server_stays_up() {
         .as_str()
         .unwrap()
         .to_owned();
-    let r = client
-        .post(
-            &format!("/tables/{id}/audit"),
-            &Json::object(params.to_vec()).to_string(),
-        )
-        .unwrap();
-    assert_eq!(r.status, 200, "{}", r.body);
-    assert_certain(&r.json().unwrap());
+    for model in MODEL_IDS {
+        let model_params: Vec<(&str, Json)> = params
+            .iter()
+            .cloned()
+            .chain([("model", model.name().into())])
+            .collect();
+        let audit = Json::object(table.iter().cloned().chain(model_params.clone()).collect());
+        let r = client.post("/audit", &audit.to_string()).unwrap();
+        assert_eq!(r.status, 200, "{model}: {}", r.body);
+        assert_certain(&r.json().unwrap());
+
+        let r = client
+            .post(
+                &format!("/tables/{id}/audit"),
+                &Json::object(model_params).to_string(),
+            )
+            .unwrap();
+        assert_eq!(r.status, 200, "{model}: {}", r.body);
+        assert_certain(&r.json().unwrap());
+    }
 
     let job = Json::object(
         std::iter::once(("op", "audit".into()))
@@ -814,7 +821,7 @@ fn handle_batch_release_and_composition_roundtrip() {
     let out = r.json().unwrap();
     assert_eq!(out.get("releases").unwrap().as_u64(), Some(2));
     assert_eq!(out.get("buckets").unwrap().as_u64(), Some(3));
-    // Direct: union of the two releases' histograms through incremental_set.
+    // Direct: one value pass over the union of the two releases' histograms.
     let table = workload_table(3);
     let age = table.column(0).dictionary().clone();
     let sex = table.column(1).dictionary().clone();
@@ -833,7 +840,7 @@ fn handle_batch_release_and_composition_roundtrip() {
     let set =
         wcbk_core::HistogramSet::new(histograms, table.sensitive_cardinality() as u32).unwrap();
     let engine = DisclosureEngine::new(1);
-    let direct = engine.incremental_set(&set).unwrap().value();
+    let direct = engine.max_disclosure_value_set(&set).unwrap();
     assert_eq!(
         out.get("max_disclosure")
             .unwrap()
@@ -1048,6 +1055,47 @@ fn metrics_exposition_is_well_formed_and_counts_requests() {
         .expect("+Inf bucket");
     let count = series_value("wcbk_http_queue_wait_micros_count");
     assert_eq!(inf, count, "{warm}");
+
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+}
+
+/// `/stats` `rollup` and the `/metrics` roll-up series are one sum over the
+/// absorbed one-shot searches and the live sessions: after a registration
+/// and two handle searches the four shared fields agree.
+#[test]
+fn stats_rollup_agrees_with_metrics() {
+    let (addr, handle, _service, join) = start(ServerConfig::default());
+    let mut client = connect(addr);
+    let id = register(&mut client, 0);
+    let search_body = Json::object(vec![("k", 1u64.into()), ("c", 0.9.into())]).to_string();
+    for _ in 0..2 {
+        let r = client
+            .post(&format!("/tables/{id}/search"), &search_body)
+            .unwrap();
+        assert_eq!(r.status, 200, "{}", r.body);
+    }
+    let stats = client.get("/stats").unwrap().json().unwrap();
+    let rollup = stats.get("rollup").unwrap();
+    let metrics = client.get("/metrics").unwrap().body;
+    for (field, series) in [
+        ("table_scans", "wcbk_search_table_scans_total"),
+        ("derived", "wcbk_search_derived_total"),
+        ("scan_micros", "wcbk_search_scan_micros_total"),
+        ("derive_micros", "wcbk_search_derive_micros_total"),
+    ] {
+        let exposed = metrics
+            .lines()
+            .find_map(|l| l.strip_prefix(series)?.strip_prefix(' '))
+            .and_then(|v| v.parse::<u64>().ok())
+            .unwrap_or_else(|| panic!("no {series} in:\n{metrics}"));
+        assert_eq!(
+            rollup.get(field).and_then(Json::as_u64),
+            Some(exposed),
+            "{field} vs {series}"
+        );
+    }
+    assert_eq!(rollup.get("table_scans").and_then(Json::as_u64), Some(1));
 
     handle.shutdown();
     join.join().unwrap().unwrap();

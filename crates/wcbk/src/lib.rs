@@ -37,7 +37,7 @@
 //! | [`table`] | dictionary-encoded tables, schemas, CSV, example data |
 //! | [`logic`] | atoms, basic/simple implications, `L^k`, parser |
 //! | [`worlds`] | exact random-worlds inference, consistency (Theorem 8) |
-//! | [`core`] | MINIMIZE1/2 DP, witnesses, (c,k)-safety, incremental engine |
+//! | [`core`] | MINIMIZE1/2 DP, witnesses, (c,k)-safety, memoizing engine |
 //! | [`hierarchy`] | DGHs, generalization lattice, the Adult hierarchies |
 //! | [`adversary`] | pluggable background-knowledge languages (adversary models) |
 //! | [`anonymize`] | privacy criteria, Incognito-style search, utility |
@@ -62,9 +62,9 @@ pub mod prelude {
         anatomize, anonymize, default_threads, incognito, search, swap_sanitize, sweep,
         AdversaryModel, AuditReport, CkSafetyCriterion, CompositionReport, CompositionStyle,
         DatasetSession, DistinctLDiversity, EntropyLDiversity, KAnonymity, ModelAuditReport,
-        ModelCompositionReport, ModelId, ModelSafetyCriterion, ModelWitness, PrivacyCriterion,
-        RecursiveCLDiversity, ReleaseReport, SearchConfig, SearchOutcome, SearchReport,
-        SessionOptions, UtilityMetric, MODEL_IDS, MODEL_NAMES,
+        ModelId, ModelSafetyCriterion, ModelWitness, PrivacyCriterion, RecursiveCLDiversity,
+        ReleaseReport, SearchConfig, SearchOutcome, SearchReport, SessionOptions, UtilityMetric,
+        MODEL_IDS, MODEL_NAMES,
     };
     pub use wcbk_core::{
         cost_negation_max_disclosure, is_ck_safe, max_disclosure, negation_max_disclosure, Bucket,
