@@ -1,14 +1,13 @@
 //! The paper's `L_k` conjunction language behind the [`AdversaryModel`]
 //! trait — the reference implementation every other model is measured
-//! against.
+//! against, and the engine-backed model the `sequential` id resolves to.
 
 use std::sync::Arc;
 
 use wcbk_core::minimize1::minimize1_profile;
-use wcbk_core::minimize2::{minimize2, BucketCosts};
-use wcbk_core::{CoreError, DisclosureEngine, HistogramSet};
+use wcbk_core::{CkSafety, CoreError, DisclosureEngine, HistogramSet};
 
-use crate::{AdversaryModel, ModelWitness};
+use crate::{modal_prediction, AdversaryModel, CompositionStyle, ModelId, ModelWitness};
 
 /// Worst-case disclosure under conjunctions of `k` basic implications,
 /// computed by the MINIMIZE1/2 dynamic programs through the shared
@@ -16,21 +15,31 @@ use crate::{AdversaryModel, ModelWitness};
 ///
 /// The bound is **bit-identical** to `engine.max_disclosure_value_set` —
 /// this type adds no arithmetic of its own, so routing audits through the
-/// trait cannot perturb any pinned value.
+/// trait cannot perturb any pinned value. It carries the [`ModelId`] it was
+/// resolved for: [`ModelId::Conjunction`] composes releases as a union of
+/// buckets, [`ModelId::Sequential`] by common refinement.
 pub struct ConjunctionModel {
+    id: ModelId,
     engine: Arc<DisclosureEngine>,
 }
 
 impl ConjunctionModel {
-    /// Wraps a shared engine; `k` is the engine's attacker power.
+    /// The conjunction model over a shared engine; `k` is the engine's
+    /// attacker power.
     pub fn new(engine: Arc<DisclosureEngine>) -> Self {
-        Self { engine }
+        Self::resolved(ModelId::Conjunction, engine)
+    }
+
+    /// The engine-backed model under the id `id` resolves.
+    pub(crate) fn resolved(id: ModelId, engine: Arc<DisclosureEngine>) -> Self {
+        debug_assert!(matches!(id, ModelId::Conjunction | ModelId::Sequential));
+        Self { id, engine }
     }
 }
 
 impl AdversaryModel for ConjunctionModel {
     fn name(&self) -> &'static str {
-        "conjunction"
+        self.id.name()
     }
 
     fn k(&self) -> usize {
@@ -41,62 +50,57 @@ impl AdversaryModel for ConjunctionModel {
         self.engine.max_disclosure_value_set(set)
     }
 
-    fn witness(&self, set: &HistogramSet) -> Result<ModelWitness, CoreError> {
-        allocation_witness(&self.engine, set)
+    /// The ratio-first check of [`CkSafety::is_safe_set`]: a set whose
+    /// frequency ratio already reaches `c` is unsafe without MINIMIZE2.
+    fn is_safe(&self, set: &HistogramSet, c: f64) -> Result<bool, CoreError> {
+        CkSafety::new(c, self.k())?.is_safe_set(&self.engine, set)
     }
-}
 
-/// Reconstructs the optimal MINIMIZE2 atom allocation and renders it as a
-/// bucket-level witness: which bucket hosts the predicted (modal) value and
-/// how the `k` implications are spread over the buckets' rarest values.
-///
-/// Shared by [`ConjunctionModel`] and [`crate::SequentialModel`], whose
-/// per-release language is the same.
-pub(crate) fn allocation_witness(
-    engine: &DisclosureEngine,
-    set: &HistogramSet,
-) -> Result<ModelWitness, CoreError> {
-    if set.n_buckets() == 0 {
-        return Err(CoreError::EmptyBucketization);
-    }
-    let k = engine.k();
-    let costs: Vec<BucketCosts> = set.histograms().iter().map(|h| engine.costs(h)).collect();
-    let result = minimize2(&costs, k);
-    let host = result
-        .allocation
-        .iter()
-        .find(|a| a.has_consequent)
-        .map(|a| a.bucket)
-        .unwrap_or(0);
-    let hist = &set.histograms()[host];
-    let modal = hist.value_at(0).expect("buckets are non-empty");
-    let predicts = format!(
-        "bucket {host}: t[S] = {modal} (modal value, {} of {} tuples)",
-        hist.frequency(0),
-        hist.n()
-    );
-    let mut knowing = Vec::new();
-    for alloc in &result.allocation {
-        if alloc.atoms == 0 {
-            continue;
+    /// One MINIMIZE2 pass yields the bound and the optimal atom allocation,
+    /// rendered as a bucket-level witness: which bucket hosts the predicted
+    /// (modal) value and how the `k` implications are spread over the
+    /// buckets' rarest values. Errors with [`CoreError::WitnessTooLarge`]
+    /// where the allocation could need a profile table past the witness
+    /// limit.
+    fn witness(&self, set: &HistogramSet) -> Result<(f64, ModelWitness), CoreError> {
+        let result = self.engine.allocation_set(set)?;
+        let host = result
+            .allocation
+            .iter()
+            .find(|a| a.has_consequent)
+            .map(|a| a.bucket)
+            .unwrap_or(0);
+        let predicts = modal_prediction(host, &set.histograms()[host]);
+        let mut knowing = Vec::new();
+        for alloc in &result.allocation {
+            if alloc.atoms == 0 {
+                continue;
+            }
+            // The DP only allocates atoms where MINIMIZE1 is feasible, so
+            // the profile reconstruction cannot fail; the profile is sized
+            // by the bucket's distinct values, not by the atom count.
+            let profile = minimize1_profile(&set.histograms()[alloc.bucket], alloc.atoms)
+                .expect("optimal allocation is feasible");
+            let spread: Vec<String> = profile.iter().map(|c| c.to_string()).collect();
+            knowing.push(format!(
+                "bucket {}: {} implication(s) ruling out rare values, {} per person",
+                alloc.bucket,
+                alloc.atoms,
+                spread.join("+")
+            ));
         }
-        // The DP only allocates atoms where MINIMIZE1 is feasible, so the
-        // profile reconstruction cannot fail; the profile is sized by the
-        // bucket's distinct values, not by the atom count.
-        let profile = minimize1_profile(&set.histograms()[alloc.bucket], alloc.atoms)
-            .expect("optimal allocation is feasible");
-        let spread: Vec<String> = profile.iter().map(|c| c.to_string()).collect();
-        knowing.push(format!(
-            "bucket {}: {} implication(s) ruling out rare values, {} per person",
-            alloc.bucket,
-            alloc.atoms,
-            spread.join("+")
-        ));
+        if knowing.is_empty() {
+            knowing.push("no background knowledge (k = 0)".to_string());
+        }
+        Ok((result.value(), ModelWitness { predicts, knowing }))
     }
-    if knowing.is_empty() {
-        knowing.push("no background knowledge (k = 0)".to_string());
+
+    fn composition(&self) -> CompositionStyle {
+        match self.id {
+            ModelId::Sequential => CompositionStyle::CommonRefinement,
+            _ => CompositionStyle::UnionOfBuckets,
+        }
     }
-    Ok(ModelWitness { predicts, knowing })
 }
 
 #[cfg(test)]
@@ -130,7 +134,7 @@ mod tests {
     fn witness_names_host_bucket_and_spends_all_atoms() {
         let set = figure3_set();
         let model = ConjunctionModel::new(Arc::new(DisclosureEngine::new(1)));
-        let w = model.witness(&set).unwrap();
+        let (_, w) = model.witness(&set).unwrap();
         assert!(w.predicts.contains("t[S]"), "{}", w.predicts);
         let spent: usize = w
             .knowing
@@ -150,7 +154,7 @@ mod tests {
     fn k0_witness_has_no_knowledge_clause() {
         let set = figure3_set();
         let model = ConjunctionModel::new(Arc::new(DisclosureEngine::new(0)));
-        let w = model.witness(&set).unwrap();
+        let (_, w) = model.witness(&set).unwrap();
         assert_eq!(w.knowing, vec!["no background knowledge (k = 0)"]);
     }
 

@@ -4,7 +4,7 @@
 
 use wcbk_core::{CoreError, HistogramSet, SensitiveHistogram};
 
-use crate::{AdversaryModel, ModelWitness};
+use crate::{modal_prediction, worst_bucket, AdversaryModel, ModelWitness};
 
 /// An adversary who holds a prior distribution over the sensitive domain
 /// and whose strength `k` bounds how far that prior may deviate from the
@@ -44,20 +44,6 @@ impl DistributionModel {
         let tilt = (self.k + 1) as f64;
         tilt * f / (tilt * f + rest)
     }
-
-    /// The bucket index attaining the bound (first argmax, deterministic).
-    fn argmax(&self, set: &HistogramSet) -> usize {
-        let mut best = 0;
-        let mut best_v = f64::MIN;
-        for (i, hist) in set.histograms().iter().enumerate() {
-            let v = self.bucket_value(hist);
-            if v > best_v {
-                best = i;
-                best_v = v;
-            }
-        }
-        best
-    }
 }
 
 impl AdversaryModel for DistributionModel {
@@ -70,41 +56,28 @@ impl AdversaryModel for DistributionModel {
     }
 
     fn max_disclosure(&self, set: &HistogramSet) -> Result<f64, CoreError> {
-        if set.n_buckets() == 0 {
-            return Err(CoreError::EmptyBucketization);
-        }
-        Ok(set
-            .histograms()
-            .iter()
-            .map(|h| self.bucket_value(h))
-            .fold(0.0, f64::max))
+        Ok(worst_bucket(set, |h| self.bucket_value(h))?.1)
     }
 
-    fn witness(&self, set: &HistogramSet) -> Result<ModelWitness, CoreError> {
-        if set.n_buckets() == 0 {
-            return Err(CoreError::EmptyBucketization);
-        }
-        let b = self.argmax(set);
+    fn witness(&self, set: &HistogramSet) -> Result<(f64, ModelWitness), CoreError> {
+        let (b, value) = worst_bucket(set, |h| self.bucket_value(h))?;
         let hist = &set.histograms()[b];
         let modal = hist.value_at(0).expect("buckets are non-empty");
-        Ok(ModelWitness {
-            predicts: format!(
-                "bucket {b}: t[S] = {modal} (modal value, {} of {} tuples)",
-                hist.frequency(0),
-                hist.n()
-            ),
+        let witness = ModelWitness {
+            predicts: modal_prediction(b, hist),
             knowing: vec![format!(
                 "a prior tilting the odds of {modal} in bucket {b} by a factor of {}",
                 self.k + 1
             )],
-        })
+        };
+        Ok((value, witness))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests::figure3_set;
+    use crate::tests::{figure3_set, histogram_strategy, split_and_merged};
     use proptest::prelude::*;
     use wcbk_table::SValue;
 
@@ -143,21 +116,10 @@ mod tests {
         let skewed = SensitiveHistogram::from_counts([(SValue(0), 9u64), (SValue(1), 1)]);
         let flat = SensitiveHistogram::from_counts([(SValue(0), 1u64), (SValue(1), 1)]);
         let set = HistogramSet::new(vec![flat, skewed], 2).unwrap();
-        let w = DistributionModel::new(1).witness(&set).unwrap();
+        let (v, w) = DistributionModel::new(1).witness(&set).unwrap();
+        assert_eq!(v, DistributionModel::new(1).max_disclosure(&set).unwrap());
         assert!(w.predicts.starts_with("bucket 1:"), "{}", w.predicts);
         assert!(w.knowing[0].contains("factor of 2"), "{}", w.knowing[0]);
-    }
-
-    fn histogram_strategy() -> impl Strategy<Value = SensitiveHistogram> {
-        prop::collection::vec((0u32..6, 1u64..9), 1..6).prop_map(|counts| {
-            // Collapse duplicate value codes before building — `from_counts`
-            // treats each pair as a distinct value.
-            let mut tally = std::collections::BTreeMap::<u32, u64>::new();
-            for (v, c) in counts {
-                *tally.entry(v).or_insert(0) += c;
-            }
-            SensitiveHistogram::from_counts(tally.into_iter().map(|(v, c)| (SValue(v), c)))
-        })
     }
 
     proptest! {
@@ -167,19 +129,7 @@ mod tests {
         #[test]
         fn merge_monotone(a in histogram_strategy(), b in histogram_strategy(), k in 0usize..5) {
             let model = DistributionModel::new(k);
-            let split = HistogramSet::new(vec![a.clone(), b.clone()], 6).unwrap();
-            let merged_hist = SensitiveHistogram::from_counts(
-                a.iter_counts().chain(b.iter_counts()).fold(
-                    std::collections::BTreeMap::<u32, u64>::new(),
-                    |mut acc, (v, c)| {
-                        *acc.entry(v.0).or_insert(0) += c;
-                        acc
-                    },
-                )
-                .into_iter()
-                .map(|(v, c)| (SValue(v), c)),
-            );
-            let merged = HistogramSet::new(vec![merged_hist], 6).unwrap();
+            let (split, merged) = split_and_merged(a, b);
             let v_split = model.max_disclosure(&split).unwrap();
             let v_merged = model.max_disclosure(&merged).unwrap();
             prop_assert!(v_merged <= v_split + 1e-12, "merged {v_merged} > split {v_split}");

@@ -10,22 +10,30 @@
 //!
 //! Four models ship behind the trait, selected by [`ModelId`]:
 //!
-//! * [`ConjunctionModel`] — the paper's `L_k` language, routed through the
-//!   shared [`DisclosureEngine`]. This is the reference implementation: its
-//!   bound is bit-identical to calling the engine directly.
-//! * [`DistributionModel`] — worst-case *distribution-based* knowledge in
-//!   the spirit of Wong et al. (arXiv 0909.1127): the adversary holds a
-//!   prior over the sensitive domain and strength `k` lets them tilt the
-//!   prior odds of a bucket's modal value by a factor of `k + 1`.
-//! * [`MinimalityModel`] — a minimality/utility-aware attacker that models
-//!   leakage from publishing the anonymization *algorithm* itself: knowing
-//!   the publisher generalized as little as possible lets the adversary rule
-//!   out the `k` rarest sensitive values of a bucket.
-//! * [`SequentialModel`] — linkage-aware sequential release after Riboni et
-//!   al. (arXiv 1010.0924): per-release bounds match the conjunction
-//!   language, but multiple releases compose by **common refinement** of the
-//!   bucketizations (tuple-correlation tracking) instead of the
-//!   union-of-buckets audit; see [`CompositionStyle`].
+//! * `conjunction` ([`ConjunctionModel`]) — the paper's `L_k` language,
+//!   routed through the shared [`DisclosureEngine`]. This is the reference
+//!   implementation: its bound is bit-identical to calling the engine
+//!   directly.
+//! * `distribution` ([`DistributionModel`]) — worst-case
+//!   *distribution-based* knowledge in the spirit of Wong et al. (arXiv
+//!   0909.1127): the adversary holds a prior over the sensitive domain and
+//!   strength `k` lets them tilt the prior odds of a bucket's modal value by
+//!   a factor of `k + 1`.
+//! * `minimality` ([`MinimalityModel`]) — a minimality/utility-aware
+//!   attacker that models leakage from publishing the anonymization
+//!   *algorithm* itself: knowing the publisher generalized as little as
+//!   possible lets the adversary rule out the `k` rarest sensitive values
+//!   of a bucket.
+//! * `sequential` — linkage-aware sequential release after Riboni et al.
+//!   (arXiv 1010.0924): the same engine-backed [`ConjunctionModel`], whose
+//!   per-release bounds are the conjunction language's, but whose releases
+//!   compose by **common refinement** of the bucketizations
+//!   (tuple-correlation tracking) instead of the union-of-buckets audit;
+//!   see [`CompositionStyle`].
+//!
+//! (c,k)-safety under any model is one predicate,
+//! [`AdversaryModel::is_safe`]; the lattice searches in `wcbk-anonymize`
+//! judge every node through it.
 //!
 //! # Bound semantics
 //!
@@ -42,17 +50,17 @@ use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
 
-use wcbk_core::{CoreError, DisclosureEngine, HistogramSet};
+use wcbk_core::{CoreError, DisclosureEngine, HistogramSet, SensitiveHistogram};
 
 mod conjunction;
 mod distribution;
 mod minimality;
+#[cfg(test)]
 mod sequential;
 
 pub use conjunction::ConjunctionModel;
 pub use distribution::DistributionModel;
 pub use minimality::MinimalityModel;
-pub use sequential::SequentialModel;
 
 /// How audits over multiple releases of the same dataset compose under a
 /// model's knowledge language.
@@ -85,6 +93,35 @@ pub struct ModelWitness {
     pub knowing: Vec<String>,
 }
 
+/// The first bucket attaining the largest per-bucket bound, with that
+/// bound: the set bound of a model that prices each bucket on its own.
+fn worst_bucket(
+    set: &HistogramSet,
+    bound: impl Fn(&SensitiveHistogram) -> f64,
+) -> Result<(usize, f64), CoreError> {
+    if set.n_buckets() == 0 {
+        return Err(CoreError::EmptyBucketization);
+    }
+    let mut worst = (0, f64::MIN);
+    for (i, hist) in set.histograms().iter().enumerate() {
+        let v = bound(hist);
+        if v > worst.1 {
+            worst = (i, v);
+        }
+    }
+    Ok(worst)
+}
+
+/// A witness's prediction: bucket `b`'s modal value.
+fn modal_prediction(b: usize, hist: &SensitiveHistogram) -> String {
+    let modal = hist.value_at(0).expect("buckets are non-empty");
+    format!(
+        "bucket {b}: t[S] = {modal} (modal value, {} of {} tuples)",
+        hist.frequency(0),
+        hist.n()
+    )
+}
+
 /// A knowledge language with a computable worst-case disclosure bound.
 ///
 /// Implementations must be deterministic: the same [`HistogramSet`] must
@@ -101,8 +138,16 @@ pub trait AdversaryModel: Send + Sync {
     /// Worst-case disclosure over a published histogram set, in `[0, 1]`.
     fn max_disclosure(&self, set: &HistogramSet) -> Result<f64, CoreError>;
 
-    /// Reconstructs an adversary achieving [`Self::max_disclosure`].
-    fn witness(&self, set: &HistogramSet) -> Result<ModelWitness, CoreError>;
+    /// (c,k)-safety under this language: whether the bound stays below
+    /// `c`. An override may answer without computing the bound, but must
+    /// agree with `max_disclosure(set)? < c`.
+    fn is_safe(&self, set: &HistogramSet, c: f64) -> Result<bool, CoreError> {
+        Ok(self.max_disclosure(set)? < c)
+    }
+
+    /// The bound together with an adversary achieving it, in one pass. The
+    /// bound's bits equal [`Self::max_disclosure`]'s.
+    fn witness(&self, set: &HistogramSet) -> Result<(f64, ModelWitness), CoreError>;
 
     /// How sequential releases compose under this language.
     fn composition(&self) -> CompositionStyle {
@@ -129,7 +174,25 @@ pub enum ModelId {
     Distribution,
     /// Minimality/utility-aware algorithm-publication leakage.
     Minimality,
-    /// Linkage-aware sequential release (arXiv 1010.0924).
+    /// The conjunction adversary who additionally **links tuples across
+    /// releases** of the same dataset, after Riboni et al., "Preserving
+    /// Privacy in Sequential Data Release against Background Knowledge
+    /// Attacks" (arXiv 1010.0924).
+    ///
+    /// A single release bounds exactly like [`ModelId::Conjunction`] — the
+    /// language per release is the paper's `L_k`. The difference is
+    /// composition: arXiv 1010.0924's attacker knows that the same
+    /// individual appears in every release, so two groupings jointly
+    /// confine each tuple to the *intersection* of its buckets. The
+    /// effective published grouping after `m` releases is therefore the
+    /// **common refinement** of the `m` bucketizations — typically far
+    /// finer (and more disclosive) than any single release — rather than
+    /// the union of their bucket histograms.
+    ///
+    /// It resolves to a [`ConjunctionModel`] that only advertises that
+    /// composition rule ([`CompositionStyle::CommonRefinement`]); the
+    /// refinement itself is computed by the session layer, which owns tuple
+    /// membership, and the refined set is priced through the shared engine.
     Sequential,
 }
 
@@ -166,15 +229,17 @@ impl ModelId {
         }
     }
 
-    /// Instantiates the model at the engine's attacker power. Engine-backed
-    /// models (conjunction, sequential) share the passed engine's MINIMIZE1
-    /// cache; the closed-form models only borrow its `k`.
+    /// Instantiates the model at the engine's attacker power. The
+    /// engine-backed models (conjunction, sequential) are one
+    /// [`ConjunctionModel`] sharing the passed engine's MINIMIZE1 cache;
+    /// the closed-form models only borrow its `k`.
     pub fn resolve(self, engine: Arc<DisclosureEngine>) -> Arc<dyn AdversaryModel> {
         match self {
-            ModelId::Conjunction => Arc::new(ConjunctionModel::new(engine)),
+            ModelId::Conjunction | ModelId::Sequential => {
+                Arc::new(ConjunctionModel::resolved(self, engine))
+            }
             ModelId::Distribution => Arc::new(DistributionModel::new(engine.k())),
             ModelId::Minimality => Arc::new(MinimalityModel::new(engine.k())),
-            ModelId::Sequential => Arc::new(SequentialModel::new(engine)),
         }
     }
 }
@@ -205,7 +270,7 @@ impl FromStr for ModelId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wcbk_core::SensitiveHistogram;
+    use proptest::prelude::*;
     use wcbk_table::SValue;
 
     /// The paper's Figure 3 histograms: male bucket (2, 2, 1), female
@@ -220,6 +285,38 @@ mod tests {
             (SValue(3), 1),
         ]);
         HistogramSet::new(vec![male, female], 4).unwrap()
+    }
+
+    /// A histogram over value codes `0..6` with counts summed per code.
+    fn tally(pairs: impl IntoIterator<Item = (u32, u64)>) -> SensitiveHistogram {
+        let mut tally = std::collections::BTreeMap::<u32, u64>::new();
+        for (v, c) in pairs {
+            *tally.entry(v).or_insert(0) += c;
+        }
+        SensitiveHistogram::from_counts(tally.into_iter().map(|(v, c)| (SValue(v), c)))
+    }
+
+    /// Random histograms over value codes `0..6`; duplicate codes collapse
+    /// (`from_counts` treats each pair as a distinct value).
+    pub(crate) fn histogram_strategy() -> impl Strategy<Value = SensitiveHistogram> {
+        prop::collection::vec((0u32..6, 1u64..9), 1..6).prop_map(tally)
+    }
+
+    /// `a` and `b` as two buckets, and merged into one (one generalization
+    /// step).
+    pub(crate) fn split_and_merged(
+        a: SensitiveHistogram,
+        b: SensitiveHistogram,
+    ) -> (HistogramSet, HistogramSet) {
+        let merged = tally(
+            a.iter_counts()
+                .chain(b.iter_counts())
+                .map(|(v, c)| (v.0, c)),
+        );
+        (
+            HistogramSet::new(vec![a, b], 6).unwrap(),
+            HistogramSet::new(vec![merged], 6).unwrap(),
+        )
     }
 
     #[test]
@@ -251,36 +348,101 @@ mod tests {
         }
     }
 
+    /// Every histogram over at most 4 distinct values with counts in
+    /// `1..=3`: the non-increasing base-4 digit strings, 0 = absent.
+    fn small_histograms() -> Vec<SensitiveHistogram> {
+        (1..256u64)
+            .map(|code| (0..4).map(|i| code / 4u64.pow(i) % 4).collect::<Vec<_>>())
+            .filter(|digits| digits.windows(2).all(|w| w[0] >= w[1]))
+            .map(|digits| {
+                let counts = digits.into_iter().take_while(|&n| n > 0);
+                SensitiveHistogram::from_counts(
+                    counts.enumerate().map(|(v, n)| (SValue(v as u32), n)),
+                )
+            })
+            .collect()
+    }
+
+    /// Figure 3 plus every one- and two-bucket set of small histograms.
+    fn contract_sets() -> Vec<HistogramSet> {
+        let hists = small_histograms();
+        assert_eq!(hists.len(), 34);
+        let mut sets = vec![figure3_set()];
+        for a in &hists {
+            sets.push(HistogramSet::new(vec![a.clone()], 4).unwrap());
+            for b in &hists {
+                sets.push(HistogramSet::new(vec![a.clone(), b.clone()], 4).unwrap());
+            }
+        }
+        sets
+    }
+
     #[test]
     fn all_models_agree_at_k0_with_frequency_ratio() {
-        let set = figure3_set();
         let engine = Arc::new(DisclosureEngine::new(0));
-        for id in MODEL_IDS {
-            let model = id.resolve(Arc::clone(&engine));
-            let v = model.max_disclosure(&set).unwrap();
-            assert!(
-                (v - set.max_frequency_ratio()).abs() < 1e-15,
-                "{}: {v} != {}",
-                id,
-                set.max_frequency_ratio()
-            );
+        for set in contract_sets() {
+            for id in MODEL_IDS {
+                let model = id.resolve(Arc::clone(&engine));
+                let v = model.max_disclosure(&set).unwrap();
+                assert!(
+                    (v - set.max_frequency_ratio()).abs() < 1e-15,
+                    "{}: {v} != {}",
+                    id,
+                    set.max_frequency_ratio()
+                );
+            }
         }
     }
 
     #[test]
     fn all_models_monotone_in_k() {
-        let set = figure3_set();
+        let sets = contract_sets();
         for id in MODEL_IDS {
-            let mut prev = 0.0;
+            let mut prev = vec![0.0; sets.len()];
             for k in 0..6 {
-                let engine = Arc::new(DisclosureEngine::new(k));
-                let v = id
-                    .resolve(Arc::clone(&engine))
-                    .max_disclosure(&set)
-                    .unwrap();
-                assert!(v >= prev - 1e-15, "{id} not monotone at k={k}");
-                assert!((0.0..=1.0).contains(&v));
-                prev = v;
+                let model = id.resolve(Arc::new(DisclosureEngine::new(k)));
+                for (set, prev) in sets.iter().zip(&mut prev) {
+                    let v = model.max_disclosure(set).unwrap();
+                    assert!(v >= *prev - 1e-15, "{id} not monotone at k={k}");
+                    assert!((0.0..=1.0).contains(&v));
+                    *prev = v;
+                }
+            }
+        }
+    }
+
+    /// On every small set, `is_safe` is `max_disclosure < c` at the
+    /// thresholds where a ratio-first shortcut could disagree (the set's
+    /// frequency ratio and bound, and one ulp either side of each), and
+    /// the witness carries the bound's exact bits.
+    #[test]
+    fn every_model_keeps_the_safety_and_witness_contract() {
+        let ulps = |x: f64| {
+            [
+                f64::from_bits(x.to_bits() - 1),
+                x,
+                f64::from_bits(x.to_bits() + 1),
+            ]
+        };
+        for k in 0..=3 {
+            let engine = Arc::new(DisclosureEngine::new(k));
+            for id in MODEL_IDS {
+                let model = id.resolve(Arc::clone(&engine));
+                for set in contract_sets() {
+                    let bound = model.max_disclosure(&set).unwrap();
+                    let (value, _) = model.witness(&set).unwrap();
+                    assert_eq!(value.to_bits(), bound.to_bits(), "{id} k={k}");
+                    let thresholds = ulps(set.max_frequency_ratio())
+                        .into_iter()
+                        .chain(ulps(bound));
+                    for c in thresholds.filter(|&c| c > 0.0 && c <= 1.0) {
+                        assert_eq!(
+                            model.is_safe(&set, c).unwrap(),
+                            bound < c,
+                            "{id} k={k} c={c:e} bound={bound:e}"
+                        );
+                    }
+                }
             }
         }
     }

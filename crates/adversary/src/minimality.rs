@@ -3,7 +3,7 @@
 
 use wcbk_core::{CoreError, HistogramSet, SensitiveHistogram};
 
-use crate::{AdversaryModel, ModelWitness};
+use crate::{modal_prediction, worst_bucket, AdversaryModel, ModelWitness};
 
 /// An adversary who knows the published grouping was produced by a
 /// *minimal* (utility-maximizing) algorithm.
@@ -51,20 +51,6 @@ impl MinimalityModel {
         let tail: u64 = counts[counts.len() - elim..].iter().sum();
         hist.frequency(0) as f64 / (hist.n() - tail) as f64
     }
-
-    /// The bucket index attaining the bound (first argmax, deterministic).
-    fn argmax(&self, set: &HistogramSet) -> usize {
-        let mut best = 0;
-        let mut best_v = f64::MIN;
-        for (i, hist) in set.histograms().iter().enumerate() {
-            let v = self.bucket_value(hist);
-            if v > best_v {
-                best = i;
-                best_v = v;
-            }
-        }
-        best
-    }
 }
 
 impl AdversaryModel for MinimalityModel {
@@ -77,27 +63,16 @@ impl AdversaryModel for MinimalityModel {
     }
 
     fn max_disclosure(&self, set: &HistogramSet) -> Result<f64, CoreError> {
-        if set.n_buckets() == 0 {
-            return Err(CoreError::EmptyBucketization);
-        }
-        Ok(set
-            .histograms()
-            .iter()
-            .map(|h| self.bucket_value(h))
-            .fold(0.0, f64::max))
+        Ok(worst_bucket(set, |h| self.bucket_value(h))?.1)
     }
 
     fn merge_monotone(&self) -> bool {
         false
     }
 
-    fn witness(&self, set: &HistogramSet) -> Result<ModelWitness, CoreError> {
-        if set.n_buckets() == 0 {
-            return Err(CoreError::EmptyBucketization);
-        }
-        let b = self.argmax(set);
+    fn witness(&self, set: &HistogramSet) -> Result<(f64, ModelWitness), CoreError> {
+        let (b, value) = worst_bucket(set, |h| self.bucket_value(h))?;
         let hist = &set.histograms()[b];
-        let modal = hist.value_at(0).expect("buckets are non-empty");
         let elim = self.eliminated(hist);
         let knowing = if elim == 0 {
             vec!["no algorithm-publication leverage (k = 0)".to_string()]
@@ -107,21 +82,18 @@ impl AdversaryModel for MinimalityModel {
                  of bucket {b}"
             )]
         };
-        Ok(ModelWitness {
-            predicts: format!(
-                "bucket {b}: t[S] = {modal} (modal value, {} of {} tuples)",
-                hist.frequency(0),
-                hist.n()
-            ),
+        let witness = ModelWitness {
+            predicts: modal_prediction(b, hist),
             knowing,
-        })
+        };
+        Ok((value, witness))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests::figure3_set;
+    use crate::tests::{figure3_set, histogram_strategy, split_and_merged};
     use proptest::prelude::*;
     use wcbk_table::SValue;
 
@@ -176,22 +148,10 @@ mod tests {
     #[test]
     fn witness_reports_elimination_count() {
         let set = figure3_set();
-        let w = MinimalityModel::new(1).witness(&set).unwrap();
+        let (_, w) = MinimalityModel::new(1).witness(&set).unwrap();
         assert!(w.knowing[0].contains("1 rarest"), "{}", w.knowing[0]);
-        let w0 = MinimalityModel::new(0).witness(&set).unwrap();
+        let (_, w0) = MinimalityModel::new(0).witness(&set).unwrap();
         assert!(w0.knowing[0].contains("k = 0"), "{}", w0.knowing[0]);
-    }
-
-    fn histogram_strategy() -> impl Strategy<Value = SensitiveHistogram> {
-        prop::collection::vec((0u32..6, 1u64..9), 1..6).prop_map(|counts| {
-            // Collapse duplicate value codes before building — `from_counts`
-            // treats each pair as a distinct value.
-            let mut tally = std::collections::BTreeMap::<u32, u64>::new();
-            for (v, c) in counts {
-                *tally.entry(v).or_insert(0) += c;
-            }
-            SensitiveHistogram::from_counts(tally.into_iter().map(|(v, c)| (SValue(v), c)))
-        })
     }
 
     proptest! {
@@ -202,19 +162,7 @@ mod tests {
         #[test]
         fn merge_monotone(a in histogram_strategy(), b in histogram_strategy(), k in 0usize..5) {
             let model = MinimalityModel::new(k);
-            let split = HistogramSet::new(vec![a.clone(), b.clone()], 6).unwrap();
-            let merged_hist = SensitiveHistogram::from_counts(
-                a.iter_counts().chain(b.iter_counts()).fold(
-                    std::collections::BTreeMap::<u32, u64>::new(),
-                    |mut acc, (v, c)| {
-                        *acc.entry(v.0).or_insert(0) += c;
-                        acc
-                    },
-                )
-                .into_iter()
-                .map(|(v, c)| (SValue(v), c)),
-            );
-            let merged = HistogramSet::new(vec![merged_hist], 6).unwrap();
+            let (split, merged) = split_and_merged(a, b);
             let v_split = model.max_disclosure(&split).unwrap();
             let v_merged = model.max_disclosure(&merged).unwrap();
             if v_merged > v_split + 1e-12 {

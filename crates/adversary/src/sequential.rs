@@ -1,68 +1,18 @@
 //! Linkage-aware sequential release, after Riboni et al., "Preserving
 //! Privacy in Sequential Data Release against Background Knowledge
-//! Attacks" (arXiv 1010.0924).
+//! Attacks" (arXiv 1010.0924): [`ModelId::Sequential`] resolves to the
+//! engine-backed [`ConjunctionModel`](crate::ConjunctionModel) under
+//! [`CompositionStyle::CommonRefinement`]. These tests pin that a single
+//! release bounds like the conjunction language and that the refinement
+//! the session layer computes is priced through the shared engine.
 
-use std::sync::Arc;
-
-use wcbk_core::{CoreError, DisclosureEngine, HistogramSet};
-
-use crate::conjunction::allocation_witness;
-use crate::{AdversaryModel, CompositionStyle, ModelWitness};
-
-/// The conjunction adversary who additionally **links tuples across
-/// releases** of the same dataset.
-///
-/// A single release bounds exactly like [`crate::ConjunctionModel`] — the
-/// language per release is the paper's `L_k`. The difference is
-/// composition: arXiv 1010.0924's attacker knows that the same individual
-/// appears in every release, so two groupings jointly confine each tuple
-/// to the *intersection* of its buckets. The effective published grouping
-/// after `m` releases is therefore the **common refinement** of the `m`
-/// bucketizations — typically far finer (and more disclosive) than any
-/// single release — rather than the union of their bucket histograms.
-///
-/// This type only advertises that composition rule
-/// ([`CompositionStyle::CommonRefinement`]); the refinement itself is
-/// computed by the session layer, which owns tuple membership, and the
-/// refined set is priced here through the shared engine.
-pub struct SequentialModel {
-    engine: Arc<DisclosureEngine>,
-}
-
-impl SequentialModel {
-    /// Wraps a shared engine; `k` is the engine's attacker power.
-    pub fn new(engine: Arc<DisclosureEngine>) -> Self {
-        Self { engine }
-    }
-}
-
-impl AdversaryModel for SequentialModel {
-    fn name(&self) -> &'static str {
-        "sequential"
-    }
-
-    fn k(&self) -> usize {
-        self.engine.k()
-    }
-
-    fn max_disclosure(&self, set: &HistogramSet) -> Result<f64, CoreError> {
-        self.engine.max_disclosure_value_set(set)
-    }
-
-    fn witness(&self, set: &HistogramSet) -> Result<ModelWitness, CoreError> {
-        allocation_witness(&self.engine, set)
-    }
-
-    fn composition(&self) -> CompositionStyle {
-        CompositionStyle::CommonRefinement
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use std::sync::Arc;
+
+    use wcbk_core::{DisclosureEngine, HistogramSet};
+
     use crate::tests::figure3_set;
-    use crate::ConjunctionModel;
+    use crate::{CompositionStyle, ModelId};
 
     /// Per-release, the sequential adversary is exactly the conjunction
     /// adversary — only composition differs.
@@ -71,19 +21,20 @@ mod tests {
         let set = figure3_set();
         for k in 0..5 {
             let engine = Arc::new(DisclosureEngine::new(k));
-            let seq = SequentialModel::new(Arc::clone(&engine));
-            let conj = ConjunctionModel::new(Arc::clone(&engine));
+            let seq = ModelId::Sequential.resolve(Arc::clone(&engine));
+            let conj = ModelId::Conjunction.resolve(Arc::clone(&engine));
             assert_eq!(
                 seq.max_disclosure(&set).unwrap().to_bits(),
                 conj.max_disclosure(&set).unwrap().to_bits()
             );
             assert_eq!(seq.witness(&set).unwrap(), conj.witness(&set).unwrap());
+            assert_eq!(seq.name(), "sequential");
         }
     }
 
     #[test]
     fn advertises_common_refinement() {
-        let model = SequentialModel::new(Arc::new(DisclosureEngine::new(1)));
+        let model = ModelId::Sequential.resolve(Arc::new(DisclosureEngine::new(1)));
         assert_eq!(model.composition(), CompositionStyle::CommonRefinement);
     }
 
@@ -100,7 +51,7 @@ mod tests {
         // Ten tuples t0..t9 with diseases
         //   t0=d0 t1=d0 t2=d1 t3=d1 t4=d2   t5=d1 t6=d1 t7=d2 t8=d2 t9=d0.
         let engine = Arc::new(DisclosureEngine::new(1));
-        let model = SequentialModel::new(Arc::clone(&engine));
+        let model = ModelId::Sequential.resolve(Arc::clone(&engine));
         // Release A: {t0..t4} and {t5..t9} — each bucket shape (2,2,1).
         let a = HistogramSet::new(
             vec![

@@ -9,8 +9,10 @@
 //! is classical. A criterion that is not monotone says so through
 //! [`PrivacyCriterion::monotone`], and the search sweeps every node for it.
 
-use wcbk_adversary::AdversaryModel;
-use wcbk_core::{CacheStats, CkSafety, CoreError, DisclosureEngine, HistogramSet};
+use std::sync::Arc;
+
+use wcbk_adversary::{AdversaryModel, ModelId};
+use wcbk_core::{CkSafety, CoreError, DisclosureEngine, HistogramSet};
 
 use crate::AnonymizeError;
 
@@ -59,22 +61,6 @@ impl<T: PrivacyCriterion + ?Sized> PrivacyCriterion for Box<T> {
 /// Borrowed criteria delegate too, so a caller can hand the same instance
 /// to several searches (the scheduler workers already share it by `&C`).
 impl<T: PrivacyCriterion + ?Sized> PrivacyCriterion for &T {
-    fn name(&self) -> String {
-        (**self).name()
-    }
-
-    fn is_satisfied_hist(&self, h: &HistogramSet) -> Result<bool, AnonymizeError> {
-        (**self).is_satisfied_hist(h)
-    }
-
-    fn monotone(&self) -> bool {
-        (**self).monotone()
-    }
-}
-
-/// `Arc`-shared criteria delegate as well — the shape long-running services
-/// use to share one memoizing criterion across concurrent searches.
-impl<T: PrivacyCriterion + ?Sized> PrivacyCriterion for std::sync::Arc<T> {
     fn name(&self) -> String {
         (**self).name()
     }
@@ -207,109 +193,67 @@ impl PrivacyCriterion for RecursiveCLDiversity {
     }
 }
 
-/// (c,k)-safety (Definition 13), evaluated through a memoizing
-/// [`DisclosureEngine`].
+/// (c,k)-safety (Definition 13) under any registered [`AdversaryModel`]:
+/// satisfied when the model's worst-case disclosure bound stays below `c`.
 ///
-/// The engine's sharded cache is interior-mutable, so the criterion can be
-/// shared across search threads: concurrent `is_satisfied_hist` calls memoize
-/// MINIMIZE1 tables into the same cache. The engine itself is held behind an
-/// [`Arc`](std::sync::Arc), so long-lived callers (the `wcbk-serve` audit
-/// service) can hand **one** engine to many criteria via
-/// [`with_engine`](Self::with_engine) and keep its cache warm across
-/// requests that share bucket histograms.
+/// The default model is the paper's conjunction language, evaluated
+/// through a memoizing [`DisclosureEngine`] whose sharded cache is
+/// interior-mutable, so the criterion can be shared across search threads:
+/// concurrent `is_satisfied_hist` calls memoize MINIMIZE1 values into the
+/// same cache. Long-lived callers (the `wcbk-serve` audit service) hand
+/// **one** engine to many criteria via [`with_engine`](Self::with_engine)
+/// and keep its cache warm across requests that share bucket histograms,
+/// and read its counters off that engine.
+///
+/// [`with_model`](Self::with_model) substitutes another knowledge
+/// language. The criterion is [`monotone`](PrivacyCriterion::monotone)
+/// exactly when its model is
+/// [`merge_monotone`](AdversaryModel::merge_monotone). The `minimality`
+/// model is not: it bounds buckets {3,2,1} and {3,1,2} at 0.6 at k=1 but
+/// their merge at 6/9, so searches under it sweep every node instead of
+/// pruning.
 pub struct CkSafetyCriterion {
-    safety: CkSafety,
-    engine: std::sync::Arc<DisclosureEngine>,
+    c: f64,
+    model: Arc<dyn AdversaryModel>,
 }
 
 impl CkSafetyCriterion {
     /// Creates the criterion for threshold `c` and attacker power `k`, with
     /// a fresh private engine.
     pub fn new(c: f64, k: usize) -> Result<Self, CoreError> {
-        Ok(Self {
-            safety: CkSafety::new(c, k)?,
-            engine: std::sync::Arc::new(DisclosureEngine::new(k)),
-        })
+        Self::with_engine(c, Arc::new(DisclosureEngine::new(k)))
     }
 
     /// Creates the criterion for threshold `c` sharing an existing `engine`
-    /// (whose `k` fixes the attacker power): MINIMIZE1 tables memoized by
+    /// (whose `k` fixes the attacker power): MINIMIZE1 values memoized by
     /// any prior search through the same engine are reused, the shape
     /// long-running services want across requests.
-    pub fn with_engine(
-        c: f64,
-        engine: std::sync::Arc<DisclosureEngine>,
-    ) -> Result<Self, CoreError> {
-        Ok(Self {
-            safety: CkSafety::new(c, engine.k())?,
-            engine,
-        })
+    pub fn with_engine(c: f64, engine: Arc<DisclosureEngine>) -> Result<Self, CoreError> {
+        Self::with_model(c, ModelId::Conjunction.resolve(engine))
     }
 
-    /// Cache statistics of the underlying engine (`hits`, `misses`).
-    pub fn cache_stats(&self) -> (u64, u64) {
-        self.engine.cache_stats()
-    }
-
-    /// Full cache snapshot of the underlying engine, entry count included.
-    pub fn engine_stats(&self) -> CacheStats {
-        self.engine.stats()
+    /// Creates the criterion for threshold `c` under `model` (whose `k`
+    /// fixes the attacker power). `c` is validated exactly like
+    /// [`CkSafety`].
+    pub fn with_model(c: f64, model: Arc<dyn AdversaryModel>) -> Result<Self, CoreError> {
+        let c = CkSafety::new(c, model.k())?.c();
+        Ok(Self { c, model })
     }
 }
 
 impl PrivacyCriterion for CkSafetyCriterion {
+    /// `"(c,k)-safety"` under the conjunction model, `"(c,k)-{model}"`
+    /// under any other.
     fn name(&self) -> String {
-        format!("({},{})-safety", self.safety.c(), self.safety.k())
+        let language = match self.model.name() {
+            "conjunction" => "safety",
+            other => other,
+        };
+        format!("({},{})-{language}", self.c, self.model.k())
     }
 
     fn is_satisfied_hist(&self, h: &HistogramSet) -> Result<bool, AnonymizeError> {
-        Ok(self.safety.is_safe_set(&self.engine, h)?)
-    }
-}
-
-/// (c,k)-safety under **any** registered [`AdversaryModel`]: satisfied when
-/// the model's worst-case disclosure bound stays below `c`.
-///
-/// With the conjunction model this is exactly [`CkSafetyCriterion`] (the
-/// bound is computed by the same engine, bit-for-bit); the other models
-/// substitute their own knowledge language. The criterion is
-/// [`monotone`](PrivacyCriterion::monotone) exactly when its model is
-/// [`merge_monotone`](AdversaryModel::merge_monotone). The `minimality`
-/// model is not: it bounds buckets {3,2,1} and {3,1,2} at 0.6 at k=1 but
-/// their merge at 6/9, so searches under it sweep every node instead of
-/// pruning.
-pub struct ModelSafetyCriterion {
-    model: std::sync::Arc<dyn AdversaryModel>,
-    c: f64,
-}
-
-impl ModelSafetyCriterion {
-    /// Creates the criterion for threshold `c` under `model` (whose `k`
-    /// fixes the attacker power). `c` is validated exactly like
-    /// [`CkSafety`].
-    pub fn new(c: f64, model: std::sync::Arc<dyn AdversaryModel>) -> Result<Self, CoreError> {
-        CkSafety::new(c, model.k())?;
-        Ok(Self { model, c })
-    }
-
-    /// The model judging safety.
-    pub fn model(&self) -> &std::sync::Arc<dyn AdversaryModel> {
-        &self.model
-    }
-
-    /// The disclosure threshold.
-    pub fn c(&self) -> f64 {
-        self.c
-    }
-}
-
-impl PrivacyCriterion for ModelSafetyCriterion {
-    fn name(&self) -> String {
-        format!("({},{})-{}", self.c, self.model.k(), self.model.name())
-    }
-
-    fn is_satisfied_hist(&self, h: &HistogramSet) -> Result<bool, AnonymizeError> {
-        Ok(self.model.max_disclosure(h)? < self.c)
+        Ok(self.model.is_safe(h, self.c)?)
     }
 
     fn monotone(&self) -> bool {
@@ -386,7 +330,6 @@ mod tests {
 
     #[test]
     fn with_engine_shares_cache_across_criteria() {
-        use std::sync::Arc;
         let b = figure3();
         let engine = Arc::new(DisclosureEngine::new(1));
         let first = CkSafetyCriterion::with_engine(0.7, Arc::clone(&engine)).unwrap();
@@ -401,7 +344,6 @@ mod tests {
         let (hits1, misses1) = engine.cache_stats();
         assert!(hits1 > 0, "second criterion must hit the shared cache");
         assert_eq!(misses1, misses0);
-        assert_eq!(second.engine_stats().entries, engine.stats().entries);
     }
 
     #[test]
@@ -416,10 +358,10 @@ mod tests {
         ];
         // A model criterion, even boxed, is monotone exactly when its
         // model is merge-monotone.
-        let engine = std::sync::Arc::new(DisclosureEngine::new(1));
+        let engine = Arc::new(DisclosureEngine::new(1));
         for id in wcbk_adversary::MODEL_IDS {
             let model = id.resolve(engine.clone());
-            criteria.push(Box::new(ModelSafetyCriterion::new(0.7, model).unwrap()));
+            criteria.push(Box::new(CkSafetyCriterion::with_model(0.7, model).unwrap()));
         }
         for c in criteria.iter() {
             assert_eq!(
@@ -475,9 +417,16 @@ mod tests {
     #[test]
     fn names_include_parameters() {
         assert_eq!(KAnonymity::new(5).name(), "5-anonymity");
-        assert!(CkSafetyCriterion::new(0.7, 3)
-            .unwrap()
-            .name()
-            .contains("0.7"));
+        let engine = Arc::new(DisclosureEngine::new(3));
+        let named = |id: ModelId| {
+            let model = id.resolve(engine.clone());
+            CkSafetyCriterion::with_model(0.7, model).unwrap().name()
+        };
+        assert_eq!(
+            CkSafetyCriterion::new(0.7, 3).unwrap().name(),
+            "(0.7,3)-safety"
+        );
+        assert_eq!(named(ModelId::Conjunction), "(0.7,3)-safety");
+        assert_eq!(named(ModelId::Sequential), "(0.7,3)-sequential");
     }
 }

@@ -29,11 +29,13 @@
 //!   searches, sweeps, and sequential-release composition checks forever —
 //!   the register-once surface the `wcbk-serve` resource endpoints and the
 //!   CLI both run on.
-//! * Pluggable adversaries: [`ModelSafetyCriterion`] judges safety under
-//!   any registered [`AdversaryModel`] (see [`wcbk_adversary`]), and the
-//!   session's `audit_model` / `audit_composition_model` paths thread a
-//!   [`ModelId`] through audits, releases, and composition checks — with
-//!   the conjunction model bit-identical to the classic (c,k) paths.
+//! * Pluggable adversaries: [`CkSafetyCriterion`] judges (c,k)-safety
+//!   through one [`AdversaryModel`] (see [`wcbk_adversary`]), the paper's
+//!   conjunction language unless [`CkSafetyCriterion::with_model`] names
+//!   another, and the session's `audit_model` / `audit_composition_model`
+//!   paths thread a [`ModelId`] through audits, releases, and composition
+//!   checks — with the conjunction model bit-identical to the classic
+//!   (c,k) paths.
 
 pub mod anatomy;
 pub mod criteria;
@@ -47,8 +49,8 @@ pub mod utility;
 
 pub use anatomy::{anatomize, AnatomyOutcome};
 pub use criteria::{
-    CkSafetyCriterion, DistinctLDiversity, EntropyLDiversity, KAnonymity, ModelSafetyCriterion,
-    PrivacyCriterion, RecursiveCLDiversity,
+    CkSafetyCriterion, DistinctLDiversity, EntropyLDiversity, KAnonymity, PrivacyCriterion,
+    RecursiveCLDiversity,
 };
 pub use error::AnonymizeError;
 pub use incognito::{incognito, IncognitoOutcome};

@@ -443,8 +443,8 @@ mod tests {
 
     use super::*;
     use crate::criteria::{
-        CkSafetyCriterion, DistinctLDiversity, EntropyLDiversity, KAnonymity, ModelSafetyCriterion,
-        PrivacyCriterion, RecursiveCLDiversity,
+        CkSafetyCriterion, DistinctLDiversity, EntropyLDiversity, KAnonymity, PrivacyCriterion,
+        RecursiveCLDiversity,
     };
     use wcbk_adversary::ModelId;
     use wcbk_core::DisclosureEngine;
@@ -703,7 +703,7 @@ mod tests {
         let (t, l) = minimality_counterexample();
         let engine = std::sync::Arc::new(DisclosureEngine::new(1));
         let criterion =
-            ModelSafetyCriterion::new(0.62, ModelId::Minimality.resolve(engine)).unwrap();
+            CkSafetyCriterion::with_model(0.62, ModelId::Minimality.resolve(engine)).unwrap();
         assert!(!criterion.monotone());
         let swept = sweep(&t, &l, &criterion).unwrap();
         assert_eq!(swept, vec![(l.bottom(), true), (l.top(), false)]);

@@ -543,9 +543,10 @@ impl DatasetSession {
 
     /// Audits the exact-quasi-identifier grouping under the adversary
     /// `model` at attacker power `k`: the model's worst-case disclosure
-    /// bound plus a reconstructed witness, and the safety verdict when `c`
-    /// is given. Under [`ModelId::Conjunction`] the value is bit-identical
-    /// to [`DatasetSession::audit`].
+    /// bound plus a reconstructed witness, from one
+    /// [`witness`](wcbk_adversary::AdversaryModel::witness) pass, and the
+    /// safety verdict when `c` is given. Under [`ModelId::Conjunction`] the
+    /// value is bit-identical to [`DatasetSession::audit`].
     pub fn audit_model(
         &self,
         model: ModelId,
@@ -554,8 +555,7 @@ impl DatasetSession {
     ) -> Result<ModelAuditReport, AnonymizeError> {
         let resolved = model.resolve(self.engines.engine(k));
         let set = self.bottom_set()?;
-        let value = resolved.max_disclosure(&set)?;
-        let witness = resolved.witness(&set)?;
+        let (value, witness) = resolved.witness(&set)?;
         let safe = c
             .map(|c| CkSafety::new(c, k).map(|_| value < c))
             .transpose()?;
@@ -924,6 +924,17 @@ mod tests {
             assert_eq!(model.k, k);
             assert!(!model.witness.predicts.is_empty());
         }
+    }
+
+    /// A model audit takes its bound and witness from one MINIMIZE2 pass:
+    /// on a fresh registry it looks each bucket up once, not once for the
+    /// bound and again for the witness.
+    #[test]
+    fn sequential_model_audit_looks_up_each_bucket_once() {
+        let s = session();
+        let report = s.audit_model(ModelId::Sequential, Some(0.9), 2).unwrap();
+        let stats = s.engine(2).stats();
+        assert_eq!(stats.hits + stats.misses, report.buckets as u64);
     }
 
     /// A composition audit re-prices the whole union but builds MINIMIZE1

@@ -1,7 +1,8 @@
 //! Property tests pinning the adversary-model plugin surface to the
 //! direct MINIMIZE1/MINIMIZE2 paths: for random tables and hierarchies,
-//! judging safety through [`ModelSafetyCriterion`] with the conjunction
-//! model is **bit-identical** to [`CkSafetyCriterion`] — per-node verdicts
+//! judging safety through [`CkSafetyCriterion`] (the conjunction model
+//! behind the trait) is **bit-identical** to calling
+//! [`CkSafety::is_safe_set`] on the engine directly — per-node verdicts
 //! at every lattice node, search outcomes across thread counts and memo
 //! budgets, and audit values with their witnesses — and
 //! model-tagged composition audits match from-scratch rebuilds however the
@@ -15,9 +16,9 @@ use std::collections::HashSet;
 
 use wcbk_anonymize::search::{search, sweep, SearchConfig, SearchOutcome};
 use wcbk_anonymize::{
-    CkSafetyCriterion, DatasetSession, ModelId, ModelSafetyCriterion, PrivacyCriterion, MODEL_IDS,
+    AnonymizeError, CkSafetyCriterion, DatasetSession, ModelId, PrivacyCriterion, MODEL_IDS,
 };
-use wcbk_core::DisclosureEngine;
+use wcbk_core::{CkSafety, DisclosureEngine, HistogramSet};
 use wcbk_hierarchy::{GeneralizationLattice, Hierarchy};
 use wcbk_table::{Attribute, AttributeKind, Schema, Table, TableBuilder};
 
@@ -78,6 +79,32 @@ fn materialize(qi_cols: usize, seed_rows: Vec<Vec<u8>>) -> (Table, Generalizatio
     (table, lattice)
 }
 
+/// (c,k)-safety judged by [`CkSafety::is_safe_set`] on the engine, with no
+/// adversary model in between: the oracle the criterion is pinned to.
+struct Direct {
+    safety: CkSafety,
+    engine: std::sync::Arc<DisclosureEngine>,
+}
+
+impl Direct {
+    fn new(c: f64, engine: std::sync::Arc<DisclosureEngine>) -> Self {
+        Self {
+            safety: CkSafety::new(c, engine.k()).unwrap(),
+            engine,
+        }
+    }
+}
+
+impl PrivacyCriterion for Direct {
+    fn name(&self) -> String {
+        format!("({},{})-safety", self.safety.c(), self.safety.k())
+    }
+
+    fn is_satisfied_hist(&self, h: &HistogramSet) -> Result<bool, AnonymizeError> {
+        Ok(self.safety.is_safe_set(&self.engine, h)?)
+    }
+}
+
 /// The minimal set the exhaustive sweep implies: the safe nodes with no
 /// safe immediate predecessor, in the sequential visit order (by height),
 /// with every node evaluated.
@@ -122,7 +149,7 @@ proptest! {
         let (table, lattice) = materialize(qi_cols, seed_rows);
         for model in MODEL_IDS {
             let engine = std::sync::Arc::new(DisclosureEngine::new(k));
-            let criterion = ModelSafetyCriterion::new(c, model.resolve(engine)).unwrap();
+            let criterion = CkSafetyCriterion::with_model(c, model.resolve(engine)).unwrap();
             let (minimal, satisfied) = minimal_from_sweep(&table, &lattice, &criterion);
             for threads in [1, 3] {
                 let got: SearchOutcome =
@@ -143,7 +170,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// At every lattice node, the conjunction model through the trait gives
-    /// the same verdict as the direct (c,k)-safety criterion, and the
+    /// the same verdict as `CkSafety::is_safe_set` on the engine, and the
     /// session sweeps through both agree entry for entry.
     #[test]
     fn conjunction_criterion_matches_direct_at_every_node(
@@ -154,19 +181,15 @@ proptest! {
         let (table, lattice) = materialize(qi_cols, seed_rows);
         let session = DatasetSession::new(table, lattice).unwrap();
         let engine = session.engine(k);
-        let direct = CkSafetyCriterion::with_engine(0.75, std::sync::Arc::clone(&engine)).unwrap();
-        let via_model = ModelSafetyCriterion::new(
-            0.75,
-            ModelId::Conjunction.resolve(engine),
-        )
-        .unwrap();
+        let direct = Direct::new(0.75, std::sync::Arc::clone(&engine));
+        let via_model = CkSafetyCriterion::with_engine(0.75, engine).unwrap();
         let swept_direct = session.sweep(&direct).unwrap();
         let swept_model = session.sweep(&via_model).unwrap();
         prop_assert_eq!(&swept_direct, &swept_model);
     }
 
     /// Search outcomes (the full ⪯-minimal frontier, evaluated/satisfied
-    /// counters included) through the trait equal the direct criterion,
+    /// counters included) through the trait equal the direct check's,
     /// across thread counts and memo budgets.
     #[test]
     fn conjunction_search_matches_direct_across_configs(
@@ -178,12 +201,8 @@ proptest! {
         let memo_cap = memo_cap_raw.checked_sub(1);
         let (table, lattice) = materialize(qi_cols, seed_rows);
         let engine = std::sync::Arc::new(DisclosureEngine::new(k));
-        let direct = CkSafetyCriterion::with_engine(0.75, std::sync::Arc::clone(&engine)).unwrap();
-        let via_model = ModelSafetyCriterion::new(
-            0.75,
-            ModelId::Conjunction.resolve(engine),
-        )
-        .unwrap();
+        let direct = Direct::new(0.75, std::sync::Arc::clone(&engine));
+        let via_model = CkSafetyCriterion::with_engine(0.75, engine).unwrap();
         let configs = [
             SearchConfig { memo_capacity: memo_cap, ..Default::default() },
             SearchConfig {

@@ -15,7 +15,7 @@ use wcbk_anonymize::{
     anonymize, incognito, AnonymizeError, CkSafetyCriterion, DistinctLDiversity, KAnonymity,
     PrivacyCriterion, UtilityMetric,
 };
-use wcbk_core::HistogramSet;
+use wcbk_core::{DisclosureEngine, HistogramSet};
 use wcbk_datagen::adult::{synthetic_adult, AdultConfig};
 use wcbk_hierarchy::adult::adult_lattice;
 use wcbk_hierarchy::GeneralizationLattice;
@@ -137,7 +137,8 @@ fn anonymize_parallel_picks_same_node() {
 #[test]
 fn shared_criterion_cache_is_thread_safe() {
     let (table, lattice) = adult(600);
-    let criterion = CkSafetyCriterion::new(0.8, 2).unwrap();
+    let engine = std::sync::Arc::new(DisclosureEngine::new(2));
+    let criterion = CkSafetyCriterion::with_engine(0.8, engine.clone()).unwrap();
     let nodes: Vec<_> = lattice.nodes().into_iter().collect();
 
     // Sequential reference verdicts.
@@ -175,7 +176,7 @@ fn shared_criterion_cache_is_thread_safe() {
         }
     });
 
-    let stats = criterion.engine_stats();
+    let stats = engine.stats();
     // Every worker swept all nodes, so lookups are plentiful...
     assert!(
         stats.hits + stats.misses > 0,

@@ -38,6 +38,7 @@ use wcbk_anonymize::search::{
 };
 use wcbk_anonymize::{CkSafetyCriterion, DatasetSession, SessionOptions};
 use wcbk_bench::{small_adult, HarnessError};
+use wcbk_core::DisclosureEngine;
 use wcbk_hierarchy::adult::adult_lattice;
 use wcbk_hierarchy::{NodeEvaluator, ScanOptions};
 use wcbk_serve::persist::encode_session;
@@ -373,7 +374,8 @@ fn main() -> Result<(), HarnessError> {
         find_minimal_safe_rescan(&table, &lattice, &CkSafetyCriterion::new(c, k).unwrap()).unwrap()
     });
     eprintln!("pruned search via roll-up path…");
-    let criterion = CkSafetyCriterion::new(c, k).unwrap();
+    let engine = Arc::new(DisclosureEngine::new(k));
+    let criterion = CkSafetyCriterion::with_engine(c, engine.clone()).unwrap();
     let sequential = SearchConfig::with_threads(1);
     let (rollup_search, rollup_outcome) = median_time(|| {
         search(&table, &lattice, &criterion, &sequential)
@@ -384,7 +386,7 @@ fn main() -> Result<(), HarnessError> {
         legacy_outcome, rollup_outcome,
         "roll-up search diverged from the legacy search"
     );
-    let cache = criterion.engine_stats();
+    let cache = engine.stats();
 
     // The work-stealing search at a fixed thread count, pinned to the
     // sequential outcome and timed against it.

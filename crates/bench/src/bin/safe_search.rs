@@ -10,6 +10,7 @@ use wcbk_anonymize::{
     CkSafetyCriterion, EntropyLDiversity, KAnonymity, PrivacyCriterion, UtilityMetric,
 };
 use wcbk_bench::{print_aligned, write_csv, HarnessError};
+use wcbk_core::DisclosureEngine;
 use wcbk_datagen::adult::{synthetic_adult, AdultConfig};
 use wcbk_hierarchy::adult::adult_lattice;
 
@@ -73,14 +74,15 @@ fn main() -> Result<(), HarnessError> {
         ]);
     };
 
-    let ck = CkSafetyCriterion::new(c, k)?;
+    let engine = std::sync::Arc::new(DisclosureEngine::new(k));
+    let ck = CkSafetyCriterion::with_engine(c, engine.clone())?;
     if threads != 1 {
         eprintln!("parallel search with {threads} threads (0 = all cores)…");
     }
     // Resolves 0 → all cores and degenerates to sequential at 1 thread.
     let config = SearchConfig::with_threads(threads);
     let outcome = search(&table, &lattice, &ck, &config)?.outcome;
-    let stats = ck.engine_stats();
+    let stats = engine.stats();
     report(ck.name(), outcome, &mut rows, &mut csv_rows);
     eprintln!(
         "(c,k)-safety engine cache: {} hits / {} misses / {} entries ({:.1}% hit rate)",
@@ -123,7 +125,8 @@ fn main() -> Result<(), HarnessError> {
     eprintln!("\nwrote {}", path.display());
 
     println!("\n== utility-ranked (c,k)-safe publication ==");
-    let ck = CkSafetyCriterion::new(c, k)?;
+    let engine = std::sync::Arc::new(DisclosureEngine::new(k));
+    let ck = CkSafetyCriterion::with_engine(c, engine.clone())?;
     match wcbk_anonymize::anonymize(
         &table,
         &lattice,

@@ -3,9 +3,9 @@
 use wcbk_logic::{Atom, Knowledge, SimpleImplication};
 use wcbk_table::{SValue, TupleId};
 
-use crate::minimize1::{minimize1_profile, minimize1_values};
-use crate::minimize2::{minimize2, BucketAllocation, BucketCosts};
-use crate::{Bucketization, CoreError, SensitiveHistogram};
+use crate::minimize1::minimize1_profile;
+use crate::minimize2::BucketAllocation;
+use crate::{Bucketization, CoreError, DisclosureEngine, SensitiveHistogram};
 
 /// A worst-case attacker: `k` simple implications `A_i → A` sharing the
 /// consequent `A` (the Theorem 9 normal form), reconstructed from the DP.
@@ -52,7 +52,9 @@ pub struct DisclosureResult {
 }
 
 /// Computes the maximum disclosure of `bucketization` with respect to
-/// `L^k_basic` in `O(|B|·k³)` time (Theorems 9 + Lemma 12 + Algorithms 1–2).
+/// `L^k_basic` in `O(|B|·k³)` time (Theorems 9 + Lemma 12 + Algorithms 1–2),
+/// through a private [`DisclosureEngine`]. Errors with
+/// [`CoreError::WitnessTooLarge`] past [`MAX_WITNESS_ATOMS`].
 ///
 /// ```
 /// use wcbk_core::{max_disclosure, Bucketization};
@@ -71,27 +73,30 @@ pub fn max_disclosure(
     bucketization: &Bucketization,
     k: usize,
 ) -> Result<DisclosureResult, CoreError> {
-    let costs: Vec<BucketCosts> = bucketization
-        .buckets()
-        .iter()
-        .map(|b| {
-            let h = b.histogram();
-            BucketCosts::new(minimize1_values(h, k + 1), h.frequency(0), h.n())
-        })
-        .collect();
-    let result = minimize2(&costs, k);
-    let witness = build_witness(
-        |b| bucketization.bucket(b).histogram(),
-        bucketization.domain_size(),
-        &result.allocation,
-        |requests| leading_members(bucketization, requests),
-    );
-    Ok(DisclosureResult {
-        value: 1.0 / (1.0 + result.r_min),
-        r_min: result.r_min,
-        k,
-        witness,
-    })
+    DisclosureEngine::new(k).max_disclosure(bucketization)
+}
+
+/// The most atoms a witness may size a MINIMIZE1 profile table by. Such a
+/// table over `c` atoms holds `(c+2)(c+1)²` f64s: about 136 MB at 256.
+pub const MAX_WITNESS_ATOMS: usize = 256;
+
+/// Refuses, before any DP, a witness whose profile tables could outgrow
+/// [`MAX_WITNESS_ATOMS`]. A bucket holds at most `k+1` witness atoms, and
+/// [`minimize1_profile`] sizes its table by fewer than the bucket's `d_b`
+/// distinct values, so no table exceeds `min(k+1, d_max − 1)` atoms.
+pub(crate) fn check_witness_size<'h>(
+    histograms: impl IntoIterator<Item = &'h SensitiveHistogram>,
+    k: usize,
+) -> Result<(), CoreError> {
+    let d_max = histograms.into_iter().map(|h| h.distinct()).max();
+    let atoms = (k + 1).min(d_max.unwrap_or(0).saturating_sub(1));
+    if atoms > MAX_WITNESS_ATOMS {
+        return Err(CoreError::WitnessTooLarge {
+            atoms,
+            limit: MAX_WITNESS_ATOMS,
+        });
+    }
+    Ok(())
 }
 
 /// Reconstructs the Lemma 12 witness atoms from a MINIMIZE2 allocation.

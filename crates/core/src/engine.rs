@@ -25,9 +25,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-use crate::disclosure::{build_witness, leading_members};
+use crate::disclosure::{build_witness, check_witness_size, leading_members};
 use crate::minimize1::minimize1_values;
-use crate::minimize2::{minimize2, minimize2_value, BucketCosts};
+use crate::minimize2::{minimize2, minimize2_value, to_disclosure, BucketCosts, Minimize2Result};
 use crate::{Bucketization, CoreError, DisclosureResult, HistogramSet, SensitiveHistogram};
 use wcbk_table::TupleId;
 
@@ -353,24 +353,35 @@ impl DisclosureEngine {
         h: &HistogramSet,
         members: impl FnOnce(&[(usize, usize)]) -> Vec<Vec<TupleId>>,
     ) -> Result<DisclosureResult, CoreError> {
+        let result = self.allocation_set(h)?;
+        let witness = build_witness(
+            |b| &h.histograms()[b],
+            h.domain_size(),
+            &result.allocation,
+            members,
+        );
+        Ok(DisclosureResult {
+            value: result.value(),
+            r_min: result.r_min,
+            k: self.k,
+            witness,
+        })
+    }
+
+    /// One MINIMIZE2 pass over the cached entries of `h`, keeping the
+    /// minimizing atom allocation a witness is rebuilt from. Its
+    /// [`value`](Minimize2Result::value) is bit-identical to
+    /// [`DisclosureEngine::max_disclosure_value_set`].
+    ///
+    /// Errors with [`CoreError::WitnessTooLarge`] before any DP when a
+    /// witness over `h` could need a profile table past
+    /// [`MAX_WITNESS_ATOMS`](crate::disclosure::MAX_WITNESS_ATOMS).
+    pub fn allocation_set(&self, h: &HistogramSet) -> Result<Minimize2Result, CoreError> {
         if h.n_buckets() == 0 {
             return Err(CoreError::EmptyBucketization);
         }
-        Ok(self.with_set_entries(h, |entries| {
-            let result = minimize2(entries, self.k);
-            let witness = build_witness(
-                |b| &h.histograms()[b],
-                h.domain_size(),
-                &result.allocation,
-                members,
-            );
-            DisclosureResult {
-                value: to_disclosure(result.r_min),
-                r_min: result.r_min,
-                k: self.k,
-                witness,
-            }
-        }))
+        check_witness_size(h.histograms(), self.k)?;
+        Ok(self.with_set_entries(h, |entries| minimize2(entries, self.k)))
     }
 
     /// Calls `f` with the per-bucket cache entries of `h`, in bucket order.
@@ -413,11 +424,6 @@ impl DisclosureEngine {
     }
 }
 
-#[inline]
-fn to_disclosure(r_min: f64) -> f64 {
-    1.0 / (1.0 + r_min)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -452,20 +458,6 @@ mod tests {
             vec![TupleId(7), TupleId(8), TupleId(9)],
         ];
         Bucketization::from_partition(&t, &groups).unwrap()
-    }
-
-    #[test]
-    fn engine_matches_direct_computation() {
-        for k in 0..=4 {
-            let engine = DisclosureEngine::new(k);
-            for b in [figure3(), four_buckets()] {
-                let direct = max_disclosure(&b, k).unwrap();
-                let via_engine = engine.max_disclosure(&b).unwrap();
-                assert!((direct.value - via_engine.value).abs() < 1e-15, "k={k}");
-                assert_eq!(direct.witness, via_engine.witness, "k={k}");
-                assert!((value_of(&engine, &b) - direct.value).abs() < 1e-15);
-            }
-        }
     }
 
     #[test]

@@ -31,6 +31,15 @@ pub enum CoreError {
         /// Number of buckets.
         len: usize,
     },
+    /// A worst-case witness would size its MINIMIZE1 profile table by more
+    /// atoms than [`MAX_WITNESS_ATOMS`](crate::disclosure::MAX_WITNESS_ATOMS)
+    /// allows: the table over `c` atoms holds `(c+2)(c+1)²` f64s.
+    WitnessTooLarge {
+        /// `min(k+1, d_max − 1)` for the set's largest distinct count `d_max`.
+        atoms: usize,
+        /// The limit it exceeds.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -53,6 +62,12 @@ impl fmt::Display for CoreError {
             CoreError::BucketOutOfRange { index, len } => {
                 write!(f, "bucket index {index} out of range ({len} buckets)")
             }
+            CoreError::WitnessTooLarge { atoms, limit } => write!(
+                f,
+                "a worst-case witness could need a MINIMIZE1 table over {atoms} atoms, \
+                 over the limit of {limit}: min(k+1, most distinct sensitive values in \
+                 one bucket - 1) must be at most {limit}"
+            ),
         }
     }
 }

@@ -69,6 +69,19 @@ pub struct Minimize2Result {
     pub allocation: Vec<BucketAllocation>,
 }
 
+impl Minimize2Result {
+    /// The maximum disclosure `1 / (1 + r_min)`.
+    pub fn value(&self) -> f64 {
+        to_disclosure(self.r_min)
+    }
+}
+
+/// The maximum disclosure for a minimized Formula (1) value.
+#[inline]
+pub(crate) fn to_disclosure(r_min: f64) -> f64 {
+    1.0 / (1.0 + r_min)
+}
+
 /// Runs the corrected Algorithm 2 over `buckets` with `k` antecedent atoms.
 ///
 /// `buckets[b].m1` must cover `c = 0..=k+1`. Runs in `O(|B| · k²)` time and

@@ -6,7 +6,7 @@
 //! lattice-search machinery of `wcbk-anonymize` the same way k-anonymity
 //! plugs into Incognito.
 
-use crate::{max_disclosure, Bucketization, CoreError, DisclosureEngine, HistogramSet};
+use crate::{Bucketization, CoreError, DisclosureEngine, HistogramSet};
 
 /// The (c,k)-safety criterion.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,14 +37,13 @@ impl CkSafety {
         self.k
     }
 
-    /// Checks safety, computing maximum disclosure from scratch.
+    /// Checks safety, computing maximum disclosure from scratch through a
+    /// private engine (no witness is built).
     pub fn is_safe(&self, b: &Bucketization) -> Result<bool, CoreError> {
-        // Cheap necessary condition first: disclosure ≥ max frequency ratio,
-        // so an unsafe k=0 bound short-circuits the DP.
-        if b.max_frequency_ratio() >= self.c {
-            return Ok(false);
-        }
-        Ok(max_disclosure(b, self.k)?.value < self.c)
+        self.is_safe_set(
+            &DisclosureEngine::new(self.k),
+            &HistogramSet::from_bucketization(b),
+        )
     }
 
     /// Checks safety of a histogram-only view through a memoizing
@@ -55,6 +54,8 @@ impl CkSafety {
         engine: &DisclosureEngine,
         h: &HistogramSet,
     ) -> Result<bool, CoreError> {
+        // Cheap necessary condition first: disclosure ≥ max frequency ratio,
+        // so an unsafe k=0 bound short-circuits the DP.
         if h.max_frequency_ratio() >= self.c {
             return Ok(false);
         }

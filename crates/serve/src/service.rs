@@ -31,8 +31,7 @@ use std::sync::{Arc, Mutex, RwLock};
 
 use wcbk_anonymize::{
     default_threads, AuditReport, CkSafetyCriterion, DatasetSession, ModelAuditReport, ModelId,
-    ModelSafetyCriterion, PrivacyCriterion, SearchConfig, SearchReport, SessionOptions,
-    MODEL_NAMES,
+    PrivacyCriterion, SearchConfig, SearchReport, SessionOptions, MODEL_NAMES,
 };
 use wcbk_core::EngineRegistry;
 use wcbk_hierarchy::{GenNode, GeneralizationLattice, Hierarchy, RollupStats};
@@ -629,9 +628,9 @@ impl AuditService {
         let build_before = profile.then(|| self.engines.stats().build_micros);
         let rollup_before = profile.then(|| session.rollup_stats_peek()).flatten();
         let started = profile.then(std::time::Instant::now);
-        // A non-default adversary answers through the plugin surface; the
-        // default stays on the classic path, byte-identical to pre-model
-        // responses.
+        // The conjunction reply names persons in its witness, which only
+        // the session's tuple-level audit can do: a model audit sees a
+        // `HistogramSet`, with no members. Both price the same bound.
         let mut out = if model == ModelId::Conjunction {
             audit_json(&session.audit(c, k).map_err(|e| bad(e.to_string()))?)
         } else {
@@ -689,20 +688,10 @@ impl AuditService {
         let config = search_config(request)?;
         let model = parse_model(request)?;
         self.count_model(model, ModelOp::Search);
-        // The conjunction default keeps the classic criterion (and its
-        // response bytes); any other model searches through the plugin
-        // criterion — the model's bound, pruned only if it is monotone.
-        let criterion: Box<dyn PrivacyCriterion> = if model == ModelId::Conjunction {
-            Box::new(
-                CkSafetyCriterion::with_engine(c, session.engine(k))
-                    .map_err(|e| bad(e.to_string()))?,
-            )
-        } else {
-            Box::new(
-                ModelSafetyCriterion::new(c, model.resolve(session.engine(k)))
-                    .map_err(|e| bad(e.to_string()))?,
-            )
-        };
+        // One criterion for every model: the model's bound, pruned only if
+        // the model is merge-monotone.
+        let criterion = CkSafetyCriterion::with_model(c, model.resolve(session.engine(k)))
+            .map_err(|e| bad(e.to_string()))?;
         let profile = profile_requested(request)?;
         // The "before" snapshots must not force the evaluator build: for a
         // one-shot search the single table scan happens lazily inside

@@ -125,21 +125,62 @@ fn every_model_audit_honors_and_validates_profile() {
 #[test]
 fn model_search_uses_the_model_criterion() {
     let service = AuditService::new();
-    let mut request = audit_request(Some("minimality"));
-    if let Json::Object(fields) = &mut request {
-        fields.push((
-            "hierarchy".to_owned(),
-            Json::object(vec![("Age", Json::Array(vec![10u64.into()]))]),
-        ));
+    let id = service
+        .register_table(&register_request())
+        .unwrap()
+        .get("id")
+        .unwrap()
+        .as_str()
+        .unwrap()
+        .to_owned();
+    let search = |model: Option<&str>, handle: bool| {
+        let mut fields = vec![
+            ("k", Json::from(2u64)),
+            ("c", 0.9.into()),
+            (
+                "hierarchy",
+                Json::object(vec![("Age", Json::Array(vec![10u64.into()]))]),
+            ),
+        ];
+        if let Some(m) = model {
+            fields.push(("model", m.into()));
+        }
+        if handle {
+            service.session_search(&id, &Json::object(fields)).unwrap()
+        } else {
+            let request = Json::object(
+                [
+                    ("csv", Json::from(HOSPITAL_CSV)),
+                    ("sensitive", "Disease".into()),
+                    ("qi", Json::Array(vec!["Age".into(), "Sex".into()])),
+                ]
+                .into_iter()
+                .chain(fields)
+                .collect(),
+            );
+            service.search(&request).unwrap()
+        }
+    };
+    for handle in [false, true] {
+        let criterion = |out: &Json| {
+            out.get("criterion")
+                .and_then(Json::as_str)
+                .unwrap()
+                .to_owned()
+        };
+        // An absent model and the conjunction model search under the
+        // paper's (c,k)-safety, and the response stays model-free.
+        for model in [None, Some("conjunction")] {
+            let out = search(model, handle);
+            assert_eq!(criterion(&out), "(0.9,2)-safety", "{model:?}");
+            assert!(out.get("model").is_none(), "{model:?}");
+        }
+        for name in &MODEL_NAMES[1..] {
+            let out = search(Some(name), handle);
+            assert_eq!(criterion(&out), format!("(0.9,2)-{name}"));
+            assert_eq!(out.get("model").and_then(Json::as_str), Some(*name));
+        }
     }
-    let out = service.search(&request).unwrap();
-    assert_eq!(out.get("model").and_then(Json::as_str), Some("minimality"));
-    let criterion = out.get("criterion").and_then(Json::as_str).unwrap();
-    assert!(criterion.contains("minimality"), "criterion: {criterion}");
-
-    // The conjunction search response stays model-free.
-    let classic = service.search(&audit_request(None)).unwrap();
-    assert!(classic.get("model").is_none());
 }
 
 /// Model-tagged releases flow through history and composition: the

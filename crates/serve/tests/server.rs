@@ -505,6 +505,80 @@ fn large_k_audits_answer_and_server_stays_up() {
     join.join().unwrap().unwrap();
 }
 
+/// An audit whose witness could need a MINIMIZE1 profile table over more
+/// than `MAX_WITNESS_ATOMS` atoms is refused with a 400 naming the limit,
+/// before any DP, on every audit route: 800 rows of one bucket with 800
+/// distinct sensitive values at k = 798 would otherwise size a table over
+/// 799 atoms (about 4 GB). The closed-form models build no such table and
+/// answer.
+#[test]
+fn oversized_witness_audit_is_a_400_and_server_stays_up() {
+    let (addr, handle, _service, join) = start(ServerConfig::default());
+    let mut client = connect(addr);
+    let csv: String = std::iter::once("Q,S\n".to_owned())
+        .chain((0..800).map(|i| format!("a,v{i}\n")))
+        .collect();
+    let table = [
+        ("csv", Json::from(csv.as_str())),
+        ("sensitive", "S".into()),
+        ("qi", Json::Array(vec!["Q".into()])),
+    ];
+    let params = [("k", 798u64.into()), ("c", 0.9.into())];
+    let limit = wcbk_core::disclosure::MAX_WITNESS_ATOMS.to_string();
+    let r = client
+        .post("/tables", &Json::object(table.to_vec()).to_string())
+        .unwrap();
+    assert_eq!(r.status, 200, "{}", r.body);
+    let id = r
+        .json()
+        .unwrap()
+        .get("id")
+        .unwrap()
+        .as_str()
+        .unwrap()
+        .to_owned();
+    for model in MODEL_IDS {
+        let model_params: Vec<(&str, Json)> = params
+            .iter()
+            .cloned()
+            .chain([("model", model.name().into())])
+            .collect();
+        let audit = Json::object(table.iter().cloned().chain(model_params.clone()).collect());
+        let oneshot = client.post("/audit", &audit.to_string()).unwrap();
+        let handle_audit = client
+            .post(
+                &format!("/tables/{id}/audit"),
+                &Json::object(model_params).to_string(),
+            )
+            .unwrap();
+        for r in [oneshot, handle_audit] {
+            if model.name() == "conjunction" || model.name() == "sequential" {
+                assert_eq!(r.status, 400, "{model}: {}", r.body);
+                assert!(r.body.contains(&limit), "{model}: {}", r.body);
+            } else {
+                assert_eq!(r.status, 200, "{model}: {}", r.body);
+            }
+        }
+    }
+
+    let job = Json::object(
+        std::iter::once(("op", "audit".into()))
+            .chain(table.iter().chain(&params).cloned())
+            .collect(),
+    );
+    let batch = Json::object(vec![("tables", Json::Array(vec![job]))]);
+    let r = client.post("/batch", &batch.to_string()).unwrap();
+    assert_eq!(r.status, 200, "{}", r.body);
+    let lines = r.ndjson().unwrap();
+    assert_eq!(lines.len(), 2, "1 result + summary");
+    let error = lines[0].get("error").and_then(Json::as_str).unwrap();
+    assert!(error.contains(&limit), "{error}");
+
+    assert_eq!(client.get("/healthz").unwrap().status, 200);
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+}
+
 /// Shutdown during a streaming batch: the batch runs to completion (every
 /// line plus the summary arrives), then the server exits and the port
 /// closes.

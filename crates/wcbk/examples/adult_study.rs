@@ -55,7 +55,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\n== Minimal (c,k)-safe publication via lattice search ==");
     let (c, k) = (0.75, 3);
-    let criterion = CkSafetyCriterion::new(c, k)?;
+    let engine = std::sync::Arc::new(DisclosureEngine::new(k));
+    let criterion = CkSafetyCriterion::with_engine(c, engine.clone())?;
     match anonymize(
         &table,
         &lattice,
@@ -79,7 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             );
             println!("  max disclosure:  {:.4} < {c}", audit.value);
             println!("  criterion evals: {}", outcome.evaluated);
-            let (hits, misses) = criterion.cache_stats();
+            let (hits, misses) = engine.cache_stats();
             println!("  histogram cache: {hits} hits / {misses} misses");
         }
         Err(e) => println!("  no safe publication: {e}"),

@@ -456,6 +456,8 @@ fn audit(opts: &Options) -> Result<Verdict, Box<dyn std::error::Error>> {
         })?
     };
     println!("== wcbk audit ==");
+    // The conjunction report names persons and tabulates every k up to
+    // `--k`; a model audit prices the histograms alone, at `--k`.
     if opts.model != ModelId::Conjunction {
         return model_audit(&b, opts);
     }
@@ -473,8 +475,7 @@ fn model_audit(b: &Bucketization, opts: &Options) -> Result<Verdict, Box<dyn std
     let model = opts
         .model
         .resolve(std::sync::Arc::new(DisclosureEngine::new(opts.k)));
-    let value = model.max_disclosure(&set)?;
-    let witness = model.witness(&set)?;
+    let (value, witness) = model.witness(&set)?;
     println!(
         "buckets: {}   tuples: {}   sensitive domain: {}",
         b.n_buckets(),
@@ -544,18 +545,10 @@ fn search_cmd(opts: &Options) -> Result<Verdict, Box<dyn std::error::Error>> {
             scan_threads: opts.scan_threads.unwrap_or(0),
         },
     )?;
-    // The conjunction default keeps the classic criterion; any other
-    // `--model` searches through the plugin criterion (the model's bound,
-    // pruned only if the model is merge-monotone).
+    // One criterion for every `--model`: the model's bound, pruned only if
+    // the model is merge-monotone.
     let engine = session.engine(opts.k);
-    let criterion: Box<dyn PrivacyCriterion> = if opts.model == ModelId::Conjunction {
-        Box::new(CkSafetyCriterion::with_engine(c, engine.clone())?)
-    } else {
-        Box::new(ModelSafetyCriterion::new(
-            c,
-            opts.model.resolve(engine.clone()),
-        )?)
-    };
+    let criterion = CkSafetyCriterion::with_model(c, opts.model.resolve(engine.clone()))?;
     // The session search resolves 0 → all cores and degenerates to the
     // sequential search at 1 thread, so dispatch is unconditional.
     let config = SearchConfig::with_threads(opts.threads.unwrap_or(1));

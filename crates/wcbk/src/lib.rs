@@ -62,9 +62,8 @@ pub mod prelude {
         anatomize, anonymize, default_threads, incognito, search, swap_sanitize, sweep,
         AdversaryModel, AuditReport, CkSafetyCriterion, CompositionReport, CompositionStyle,
         DatasetSession, DistinctLDiversity, EntropyLDiversity, KAnonymity, ModelAuditReport,
-        ModelId, ModelSafetyCriterion, ModelWitness, PrivacyCriterion, RecursiveCLDiversity,
-        ReleaseReport, SearchConfig, SearchOutcome, SearchReport, SessionOptions, UtilityMetric,
-        MODEL_IDS, MODEL_NAMES,
+        ModelId, ModelWitness, PrivacyCriterion, RecursiveCLDiversity, ReleaseReport, SearchConfig,
+        SearchOutcome, SearchReport, SessionOptions, UtilityMetric, MODEL_IDS, MODEL_NAMES,
     };
     pub use wcbk_core::{
         cost_negation_max_disclosure, is_ck_safe, max_disclosure, negation_max_disclosure, Bucket,

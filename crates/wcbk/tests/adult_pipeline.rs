@@ -148,11 +148,12 @@ fn dp_witness_verifies_exactly_on_full_scale_adult() {
 fn engine_cache_pays_off_across_lattice() {
     let table = adult(2_000);
     let lattice = adult_lattice(&table).unwrap();
-    let criterion = CkSafetyCriterion::new(0.9, 3).unwrap();
+    let engine = std::sync::Arc::new(DisclosureEngine::new(3));
+    let criterion = CkSafetyCriterion::with_engine(0.9, engine.clone()).unwrap();
     let _ = search(&table, &lattice, &criterion, &SearchConfig::with_threads(1))
         .unwrap()
         .outcome;
-    let (hits, misses) = criterion.cache_stats();
+    let (hits, misses) = engine.cache_stats();
     assert!(hits + misses > 0);
     assert!(hits > 0, "no histogram sharing across lattice nodes?");
 }
