@@ -41,7 +41,7 @@ impl DistributionModel {
     fn bucket_value(&self, hist: &SensitiveHistogram) -> f64 {
         let f = hist.frequency(0) as f64;
         let rest = (hist.n() - hist.frequency(0)) as f64;
-        let tilt = (self.k + 1) as f64;
+        let tilt = self.k.saturating_add(1) as f64;
         tilt * f / (tilt * f + rest)
     }
 }
@@ -67,7 +67,7 @@ impl AdversaryModel for DistributionModel {
             predicts: modal_prediction(b, hist),
             knowing: vec![format!(
                 "a prior tilting the odds of {modal} in bucket {b} by a factor of {}",
-                self.k + 1
+                self.k as u128 + 1
             )],
         };
         Ok((value, witness))

@@ -711,6 +711,40 @@ mod tests {
         DatasetSession::new(table, lattice).unwrap()
     }
 
+    /// A table whose four exact-QI `(Zip, Sex)` buckets hold 4, 5, 5 and
+    /// 4 distinct diseases: below saturation at every `k ≤ 2`, so audits
+    /// run the DP and look MINIMIZE1 entries up. (Every hospital-table
+    /// bucket holds one person, saturated at every `k`.)
+    fn wide_table() -> (Table, GeneralizationLattice) {
+        use wcbk_table::{Attribute, AttributeKind, Schema, TableBuilder};
+        let schema = Schema::new(vec![
+            Attribute::new("Zip", AttributeKind::QuasiIdentifier),
+            Attribute::new("Sex", AttributeKind::QuasiIdentifier),
+            Attribute::new("Disease", AttributeKind::Sensitive),
+        ])
+        .unwrap();
+        let mut builder = TableBuilder::new(schema);
+        for (zip, sex, diseases) in [
+            ("A", "M", "01230"),
+            ("A", "F", "12345"),
+            ("B", "M", "001234"),
+            ("B", "F", "23455"),
+        ] {
+            for d in diseases.chars() {
+                builder.push_row(&[zip, sex, &format!("d{d}")]).unwrap();
+            }
+        }
+        let table = builder.build();
+        let zip = table.column(0).dictionary().clone();
+        let sex = table.column(1).dictionary().clone();
+        let lattice = GeneralizationLattice::new(vec![
+            (0, Hierarchy::suppression("Zip", &zip)),
+            (1, Hierarchy::suppression("Sex", &sex)),
+        ])
+        .unwrap();
+        (table, lattice)
+    }
+
     #[test]
     fn audit_matches_the_oneshot_engine_path() {
         let s = session();
@@ -835,8 +869,7 @@ mod tests {
     #[test]
     fn shared_registry_shares_minimize1_tables() {
         let registry = Arc::new(EngineRegistry::new());
-        let table = hospital_table();
-        let lattice = hospital_lattice(&table);
+        let (table, lattice) = wide_table();
         let s1 = DatasetSession::with_options(
             table.clone(),
             lattice.clone(),
@@ -865,6 +898,7 @@ mod tests {
         let after_second = registry.stats();
         assert_eq!(after_second.misses, after_first.misses);
         assert!(after_second.hits > after_first.hits);
+        assert_eq!(after_second.saturated, 0);
         assert_eq!(s1.fingerprint(), s2.fingerprint());
     }
 
@@ -931,10 +965,26 @@ mod tests {
     /// bound and again for the witness.
     #[test]
     fn sequential_model_audit_looks_up_each_bucket_once() {
-        let s = session();
+        let (table, lattice) = wide_table();
+        let s = DatasetSession::new(table, lattice).unwrap();
         let report = s.audit_model(ModelId::Sequential, Some(0.9), 2).unwrap();
         let stats = s.engine(2).stats();
+        assert_eq!(report.buckets, 4);
         assert_eq!(stats.hits + stats.misses, report.buckets as u64);
+        assert_eq!(stats.saturated, 0);
+    }
+
+    /// A saturated audit (`k + 1 ≥ d_min`; each hospital bucket holds one
+    /// person) answers disclosure 1, unsafe, with its witness, and makes
+    /// no cache lookup.
+    #[test]
+    fn saturated_audit_makes_no_lookups() {
+        let s = session();
+        let report = s.audit(Some(0.9), 1_000_000_000).unwrap();
+        assert_eq!(report.disclosure.value, 1.0);
+        assert_eq!(report.safe, Some(false));
+        let stats = s.engine(0).stats();
+        assert_eq!((stats.hits, stats.misses, stats.saturated), (0, 0, 1));
     }
 
     /// A composition audit re-prices the whole union but builds MINIMIZE1

@@ -89,7 +89,9 @@ pub(crate) fn check_witness_size<'h>(
     k: usize,
 ) -> Result<(), CoreError> {
     let d_max = histograms.into_iter().map(|h| h.distinct()).max();
-    let atoms = (k + 1).min(d_max.unwrap_or(0).saturating_sub(1));
+    let atoms = k
+        .saturating_add(1)
+        .min(d_max.unwrap_or(0).saturating_sub(1));
     if atoms > MAX_WITNESS_ATOMS {
         return Err(CoreError::WitnessTooLarge {
             atoms,
@@ -110,7 +112,12 @@ pub(crate) fn check_witness_size<'h>(
 ///
 /// Each allocated bucket's profile is [`minimize1_profile`] at that
 /// bucket's own atom count `c`, held in space sized by the bucket's
-/// distinct values however large `c` is.
+/// distinct values however large `c` is. On a saturated set (`k + 1 ≥
+/// d_min`) the allocation is the closed form of
+/// [`DisclosureEngine::allocation_set`]: the host bucket carries `d − 1`
+/// antecedents or all `k`, and a person's atoms past its `d` values pad
+/// with the domain's spare values only until those run out, so the
+/// witness costs no time in `k` beyond the profile.
 pub(crate) fn build_witness<'t>(
     histogram_of: impl Fn(usize) -> &'t SensitiveHistogram,
     domain_size: u32,
@@ -120,7 +127,11 @@ pub(crate) fn build_witness<'t>(
     let profiles: Vec<Vec<usize>> = allocation
         .iter()
         .map(|alloc| {
-            let atom_count = alloc.atoms + usize::from(alloc.has_consequent);
+            // Saturates only at `k = usize::MAX`, where the atom cut off
+            // would have been a pad past the domain's spare values.
+            let atom_count = alloc
+                .atoms
+                .saturating_add(usize::from(alloc.has_consequent));
             minimize1_profile(histogram_of(alloc.bucket), atom_count)
                 .expect("allocation chose a feasible bucket load")
         })
@@ -136,20 +147,16 @@ pub(crate) fn build_witness<'t>(
     let mut antecedents: Vec<Atom> = Vec::new();
     for ((alloc, profile), persons) in allocation.iter().zip(&profiles).zip(&persons) {
         let hist = histogram_of(alloc.bucket);
+        let d = hist.distinct();
         let mut spare = spare_values(hist, domain_size);
         for (pi, &ki) in profile.iter().enumerate() {
             let person = persons[pi];
-            for rank in 0..ki {
-                let value = match hist.value_at(rank) {
-                    Some(v) => v,
-                    // Rank beyond the distinct values: pick an out-of-bucket
-                    // domain value (its negation holds vacuously), or drop the
-                    // pad entirely if the domain has none to spare.
-                    None => match spare.next() {
-                        Some(v) => v,
-                        None => continue,
-                    },
-                };
+            // Ranks beyond the distinct values pad with out-of-bucket
+            // domain values (their negations hold vacuously), and stop
+            // once the domain has none left to spare.
+            let in_bucket = (0..ki.min(d)).map(|rank| hist.value_at(rank).expect("rank < d"));
+            let pads = spare.by_ref().take(ki.saturating_sub(d));
+            for (rank, value) in in_bucket.chain(pads).enumerate() {
                 let atom = Atom::new(person, value);
                 if alloc.has_consequent && pi == 0 && rank == 0 {
                     consequent = Some(atom);

@@ -19,7 +19,19 @@
 //! The cache is sharded behind [`RwLock`]s and the engine is `Send + Sync`,
 //! so one engine can serve many search threads at once — the foundation of
 //! the parallel lattice search in `wcbk-anonymize`.
+//!
+//! A set is **saturated** at `k` when `k + 1 ≥ d_min`, the fewest distinct
+//! values of any of its buckets ([`HistogramSet::min_distinct`]): its
+//! disclosure is exactly 1 (`r_min = +0`, see [`crate::minimize2`]). Every
+//! route checks that before any cache lookup. The value is `1.0` and a
+//! (c,k)-safety verdict is unsafe with no cache traffic at all. The
+//! allocation a witness is built from is the DP's own, in closed form:
+//! MINIMIZE2 runs, and looks its entries up, only over the buckets after
+//! the consequent's host, each of which has more than `k + 1` values. No
+//! `k`-sized allocation is made whatever `k` is; each saturated evaluation
+//! bumps [`CacheStats::saturated`].
 
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -27,7 +39,10 @@ use std::sync::{Arc, RwLock};
 
 use crate::disclosure::{build_witness, check_witness_size, leading_members};
 use crate::minimize1::minimize1_values;
-use crate::minimize2::{minimize2, minimize2_value, to_disclosure, BucketCosts, Minimize2Result};
+use crate::minimize2::{
+    minimize2, minimize2_value, place_antecedents, to_disclosure, BucketAllocation, BucketCosts,
+    Minimize2Result,
+};
 use crate::{Bucketization, CoreError, DisclosureResult, HistogramSet, SensitiveHistogram};
 use wcbk_table::TupleId;
 
@@ -51,6 +66,9 @@ pub struct CacheStats {
     /// Lookups that had to compute MINIMIZE1 values: a key not cached, or
     /// cached with too few values for the view's `k`.
     pub misses: u64,
+    /// Evaluations of saturated sets (`k + 1 ≥ d_min`), answered in closed
+    /// form with no lookup.
+    pub saturated: u64,
     /// Distinct histograms currently cached.
     pub entries: usize,
     /// Total retained weight across entries — each entry weighs its
@@ -90,6 +108,7 @@ pub(crate) struct Minimize1Cache {
     shards: [RwLock<HashMap<Vec<u64>, CacheEntry>>; N_SHARDS],
     hits: AtomicU64,
     misses: AtomicU64,
+    saturated: AtomicU64,
     /// Group budget (`None` = unbounded, the CLI default): the total
     /// retained weight (Σ per-entry histogram group counts) may not exceed
     /// it; past the budget the least-recently-touched entries are evicted
@@ -126,6 +145,7 @@ impl Minimize1Cache {
             shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            saturated: AtomicU64::new(0),
             capacity: capacity.map(|c| c.max(1)),
             groups: AtomicU64::new(0),
             peak_groups: AtomicU64::new(0),
@@ -139,6 +159,7 @@ impl Minimize1Cache {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
+            saturated: self.saturated.load(Ordering::Relaxed),
             entries: self
                 .shards
                 .iter()
@@ -276,7 +297,7 @@ impl Minimize1Cache {
 /// over a MINIMIZE1 cache (see the module docs).
 ///
 /// Thread-safe: all methods take `&self` and the cache is
-/// [`Minimize1Cache`]'s sharded locks and atomic counters, so a single
+/// `Minimize1Cache`'s sharded locks and atomic counters, so a single
 /// engine can be shared by reference (or `Arc`) across worker threads
 /// evaluating different bucketizations concurrently. Views at different `k`
 /// over one cache (from an [`EngineRegistry`](crate::EngineRegistry)) share
@@ -330,14 +351,30 @@ impl DisclosureEngine {
         }
     }
 
+    /// Whether `h` is saturated at this view's `k` (`k + 1 ≥ d_min`, see
+    /// the module docs), counting each saturated evaluation.
+    fn saturates(&self, h: &HistogramSet) -> bool {
+        let saturated = h.min_distinct().saturating_sub(1) <= self.k;
+        if saturated {
+            self.cache.saturated.fetch_add(1, Ordering::Relaxed);
+        }
+        saturated
+    }
+
     /// Maximum disclosure value of a histogram-only bucketization view —
     /// what the roll-up lattice search evaluates, with no `Bucketization`
-    /// ever materialized.
+    /// ever materialized. Exactly `1.0`, with no cache lookup, on a
+    /// saturated set.
     pub fn max_disclosure_value_set(&self, h: &HistogramSet) -> Result<f64, CoreError> {
         if h.n_buckets() == 0 {
             return Err(CoreError::EmptyBucketization);
         }
-        Ok(self.with_set_entries(h, |entries| to_disclosure(minimize2_value(entries, self.k))))
+        if self.saturates(h) {
+            return Ok(to_disclosure(0.0));
+        }
+        Ok(self.with_set_entries(h, 0, |entries| {
+            to_disclosure(minimize2_value(entries, self.k))
+        }))
     }
 
     /// Full maximum disclosure with witness over a histogram-only view,
@@ -381,16 +418,89 @@ impl DisclosureEngine {
             return Err(CoreError::EmptyBucketization);
         }
         check_witness_size(h.histograms(), self.k)?;
-        Ok(self.with_set_entries(h, |entries| minimize2(entries, self.k)))
+        if self.saturates(h) {
+            return Ok(self.saturated_allocation(h));
+        }
+        Ok(self.with_set_entries(h, 0, |entries| minimize2(entries, self.k)))
     }
 
-    /// Calls `f` with the per-bucket cache entries of `h`, in bucket order.
-    /// The cache is consulted once per distinct histogram key; buckets
-    /// repeating an earlier key reuse its entry and count as cache hits, as
-    /// a per-bucket lookup would have.
-    fn with_set_entries<R>(&self, h: &HistogramSet, f: impl FnOnce(&[&BucketCosts]) -> R) -> R {
+    /// The allocation [`minimize2`] picks on a saturated set, with
+    /// `r_min = +0`, running MINIMIZE2 only past the consequent's host.
+    ///
+    /// The DP's walk takes, at each bucket, the first zero option in the
+    /// order (skip with 0 atoms, host with 0 atoms, skip with 1, …). Let
+    /// `i*` be the last bucket with `d ≤ k + 1`. Before `i*`, skipping with
+    /// no atom leaves a zero suffix (host at `i*`), so every earlier bucket
+    /// is skipped. At `i*`, every option before hosting behind `d_{i*} − 1`
+    /// atoms multiplies positive values, since no later bucket can reach
+    /// zero with at most `k` atoms; that host is the first zero when a
+    /// later bucket can take the remaining atoms, and
+    /// hosting behind all `k` is the only feasible zero when `i*` is the
+    /// last bucket. The rest of the walk is the DP's own over the buckets
+    /// after `i*` (`place_antecedents`), all below saturation. As with
+    /// [`minimize1_profile`](crate::minimize1::minimize1_profile), the DP
+    /// would pick otherwise only where a product of positive values
+    /// underflowed to `0.0`.
+    fn saturated_allocation(&self, h: &HistogramSet) -> Minimize2Result {
         let histograms = h.histograms();
-        let representatives = h.representatives();
+        let host = histograms
+            .iter()
+            .rposition(|hist| hist.distinct() - 1 <= self.k)
+            .expect("a saturated set has a bucket with d ≤ k + 1");
+        let rest = host + 1;
+        let host_atoms = if rest == histograms.len() {
+            self.k
+        } else {
+            histograms[host].distinct() - 1
+        };
+        let mut allocation = vec![BucketAllocation {
+            bucket: host,
+            atoms: host_atoms,
+            has_consequent: true,
+        }];
+        // With no atom left, the walk skips every later bucket.
+        if host_atoms < self.k {
+            let placed = self.with_set_entries(h, rest, |entries| {
+                place_antecedents(entries, self.k - host_atoms)
+            });
+            allocation.extend(placed.into_iter().map(|a| BucketAllocation {
+                bucket: a.bucket + rest,
+                ..a
+            }));
+        }
+        Minimize2Result {
+            r_min: 0.0,
+            allocation,
+        }
+    }
+
+    /// Calls `f` with the per-bucket cache entries of `h`'s buckets
+    /// `from..`, in bucket order. The cache is consulted once per distinct
+    /// histogram key among them; buckets repeating an earlier key reuse its
+    /// entry and count as cache hits, as a per-bucket lookup would have.
+    fn with_set_entries<R>(
+        &self,
+        h: &HistogramSet,
+        from: usize,
+        f: impl FnOnce(&[&BucketCosts]) -> R,
+    ) -> R {
+        let histograms = &h.histograms()[from..];
+        // Per bucket of the slice, the slice position of the first bucket
+        // with its key.
+        let representatives: Cow<[usize]> = if from == 0 {
+            Cow::Borrowed(h.representatives())
+        } else {
+            let mut first: HashMap<usize, usize> = HashMap::new();
+            let owners = h.representatives()[from..].iter().enumerate();
+            Cow::Owned(
+                owners
+                    .map(|(i, &rep)| match rep.checked_sub(from) {
+                        Some(local) => local,
+                        None => *first.entry(rep).or_insert(i),
+                    })
+                    .collect(),
+            )
+        };
         let distinct: Vec<Arc<BucketCosts>> = representatives
             .iter()
             .enumerate()
@@ -427,14 +537,10 @@ impl DisclosureEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::{figure3, four_buckets, from_values, wide_repeated_keys, wide_tables};
     use crate::partial_order::{merge_buckets, merge_histograms};
-    use crate::{max_disclosure, Bucketization};
-    use wcbk_table::datasets::{hospital_bucket_of, hospital_table};
+    use crate::{max_disclosure, Bucketization, CkSafety};
     use wcbk_table::TupleId;
-
-    fn figure3() -> Bucketization {
-        Bucketization::from_grouping(&hospital_table(), hospital_bucket_of).unwrap()
-    }
 
     /// The engine's value over `b`'s histograms.
     fn value_of(engine: &DisclosureEngine, b: &Bucketization) -> f64 {
@@ -448,57 +554,24 @@ mod tests {
         DisclosureEngine::over(Arc::new(Minimize1Cache::new(Some(cap))), k)
     }
 
-    /// Finer split of the hospital table: four buckets.
-    fn four_buckets() -> Bucketization {
-        let t = hospital_table();
-        let groups: Vec<Vec<TupleId>> = vec![
-            vec![TupleId(0), TupleId(1), TupleId(2)],
-            vec![TupleId(3), TupleId(4)],
-            vec![TupleId(5), TupleId(6)],
-            vec![TupleId(7), TupleId(8), TupleId(9)],
-        ];
-        Bucketization::from_partition(&t, &groups).unwrap()
-    }
-
-    #[test]
-    fn histogram_set_path_matches_bucketization_path() {
-        for k in 0..=4 {
-            let engine = DisclosureEngine::new(k);
-            for b in [figure3(), four_buckets()] {
-                let via_buckets = max_disclosure(&b, k).unwrap().value;
-                let via_set = value_of(&engine, &b);
-                assert_eq!(via_buckets.to_bits(), via_set.to_bits(), "k={k}");
-            }
-        }
-    }
-
     /// Six buckets over three histogram keys: `[2, 1]` from different
-    /// values three times, `[1, 1]` twice and `[1]` once.
+    /// values three times, `[1, 1]` twice and `[1]` once. The last bucket
+    /// holds one value, so the set is saturated at every `k`.
     fn repeated_keys() -> Bucketization {
         let groups: [&[u32]; 6] = [&[0, 0, 1], &[2, 3], &[1, 1, 2], &[0, 0, 1], &[3, 2], &[4]];
-        let mut next = 0u32;
-        let buckets: Vec<crate::Bucket> = groups
-            .iter()
-            .map(|values| {
-                let members: Vec<TupleId> = values
-                    .iter()
-                    .map(|_| {
-                        next += 1;
-                        TupleId(next - 1)
-                    })
-                    .collect();
-                let values: Vec<wcbk_table::SValue> =
-                    values.iter().copied().map(wcbk_table::SValue).collect();
-                crate::Bucket::new(members, &values)
-            })
-            .collect();
-        Bucketization::from_buckets(buckets, 5).unwrap()
+        from_values(&groups.map(<[u32]>::to_vec), 5)
     }
 
     #[test]
     fn set_path_with_repeated_keys_matches_bucketization_path() {
         for k in 0..=6 {
-            for b in [repeated_keys(), figure3(), four_buckets()] {
+            let sets = [
+                repeated_keys(),
+                wide_repeated_keys(),
+                figure3(),
+                four_buckets(),
+            ];
+            for b in sets.into_iter().chain(wide_tables()) {
                 let engine = DisclosureEngine::new(k);
                 let set = HistogramSet::from_bucketization(&b);
                 let via_set = engine.max_disclosure_value_set(&set).unwrap();
@@ -511,23 +584,30 @@ mod tests {
     }
 
     /// Every bucket gets the costs of its own histogram, whichever bucket
-    /// resolved its key. Pinned directly because a wrong pick that names
-    /// another bucket's key rarely shows in the value: the optimum seldom
-    /// places atoms in two copies of one key.
+    /// resolved its key, from any first bucket on. Pinned directly because
+    /// a wrong pick that names another bucket's key rarely shows in the
+    /// value: the optimum seldom places atoms in two copies of one key.
     #[test]
     fn set_costs_follow_each_bucket_histogram() {
         for k in 0..=3 {
             let engine = DisclosureEngine::new(k);
-            for b in [repeated_keys(), figure3(), four_buckets()] {
+            for b in [
+                repeated_keys(),
+                wide_repeated_keys(),
+                figure3(),
+                four_buckets(),
+            ] {
                 let set = HistogramSet::from_bucketization(&b);
-                engine.with_set_entries(&set, |entries| {
-                    assert_eq!(entries.len(), b.n_buckets());
-                    for (got, bucket) in entries.iter().zip(b.buckets()) {
-                        let want = engine.costs(bucket.histogram());
-                        assert_eq!(got.m1, want.m1, "k={k}");
-                        assert_eq!(got.rho.to_bits(), want.rho.to_bits(), "k={k}");
-                    }
-                });
+                for from in 0..b.n_buckets() {
+                    engine.with_set_entries(&set, from, |entries| {
+                        assert_eq!(entries.len(), b.n_buckets() - from);
+                        for (got, bucket) in entries.iter().zip(&b.buckets()[from..]) {
+                            let want = engine.costs(bucket.histogram());
+                            assert_eq!(got.m1, want.m1, "k={k}");
+                            assert_eq!(got.rho.to_bits(), want.rho.to_bits(), "k={k}");
+                        }
+                    });
+                }
             }
         }
     }
@@ -536,7 +616,7 @@ mod tests {
     /// repeated key counts as the hit a per-bucket lookup would have scored.
     #[test]
     fn set_path_counts_cache_traffic_per_bucket() {
-        let b = repeated_keys();
+        let b = wide_repeated_keys();
         let set = HistogramSet::from_bucketization(&b);
         let per_bucket = DisclosureEngine::new(2);
         let per_key = DisclosureEngine::new(2);
@@ -549,6 +629,39 @@ mod tests {
             assert_eq!(per_key.cache_stats(), (hits, misses), "round {round}");
             assert_eq!(per_key.stats().entries, 3);
         }
+        assert_eq!(per_key.stats().saturated, 0);
+    }
+
+    /// A saturated set (`k + 1 ≥ d_min`) is priced from `d_min` alone:
+    /// value 1, unsafe at every `c`, and a witness of the DP's allocation,
+    /// with no cache lookup — each evaluation counts as `saturated`.
+    /// Figure 3's male bucket has 3 values, so `k = 2` is the first
+    /// saturated power; at `k = 2` the host takes every atom, and from
+    /// `k = 3` on the host is the last bucket.
+    #[test]
+    fn saturated_sets_make_no_lookups() {
+        let b = figure3();
+        let set = HistogramSet::from_bucketization(&b);
+        for k in [2, 3, 1_000_000_000] {
+            let engine = DisclosureEngine::new(k);
+            assert_eq!(engine.max_disclosure_value_set(&set).unwrap(), 1.0);
+            let safety = CkSafety::new(1.0, k).unwrap();
+            assert!(!safety.is_safe_set(&engine, &set).unwrap());
+            let result = engine.max_disclosure(&b).unwrap();
+            assert_eq!(result.value, 1.0);
+            assert_eq!(result.r_min.to_bits(), 0.0f64.to_bits());
+            let stats = engine.stats();
+            assert_eq!(
+                (stats.hits, stats.misses, stats.entries),
+                (0, 0, 0),
+                "k={k}"
+            );
+            assert_eq!(stats.saturated, 3, "k={k}");
+        }
+        // One below: the DP runs and looks up both buckets.
+        let engine = DisclosureEngine::new(1);
+        assert!(engine.max_disclosure_value_set(&set).unwrap() < 1.0);
+        assert_eq!((engine.stats().misses, engine.stats().saturated), (2, 0));
     }
 
     /// The value path sizes MINIMIZE1 by each bucket, not by k: at
@@ -557,15 +670,7 @@ mod tests {
     /// certain.
     #[test]
     fn large_k_value_path_is_sized_by_the_bucket() {
-        let values = |v: [u32; 2]| v.map(wcbk_table::SValue);
-        let two = Bucketization::from_buckets(
-            vec![
-                crate::Bucket::new(vec![TupleId(0), TupleId(1)], &values([0, 1])),
-                crate::Bucket::new(vec![TupleId(2), TupleId(3)], &values([0, 2])),
-            ],
-            3,
-        )
-        .unwrap();
+        let two = from_values(&[vec![0, 1], vec![0, 2]], 3);
         let engine = DisclosureEngine::new(1000);
         let set = HistogramSet::from_bucketization(&two);
         assert_eq!(engine.max_disclosure_value_set(&set).unwrap(), 1.0);
@@ -574,7 +679,7 @@ mod tests {
 
     #[test]
     fn cache_hits_across_shared_histograms() {
-        let engine = DisclosureEngine::new(2);
+        let engine = DisclosureEngine::new(1);
         let b = figure3();
         value_of(&engine, &b);
         let (h0, m0) = engine.cache_stats();
@@ -590,7 +695,7 @@ mod tests {
 
     #[test]
     fn engine_is_shareable_across_threads() {
-        let engine = DisclosureEngine::new(2);
+        let engine = DisclosureEngine::new(1);
         let b = figure3();
         let expected = value_of(&engine, &b);
         // Pre-warmed cache: every lookup from the workers must hit.
@@ -614,11 +719,11 @@ mod tests {
 
     #[test]
     fn cold_cache_concurrent_builds_converge() {
-        // Four distinct bucketizations raced from four threads on a cold
+        // Two distinct bucketizations raced from four threads on a cold
         // cache: values must match the direct computation and the cache must
         // end up with exactly the distinct histograms.
         let engine = DisclosureEngine::new(3);
-        let bs = [figure3(), four_buckets()];
+        let bs = wide_tables();
         let expected: Vec<f64> = bs
             .iter()
             .map(|b| max_disclosure(b, 3).unwrap().value)
@@ -637,21 +742,21 @@ mod tests {
                 });
             }
         });
-        // figure3 has 2 distinct histograms, four_buckets adds at most 4.
         let stats = engine.stats();
-        assert!(stats.entries >= 2 && stats.entries <= 6, "{stats:?}");
+        assert_eq!(stats.entries, 6, "{stats:?}");
         assert!(stats.hit_rate() > 0.0);
     }
 
     /// A bounded cache evicts by LRU group weight, stays within budget, and
-    /// keeps producing values identical to the unbounded engine.
+    /// keeps producing values identical to the unbounded engine. The wide
+    /// entries weigh 10 to 12 groups each, 64 in all.
     #[test]
     fn capped_cache_evicts_and_stays_correct() {
         let k = 2;
         let reference = DisclosureEngine::new(k);
-        let bs = [figure3(), four_buckets()];
+        let bs = wide_tables();
         let expected: Vec<f64> = bs.iter().map(|b| value_of(&reference, b)).collect();
-        for cap in [1u64, 2, 3, 8] {
+        for cap in [10u64, 12, 23, 64] {
             let engine = capped(k, cap);
             for round in 0..3 {
                 for (b, want) in bs.iter().zip(&expected) {
@@ -664,7 +769,7 @@ mod tests {
             }
         }
         // A tight budget across distinct histograms must have evicted.
-        let tight = capped(k, 3);
+        let tight = capped(k, 23);
         for b in &bs {
             value_of(&tight, b);
         }
@@ -679,12 +784,12 @@ mod tests {
     #[test]
     fn oversized_entries_bypass_the_cache() {
         let engine = capped(2, 1);
-        let b = four_buckets(); // histograms with >1 distinct frequency
+        let [_, b] = wide_tables(); // every histogram weighs 10+ groups
         let direct = max_disclosure(&b, 2).unwrap().value;
         let got = value_of(&engine, &b);
         assert_eq!(got.to_bits(), direct.to_bits());
         let stats = engine.stats();
-        assert!(stats.groups <= 1, "{stats:?}");
+        assert_eq!((stats.misses, stats.groups), (4, 0), "{stats:?}");
         assert_eq!(stats.evictions, 0, "oversized entries never evict");
 
         let clamped = capped(2, 0);
@@ -696,8 +801,8 @@ mod tests {
     /// Concurrent access under a tight budget stays correct and bounded.
     #[test]
     fn capped_cache_is_thread_safe() {
-        let engine = capped(2, 2);
-        let bs = [figure3(), four_buckets()];
+        let engine = capped(2, 23);
+        let bs = wide_tables();
         let expected: Vec<f64> = bs
             .iter()
             .map(|b| max_disclosure(b, 2).unwrap().value)
@@ -716,7 +821,7 @@ mod tests {
                 });
             }
         });
-        assert!(engine.stats().groups <= 2, "{:?}", engine.stats());
+        assert!(engine.stats().groups <= 23, "{:?}", engine.stats());
     }
 
     /// A what-if edit is one value pass over the edited set: replacing a
@@ -726,7 +831,7 @@ mod tests {
     fn what_if_replace_matches_recompute() {
         let k = 2;
         let engine = DisclosureEngine::new(k);
-        let b = four_buckets();
+        let [_, b] = wide_tables();
 
         // Replace bucket 1's histogram with bucket 3's (members don't
         // affect the value, only the histogram).
@@ -736,15 +841,13 @@ mod tests {
         histograms[1] = replacement.clone();
         let set = HistogramSet::new(histograms, b.domain_size()).unwrap();
         let mut buckets: Vec<crate::Bucket> = b.buckets().to_vec();
-        buckets[1] = crate::Bucket::from_histogram(
-            vec![TupleId(3), TupleId(4), TupleId(90), TupleId(91)][..replacement.n() as usize]
-                .to_vec(),
-            replacement,
-        );
+        let members = (1000..1000 + replacement.n() as u32).map(TupleId).collect();
+        buckets[1] = crate::Bucket::from_histogram(members, replacement);
         let replaced = Bucketization::from_buckets(buckets, b.domain_size()).unwrap();
         let value = engine.max_disclosure_value_set(&set).unwrap();
         let direct = max_disclosure(&replaced, k).unwrap().value;
         assert_eq!(value.to_bits(), direct.to_bits());
+        assert_eq!(engine.stats().saturated, 0);
     }
 
     /// Removing any one bucket matches the full computation on the
@@ -753,16 +856,11 @@ mod tests {
     fn what_if_remove_matches_recompute() {
         let k = 2;
         let engine = DisclosureEngine::new(k);
-        let b = four_buckets();
+        let [_, b] = wide_tables();
         for i in 0..4 {
-            let groups: Vec<Vec<TupleId>> = b
-                .buckets()
-                .iter()
-                .enumerate()
-                .filter(|&(bi, _)| bi != i)
-                .map(|(_, bucket)| bucket.members().to_vec())
-                .collect();
-            let removed = Bucketization::from_partition(&hospital_table(), &groups).unwrap();
+            let mut buckets = b.buckets().to_vec();
+            buckets.remove(i);
+            let removed = Bucketization::from_buckets(buckets, b.domain_size()).unwrap();
             let direct = max_disclosure(&removed, k).unwrap().value;
             assert_eq!(
                 value_of(&engine, &removed).to_bits(),
@@ -770,6 +868,7 @@ mod tests {
                 "remove {i}"
             );
         }
+        assert_eq!(engine.stats().saturated, 0);
     }
 
     /// Merging two adjacent buckets sums their histograms and matches the
@@ -778,7 +877,7 @@ mod tests {
     fn what_if_merge_matches_recompute() {
         let k = 2;
         let engine = DisclosureEngine::new(k);
-        let b = four_buckets();
+        let [_, b] = wide_tables();
         for i in 0..3 {
             let merged = merge_buckets(&b, i, i + 1).unwrap();
             assert_eq!(
@@ -792,5 +891,6 @@ mod tests {
                 "merge {i}"
             );
         }
+        assert_eq!(engine.stats().saturated, 0);
     }
 }

@@ -12,7 +12,10 @@
 //! cloning is `O(1)`, which lets the roll-up memo hand the same set to every
 //! evaluation of a node. Construction also records, per bucket, the first
 //! bucket with an equal [`SensitiveHistogram::key`], so the disclosure engine
-//! resolves each distinct key's MINIMIZE1 costs once per evaluation.
+//! resolves each distinct key's MINIMIZE1 costs once per evaluation, and
+//! the smallest per-bucket distinct-value count `d_min`, which decides
+//! saturation (`k + 1 ≥ d_min` makes disclosure exactly 1) before any cache
+//! lookup.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -27,6 +30,9 @@ pub struct HistogramSet {
     /// `representatives[i]` = the first bucket `j ≤ i` whose histogram has
     /// the same key as bucket `i` (a function of `histograms`).
     representatives: Arc<[usize]>,
+    /// `d_min`: the fewest distinct sensitive values in any bucket (a
+    /// function of `histograms`).
+    d_min: usize,
     domain_size: u32,
 }
 
@@ -57,6 +63,11 @@ impl HistogramSet {
     fn from_valid(histograms: Vec<SensitiveHistogram>, domain_size: u32) -> Self {
         Self {
             representatives: first_occurrences(&histograms),
+            d_min: histograms
+                .iter()
+                .map(SensitiveHistogram::distinct)
+                .min()
+                .unwrap_or(0),
             histograms: histograms.into(),
             domain_size,
         }
@@ -80,6 +91,14 @@ impl HistogramSet {
     /// bucket whose MINIMIZE1 costs stand for it.
     pub(crate) fn representatives(&self) -> &[usize] {
         &self.representatives
+    }
+
+    /// `d_min`: the fewest distinct sensitive values in any bucket. At
+    /// attacker power `k ≥ d_min − 1` the set is saturated: `d_min − 1`
+    /// atoms rule out every value of that bucket but the predicted one, so
+    /// its maximum disclosure is exactly 1.
+    pub fn min_distinct(&self) -> usize {
+        self.d_min
     }
 
     /// Number of buckets `|B|`.
@@ -142,6 +161,8 @@ mod tests {
         assert!((h.max_frequency_ratio() - b.max_frequency_ratio()).abs() < 1e-15);
         assert!((h.min_bucket_entropy() - b.min_bucket_entropy()).abs() < 1e-15);
         assert_eq!(h.min_bucket_size(), b.min_bucket_size());
+        let d_min = b.buckets().iter().map(|x| x.histogram().distinct()).min();
+        assert_eq!(Some(h.min_distinct()), d_min);
         for (hist, bucket) in h.histograms().iter().zip(b.buckets()) {
             assert_eq!(hist, bucket.histogram());
         }

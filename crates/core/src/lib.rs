@@ -41,6 +41,8 @@ pub mod cost;
 pub mod disclosure;
 pub mod engine;
 mod error;
+#[cfg(test)]
+mod fixtures;
 mod histogram;
 mod histogram_set;
 pub mod minimize1;

@@ -193,7 +193,7 @@ impl Minimize1Table {
 /// `r` atoms fit persons `i..n_b` at `cap` each and some person `j ≥ i`
 /// can be ruled out entirely, which takes `z(j) = min{v : top_sum(v) ≥ n_b
 /// − j}` atoms on each of persons `i..=j`. The walk takes the least such
-/// `cap` ([`least_zero_cap`]), as the table's tie-break does. If person `i`
+/// `cap` (`least_zero_cap`), as the table's tie-break does. If person `i`
 /// has factor 0, it held `cap ≥ z(i) ≥ z(i+1)` atoms (`z` is non-increasing),
 /// so a positive `h(i+1, cap, r)` forces `r < z(i+1) ≤ d_b`; a table over
 /// persons `i+1..` sized by `r` finishes the walk.

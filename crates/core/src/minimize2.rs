@@ -14,6 +14,21 @@
 //! one of the minimizing `c_j + 1` atoms mentions `s⁰_j` by Lemma 12, and
 //! choosing it as `A` simultaneously maximizes the denominator `Pr(A|B)`.)
 //!
+//! ### Saturation
+//!
+//! `MINIMIZE1(b, c) = +0` exactly when `c ≥ d_b`, the bucket's distinct
+//! value count. Hosting `A` behind `d_b − 1` atoms in a bucket with
+//! `d_b ≤ k + 1` therefore makes Formula (1) zero, so `r_min = +0` and the
+//! disclosure is exactly 1 when `k + 1 ≥ d_min`. Below that every cell the
+//! DP reads is positive (only a product underflowing to `0.0` could reach
+//! zero). [`DisclosureEngine`](crate::DisclosureEngine) prices a saturated
+//! set from `d_min` alone and rebuilds the allocation this DP's tie-break
+//! takes there: `A` in the **last** bucket `i*` with `d ≤ k + 1`, behind
+//! `d_{i*} − 1` atoms (all `k` when `i*` is the last bucket), and the
+//! remaining atoms placed by `place_antecedents` over the buckets after
+//! `i*`. Each of those has `d > k + 1`, so the DP only ever runs below
+//! saturation.
+//!
 //! ### Errata relative to the paper's pseudocode
 //!
 //! Algorithm 2 as printed has two defects, corrected here and documented in
@@ -94,8 +109,22 @@ pub(crate) fn to_disclosure(r_min: f64) -> f64 {
 pub fn minimize2<B: Borrow<BucketCosts>>(buckets: &[B], k: usize) -> Minimize2Result {
     let suffix = SuffixTable::build(buckets, k);
     let r_min = suffix.get(0, k, false);
-    let allocation = suffix.reconstruct(buckets, k);
+    let allocation = suffix.reconstruct(buckets, k, false);
     Minimize2Result { r_min, allocation }
+}
+
+/// The allocation [`minimize2`]'s reconstruction takes over `buckets` for
+/// `atoms` antecedent atoms once `A` is placed in an earlier bucket — its
+/// walk from `S(i, atoms, placed)` on, over a slice of the buckets. Each
+/// suffix-table cell depends only on later buckets and fewer atoms, so a
+/// table over the slice sized by `atoms` holds the same bits as the full
+/// table's cells there, and the walk makes the same choices. Bucket
+/// indices are relative to the slice.
+pub(crate) fn place_antecedents<B: Borrow<BucketCosts>>(
+    buckets: &[B],
+    atoms: usize,
+) -> Vec<BucketAllocation> {
+    SuffixTable::build(buckets, atoms).reconstruct(buckets, atoms, true)
 }
 
 /// `r_min` alone, by the same recurrence as [`SuffixTable`] but keeping only
@@ -190,15 +219,15 @@ impl SuffixTable {
         self.s[i * row_width(self.k) + h * 2 + usize::from(placed)]
     }
 
-    /// Walks the table to recover a minimizing allocation.
+    /// Walks the table from `S(0, h, placed)` to recover a minimizing
+    /// allocation.
     fn reconstruct<B: Borrow<BucketCosts>>(
         &self,
         buckets: &[B],
-        k: usize,
+        mut h: usize,
+        mut placed: bool,
     ) -> Vec<BucketAllocation> {
         let mut out = Vec::new();
-        let mut h = k;
-        let mut placed = false;
         for (i, entry) in buckets.iter().enumerate().take(self.n_buckets) {
             let b: &BucketCosts = entry.borrow();
             let here = self.get(i, h, placed);
@@ -454,6 +483,53 @@ mod tests {
                 assert_eq!(got.to_bits(), want.to_bits(), "k={k} buckets {seq:?}");
             }
         }
+    }
+
+    /// The engine's closed form on saturated sets (`k + 1 ≥ d_min`) equals
+    /// the DP over every bucket's MINIMIZE1 values, exhaustively on up to
+    /// 4 buckets drawn from the small keys at every `k ≤ 7`: value bits,
+    /// `r_min` bits and allocation. Below saturation the engine runs the
+    /// DP itself, so those cases are checked too.
+    #[test]
+    fn saturated_closed_form_equals_the_dp_exhaustively() {
+        let keys = small_keys();
+        let histograms: Vec<SensitiveHistogram> = keys
+            .iter()
+            .map(|key| {
+                SensitiveHistogram::from_counts(
+                    key.iter().enumerate().map(|(v, &c)| (SValue(v as u32), c)),
+                )
+            })
+            .collect();
+        let sequences = sequences(keys.len());
+        let sets: Vec<crate::HistogramSet> = sequences
+            .iter()
+            .map(|seq| {
+                let buckets = seq.iter().map(|&i| histograms[i].clone()).collect();
+                crate::HistogramSet::new(buckets, 4).unwrap()
+            })
+            .collect();
+        let registry = crate::EngineRegistry::new();
+        let mut saturated = 0;
+        for k in 0..=7usize {
+            let costs: Vec<BucketCosts> = histograms
+                .iter()
+                .map(|h| BucketCosts::new(minimize1_values(h, k + 1), h.frequency(0), h.n()))
+                .collect();
+            let engine = registry.engine(k);
+            for (set, seq) in sets.iter().zip(&sequences) {
+                let buckets: Vec<&BucketCosts> = seq.iter().map(|&i| &costs[i]).collect();
+                let want = minimize2(&buckets, k);
+                let got = engine.allocation_set(set).unwrap();
+                assert_eq!(got.r_min.to_bits(), want.r_min.to_bits(), "k={k} {seq:?}");
+                assert_eq!(got.allocation, want.allocation, "k={k} {seq:?}");
+                let value = engine.max_disclosure_value_set(set).unwrap();
+                assert_eq!(value.to_bits(), want.value().to_bits(), "k={k} {seq:?}");
+                saturated += usize::from(k + 1 >= set.min_distinct());
+            }
+        }
+        assert_eq!(registry.stats().saturated, 2 * saturated as u64);
+        assert!(saturated > sets.len(), "{saturated} saturated cases");
     }
 
     proptest! {

@@ -56,25 +56,14 @@ impl EngineRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{is_ck_safe, max_disclosure, Bucketization, CkSafety, HistogramSet};
-    use wcbk_table::datasets::{hospital_bucket_of, hospital_table};
-    use wcbk_table::TupleId;
+    use crate::fixtures::{figure3, wide_tables};
+    use crate::{is_ck_safe, max_disclosure, CkSafety, HistogramSet};
 
-    fn figure3() -> Bucketization {
-        Bucketization::from_grouping(&hospital_table(), hospital_bucket_of).unwrap()
-    }
-
-    /// Figure 3 plus a finer four-bucket split of the same table: six
-    /// distinct histograms between them.
-    fn tables() -> [Bucketization; 2] {
-        let groups: Vec<Vec<TupleId>> = [&[0u32, 1, 2][..], &[3, 4], &[5, 6], &[7, 8, 9]]
-            .iter()
-            .map(|g| g.iter().copied().map(TupleId).collect())
-            .collect();
-        [
-            figure3(),
-            Bucketization::from_partition(&hospital_table(), &groups).unwrap(),
-        ]
+    /// Two bucketizations over six distinct histogram keys, below
+    /// saturation at every `k ≤ 8`, so each view runs the DP on its own
+    /// entries.
+    fn tables() -> [crate::Bucketization; 2] {
+        wide_tables()
     }
 
     /// Interleaved attacker powers, so views meet entries built both
@@ -107,7 +96,8 @@ mod tests {
 
     #[test]
     fn views_at_interleaved_k_match_fresh_engines() {
-        for cap in [None, Some(1), Some(2), Some(3), Some(8)] {
+        // The six entries weigh 10 to 12 groups each, 64 in all.
+        for cap in [None, Some(10), Some(12), Some(23), Some(64)] {
             let registry = EngineRegistry::with_limits(cap, None);
             for round in 0..2 {
                 for k in INTERLEAVED {
@@ -122,7 +112,7 @@ mod tests {
 
     #[test]
     fn views_from_four_threads_match_fresh_engines() {
-        for cap in [None, Some(2)] {
+        for cap in [None, Some(23)] {
             let registry = EngineRegistry::with_limits(None, cap);
             std::thread::scope(|scope| {
                 for worker in 0..4 {
@@ -153,7 +143,7 @@ mod tests {
         assert!(engine.stats().groups <= 1, "{:?}", engine.stats());
         // The second bound caps the same cache; the smaller one wins.
         let both = EngineRegistry::with_limits(Some(100), Some(1));
-        both.engine(2).max_disclosure(&b).unwrap();
+        both.engine(1).max_disclosure(&b).unwrap();
         assert_eq!(both.stats().entries, 0, "{:?}", both.stats());
     }
 

@@ -27,14 +27,35 @@ fn bucketization() -> impl Strategy<Value = Bucketization> {
     prop::collection::vec(bucket_values(), 1..=4).prop_map(from_groups)
 }
 
-/// Strategy: 1..=12 buckets of 1..=5 tuples over codes 0..3 — few enough
-/// distinct histograms that most buckets repeat an earlier key.
+/// Strategy: 1..=12 buckets, each holding codes 0..7 once plus 0..=4
+/// more tuples over codes 0..3 — few enough distinct histograms (eleven)
+/// that most buckets repeat an earlier key, and 7 distinct values per
+/// bucket, so every `k ≤ 5` is below saturation and runs the DP.
 fn repetitive_bucketization() -> impl Strategy<Value = Bucketization> {
-    prop::collection::vec(prop::collection::vec(0u32..3, 1..=5), 1..=12).prop_map(from_groups)
+    let bucket =
+        prop::collection::vec(0u32..3, 0..=4).prop_map(|extra| (0..7).chain(extra).collect());
+    prop::collection::vec(bucket, 1..=12).prop_map(from_groups)
 }
 
-/// One bucket per group of raw sensitive values, tuple ids numbered in order.
+/// Strategy: 1..=40 buckets, each with 1..=14 distinct values counted
+/// 1..=500 times, over a 14-value domain.
+fn realistic_set() -> impl Strategy<Value = HistogramSet> {
+    let bucket = prop::collection::vec(1u64..=500, 1..=14).prop_map(|counts| {
+        SensitiveHistogram::from_counts(
+            counts
+                .into_iter()
+                .enumerate()
+                .map(|(v, c)| (SValue(v as u32), c)),
+        )
+    });
+    prop::collection::vec(bucket, 1..=40)
+        .prop_map(|buckets| HistogramSet::new(buckets, 14).unwrap())
+}
+
+/// One bucket per group of raw sensitive values, tuple ids numbered in
+/// order, over a domain of at least 4 values.
 fn from_groups(groups: Vec<Vec<u32>>) -> Bucketization {
+    let domain = groups.iter().flatten().map(|&v| v + 1).fold(4, u32::max);
     let mut next = 0u32;
     let buckets: Vec<Bucket> = groups
         .into_iter()
@@ -50,7 +71,7 @@ fn from_groups(groups: Vec<Vec<u32>>) -> Bucketization {
             Bucket::new(members, &values)
         })
         .collect();
-    Bucketization::from_buckets(buckets, 4).unwrap()
+    Bucketization::from_buckets(buckets, domain).unwrap()
 }
 
 fn space_of(b: &Bucketization) -> WorldSpace {
@@ -321,5 +342,29 @@ proptest! {
             prop_assert_eq!(got.to_bits(), max_disclosure(&b, k).unwrap().value.to_bits());
             prop_assert_eq!(per_key.cache_stats(), per_bucket.cache_stats());
         }
+        prop_assert_eq!(per_key.stats().saturated, 0);
+    }
+
+    /// The engine equals the DP over every bucket's MINIMIZE1 values at
+    /// realistic sizes, saturated (`k + 1 ≥ d_min`) or not: value bits,
+    /// `r_min` bits and the allocation a witness is built from.
+    #[test]
+    fn engine_equals_the_dp_at_realistic_sizes(set in realistic_set(), k_seed in 0usize..=31) {
+        let d_max = set.histograms().iter().map(SensitiveHistogram::distinct).max().unwrap();
+        let k = k_seed % (2 * d_max + 4);
+        let costs: Vec<BucketCosts> = set
+            .histograms()
+            .iter()
+            .map(|h| BucketCosts::new(minimize1_values(h, k + 1), h.frequency(0), h.n()))
+            .collect();
+        let want = minimize2(&costs, k);
+        let engine = DisclosureEngine::new(k);
+        let got = engine.allocation_set(&set).unwrap();
+        prop_assert_eq!(got.r_min.to_bits(), want.r_min.to_bits(), "k={}", k);
+        prop_assert_eq!(&got.allocation, &want.allocation, "k={}", k);
+        let value = engine.max_disclosure_value_set(&set).unwrap();
+        prop_assert_eq!(value.to_bits(), want.value().to_bits(), "k={}", k);
+        let saturated = k + 1 >= set.min_distinct();
+        prop_assert_eq!(engine.stats().saturated, if saturated { 2 } else { 0 });
     }
 }

@@ -49,6 +49,7 @@ pub struct ServeMetrics {
     search_derived: Arc<Counter>,
     search_table_scans: Arc<Counter>,
     minimize1_build_micros: Arc<Counter>,
+    engine_saturated: Arc<Counter>,
     wal_appends: Arc<Counter>,
     wal_append_micros: Arc<Counter>,
     wal_fsync_micros: Arc<Counter>,
@@ -129,6 +130,10 @@ impl ServeMetrics {
             minimize1_build_micros: r.counter(
                 "wcbk_minimize1_build_micros_total",
                 "Cumulative wall time building MINIMIZE1 tables and bucket costs.",
+            ),
+            engine_saturated: r.counter(
+                "wcbk_engine_saturated_total",
+                "Saturated evaluations (k + 1 >= d_min): disclosure 1 with no MINIMIZE1 lookup.",
             ),
             wal_appends: r.counter(
                 "wcbk_store_wal_appends_total",
@@ -236,6 +241,7 @@ impl ServeMetrics {
         self.search_table_scans.record_total(t.table_scans);
         self.minimize1_build_micros
             .record_total(t.minimize1_build_micros);
+        self.engine_saturated.record_total(t.engine_saturated);
         self.sessions_count.set(t.session_count);
         self.sessions_groups.set(t.session_groups);
         self.sessions_peak.record_max(t.session_peak_groups);

@@ -1077,6 +1077,7 @@ impl AuditService {
                 Json::object(vec![
                     ("hits", cache.hits.into()),
                     ("misses", cache.misses.into()),
+                    ("saturated", cache.saturated.into()),
                     ("entries", cache.entries.into()),
                     ("groups", cache.groups.into()),
                     ("peak_groups", cache.peak_groups.into()),
@@ -1217,6 +1218,7 @@ impl AuditService {
             derived: rollup.derived,
             table_scans: rollup.table_scans,
             minimize1_build_micros: cache.build_micros,
+            engine_saturated: cache.saturated,
             minimize1_groups: cache.groups,
             minimize1_peak_groups: cache.peak_groups,
             session_count: sessions.len() as u64,
@@ -1244,6 +1246,9 @@ pub struct MetricTotals {
     pub table_scans: u64,
     /// Cumulative MINIMIZE1 build wall time.
     pub minimize1_build_micros: u64,
+    /// Saturated evaluations answered in closed form (the engine cache's
+    /// `saturated`, which `/stats` renders too).
+    pub engine_saturated: u64,
     /// Groups retained by the MINIMIZE1 cache right now.
     pub minimize1_groups: u64,
     /// The MINIMIZE1 cache's retained-groups high-water mark.
@@ -2016,21 +2021,30 @@ mod tests {
     #[test]
     fn shared_engine_hits_across_requests() {
         let service = AuditService::new();
-        let request = Json::parse(&audit_request()).unwrap();
+        // Grouped by sex alone, each bucket holds two diseases: k = 0 is
+        // below saturation, so the audit looks its bucket up.
+        let request = Json::object(vec![
+            ("csv", HOSPITAL_CSV.into()),
+            ("sensitive", "Disease".into()),
+            ("qi", Json::Array(vec!["Sex".into()])),
+            ("k", 0u64.into()),
+        ]);
+        let cache = |service: &AuditService| {
+            let stats = service.stats();
+            let (_, cache) = stats.iter().find(|(k, _)| *k == "engine_cache").unwrap();
+            let count = |name: &str| cache.get(name).unwrap().as_u64().unwrap();
+            (count("hits"), count("misses"), count("saturated"))
+        };
         service.audit(&request).unwrap();
+        let (hits, misses, saturated) = cache(&service);
+        assert!(misses > 0);
         service.audit(&request).unwrap();
-        let stats = Json::Object(
-            service
-                .stats()
-                .into_iter()
-                .map(|(k, v)| (k.to_owned(), v))
-                .collect(),
+        assert_eq!(
+            cache(&service),
+            (hits + 2, misses, saturated),
+            "the second audit must hit the shared engine cache"
         );
-        let cache = stats.get("engine_cache").unwrap();
-        assert!(
-            cache.get("hits").unwrap().as_u64().unwrap() > 0,
-            "second audit must hit the shared engine cache: {stats}"
-        );
+        assert_eq!(saturated, 0);
     }
 
     #[test]

@@ -505,6 +505,155 @@ fn large_k_audits_answer_and_server_stays_up() {
     join.join().unwrap().unwrap();
 }
 
+/// The hostile-`k` corpus: `"k": 1000000000` on every search and audit
+/// route (one-shot, handle, and a `/batch` audit job plus a search job)
+/// under every adversary model. Every set is saturated (`k + 1 ≥ d_min`),
+/// so each request answers 200 with disclosure 1 (no search node safe)
+/// within 100 ms, with no MINIMIZE1 table or DP row sized by `k`, and the
+/// server stays up. `"k": 40000`, which a DP in `k²` per bucket would
+/// take seconds on, answers as fast, and so does the largest `k` a request
+/// can name (`u64::MAX`, where `k + 1` would overflow).
+#[test]
+fn hostile_k_corpus_answers_fast_on_every_route_and_model() {
+    let (addr, handle, _service, join) = start(ServerConfig::default());
+    let mut client = connect(addr);
+    let table = [
+        ("csv", "Age,Sex,Disease\n21,M,Flu\n23,F,Cold\n".into()),
+        ("sensitive", "Disease".into()),
+        ("qi", Json::Array(vec!["Age".into(), "Sex".into()])),
+    ];
+    let r = client
+        .post("/tables", &Json::object(table.to_vec()).to_string())
+        .unwrap();
+    assert_eq!(r.status, 200, "{}", r.body);
+    let id = r
+        .json()
+        .unwrap()
+        .get("id")
+        .unwrap()
+        .as_str()
+        .unwrap()
+        .to_owned();
+    let mut post = |path: &str, body: Json| {
+        let started = std::time::Instant::now();
+        let r = client.post(path, &body.to_string()).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(r.status, 200, "{path} {body}: {}", r.body);
+        assert!(
+            elapsed < Duration::from_millis(100),
+            "{path} {body}: {elapsed:?}"
+        );
+        r
+    };
+    let certain = |line: &Json| {
+        assert_eq!(
+            line.get("max_disclosure").and_then(Json::as_f64),
+            Some(1.0),
+            "{line}"
+        );
+    };
+    let nothing_safe = |line: &Json| {
+        assert_eq!(
+            line.get("satisfied").and_then(Json::as_u64),
+            Some(0),
+            "{line}"
+        );
+        assert_eq!(
+            line.get("safe").and_then(Json::as_bool),
+            Some(false),
+            "{line}"
+        );
+    };
+    for k in [u64::MAX, 1_000_000_000, 40_000] {
+        for model in MODEL_IDS {
+            let params = vec![
+                ("k", k.into()),
+                ("c", 0.9.into()),
+                ("model", model.name().into()),
+            ];
+            let job = |op: &str| {
+                Json::object(
+                    std::iter::once(("op", op.into()))
+                        .chain(table.iter().cloned())
+                        .chain(params.iter().cloned())
+                        .collect(),
+                )
+            };
+            let oneshot = Json::object(table.iter().cloned().chain(params.clone()).collect());
+            let handle_body = Json::object(params.clone());
+
+            certain(&post("/audit", oneshot.clone()).json().unwrap());
+            certain(
+                &post(&format!("/tables/{id}/audit"), handle_body.clone())
+                    .json()
+                    .unwrap(),
+            );
+            nothing_safe(&post("/search", oneshot).json().unwrap());
+            nothing_safe(
+                &post(&format!("/tables/{id}/search"), handle_body)
+                    .json()
+                    .unwrap(),
+            );
+            let batch = Json::object(vec![(
+                "tables",
+                Json::Array(vec![job("audit"), job("search")]),
+            )]);
+            let lines = post("/batch", batch).ndjson().unwrap();
+            assert_eq!(lines.len(), 3, "2 results + summary");
+            // Results stream in completion order; each names its job.
+            let result = |index: u64| {
+                let of_job = |l: &&Json| l.get("index").and_then(Json::as_u64) == Some(index);
+                lines
+                    .iter()
+                    .find(of_job)
+                    .unwrap_or_else(|| panic!("{lines:?}"))
+            };
+            certain(result(0));
+            nothing_safe(result(1));
+        }
+    }
+    assert_eq!(client.get("/healthz").unwrap().status, 200);
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+}
+
+/// `/stats` `engine_cache.saturated` and `/metrics`
+/// `wcbk_engine_saturated_total` read one counter: after saturated audits
+/// and a search they agree, and both moved.
+#[test]
+fn stats_saturated_agrees_with_metrics() {
+    let (addr, handle, _service, join) = start(ServerConfig::default());
+    let mut client = connect(addr);
+    let id = register(&mut client, 0);
+    for path in ["audit", "search"] {
+        let body = Json::object(vec![("k", 1_000_000u64.into()), ("c", 0.9.into())]);
+        let r = client
+            .post(&format!("/tables/{id}/{path}"), &body.to_string())
+            .unwrap();
+        assert_eq!(r.status, 200, "{}", r.body);
+    }
+    let stats = client.get("/stats").unwrap().json().unwrap();
+    let saturated = stats
+        .get("engine_cache")
+        .and_then(|c| c.get("saturated"))
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("no engine_cache.saturated in {stats}"));
+    let metrics = client.get("/metrics").unwrap().body;
+    let exposed = metrics
+        .lines()
+        .find_map(|l| {
+            l.strip_prefix("wcbk_engine_saturated_total ")?
+                .parse::<u64>()
+                .ok()
+        })
+        .unwrap_or_else(|| panic!("no wcbk_engine_saturated_total in:\n{metrics}"));
+    assert_eq!(saturated, exposed);
+    assert!(saturated >= 2, "{stats}");
+
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+}
+
 /// An audit whose witness could need a MINIMIZE1 profile table over more
 /// than `MAX_WITNESS_ATOMS` atoms is refused with a 400 naming the limit,
 /// before any DP, on every audit route: 800 rows of one bucket with 800
@@ -1075,6 +1224,7 @@ fn metrics_exposition_is_well_formed_and_counts_requests() {
         "wcbk_search_derived_total",
         "wcbk_search_table_scans_total",
         "wcbk_minimize1_build_micros_total",
+        "wcbk_engine_saturated_total",
         "wcbk_store_wal_appends_total",
         "wcbk_pool_entries",
         "wcbk_pool_groups",
